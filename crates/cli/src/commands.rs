@@ -456,10 +456,13 @@ mod tests {
     }
 
     fn trace_file(content: &str) -> std::path::PathBuf {
+        // One path per call: tests run in parallel and delete their files,
+        // so two tests must never share one.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let path = std::env::temp_dir().join(format!(
             "rtm_cli_test_{}_{}.txt",
             std::process::id(),
-            content.len()
+            NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         ));
         std::fs::write(&path, content).unwrap();
         path

@@ -1,4 +1,4 @@
-use super::{check_fit, InterHeuristic};
+use super::{check_fit, leading_members, membership, InterHeuristic};
 use crate::error::PlacementError;
 use rtm_trace::{AccessSequence, Liveness, VarId};
 
@@ -63,71 +63,47 @@ impl Dma {
 
     /// [`partition`](Self::partition) with a precomputed liveness table.
     pub fn partition_with(&self, live: &Liveness) -> DmaPartition {
-        let order = live.by_first_occurrence();
-        let disjoint = scan_chain(live, &order);
-        let non_disjoint = order
-            .into_iter()
-            .filter(|v| !disjoint.contains(v))
-            .collect();
-        DmaPartition {
-            disjoint,
-            non_disjoint,
-        }
-    }
-}
-
-/// One pass of Algorithm 1's liveness scan (lines 5–12) over `candidates`
-/// (given in ascending first-occurrence order): extracts a pairwise-disjoint
-/// chain maximizing self accesses.
-pub(crate) fn scan_chain(live: &Liveness, candidates: &[VarId]) -> Vec<VarId> {
-    let mut in_ndj: Vec<bool> = vec![false; live.len()];
-    for &v in candidates {
-        in_ndj[v.index()] = true;
-    }
-    let mut chain = Vec::new();
-    let mut t_min = 0usize;
-    for &v in candidates {
-        if live.first(v) > t_min {
-            // Σ A_u over u still in V_ndj with F_u > F_v and L_u < L_v.
-            let nested_sum: u64 = candidates
-                .iter()
-                .filter(|&&u| {
-                    u != v
-                        && in_ndj[u.index()]
-                        && live.first(u) > live.first(v)
-                        && live.last(u) < live.last(v)
-                })
-                .map(|&u| live.frequency(u))
-                .sum();
-            if live.frequency(v) > nested_sum {
-                chain.push(v);
-                in_ndj[v.index()] = false;
-                t_min = live.last(v);
-            }
-        }
-    }
-    chain
-}
-
-impl InterHeuristic for Dma {
-    fn name(&self) -> &'static str {
-        "DMA"
+        split_chain(live, live.by_first_occurrence()).0
     }
 
-    fn distribute(
+    /// [`distribute`](InterHeuristic::distribute), plus the number of
+    /// leading DBCs that keep their access order: those whose first
+    /// variable the scan selected into `V_dj`.
+    ///
+    /// Composite strategies apply their intra-DBC heuristic to the other
+    /// DBCs only (lines 22–23 of Algorithm 1).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlacementError`] when the variables cannot fit.
+    pub(crate) fn distribute_counted(
         &self,
         seq: &AccessSequence,
         dbcs: usize,
         capacity: usize,
-    ) -> Result<Vec<Vec<VarId>>, PlacementError> {
+    ) -> Result<(Vec<Vec<VarId>>, usize), PlacementError> {
         let live = seq.liveness();
-        let total_vars = live.by_first_occurrence().len();
-        check_fit(total_vars, dbcs, capacity)?;
+        let order = live.by_first_occurrence();
+        check_fit(order.len(), dbcs, capacity)?;
+        let (part, selected) = split_chain(&live, order);
+        let dist = self.assign(&live, part, dbcs, capacity);
+        let keep = leading_members(&dist, &selected);
+        Ok((dist, keep))
+    }
 
+    /// Lines 13–21 of Algorithm 1: deals a partition over `dbcs` DBCs of
+    /// `capacity` locations (total fit already checked).
+    pub(crate) fn assign(
+        &self,
+        live: &Liveness,
+        part: DmaPartition,
+        dbcs: usize,
+        capacity: usize,
+    ) -> Vec<Vec<VarId>> {
         let DmaPartition {
             mut disjoint,
             mut non_disjoint,
-        } = self.partition_with(&live);
+        } = part;
 
         // K = ceil(|Vdj| / N), capped so the non-disjoint side fits.
         let mut k = disjoint.len().div_ceil(capacity);
@@ -193,31 +169,127 @@ impl InterHeuristic for Dma {
                 d = (d + 1) % span;
             }
         }
-        Ok(out)
+        out
     }
-}
 
-impl Dma {
     /// Number of leading DBCs holding disjoint variables in a distribution
     /// previously produced by [`distribute`](InterHeuristic::distribute).
     ///
     /// Composite strategies use this to know which DBCs must keep their
     /// access order (the disjoint ones) and which may be reordered by an
     /// intra-DBC heuristic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlacementError`] when the variables cannot fit.
     pub fn disjoint_dbc_count(
         &self,
         seq: &AccessSequence,
         dbcs: usize,
         capacity: usize,
     ) -> Result<usize, PlacementError> {
-        let dist = self.distribute(seq, dbcs, capacity)?;
-        let part = self.partition(seq);
-        // A DBC is "disjoint" if its first variable is in V_dj; distribute
-        // fills 0..K with V_dj only.
-        Ok(dist
-            .iter()
-            .take_while(|l| l.first().is_some_and(|v| part.disjoint.contains(v)))
-            .count())
+        Ok(self.distribute_counted(seq, dbcs, capacity)?.1)
+    }
+}
+
+/// Splits `order` (ascending first occurrence) into the chain
+/// [`scan_chain`] selects and everything else, both in that order; also
+/// returns the membership table of the chain.
+fn split_chain(live: &Liveness, order: Vec<VarId>) -> (DmaPartition, Vec<bool>) {
+    let disjoint = scan_chain(live, &order);
+    let selected = membership(&disjoint, live.len());
+    let non_disjoint = order.into_iter().filter(|v| !selected[v.index()]).collect();
+    let part = DmaPartition {
+        disjoint,
+        non_disjoint,
+    };
+    (part, selected)
+}
+
+/// One pass of Algorithm 1's liveness scan (lines 5–12) over `candidates`
+/// (given in ascending first-occurrence order): extracts a pairwise-disjoint
+/// chain maximizing self accesses.
+///
+/// Line 10 compares `A_v` with `Σ A_u` over `u ∈ V_ndj` nested in `v`
+/// (`F_u > F_v`, `L_u < L_v`). Every `u` with `F_u > F_v` comes after `v`
+/// in the scan, so it is still in `V_ndj` when `v` is tested; the sum is
+/// therefore over *all* later candidates ending before `L_v`. One reverse
+/// sweep computes every such sum from a Fenwick tree over last-occurrence
+/// ranks, so the scan costs `O(V log V)` instead of `O(V²)`.
+pub(crate) fn scan_chain(live: &Liveness, candidates: &[VarId]) -> Vec<VarId> {
+    debug_assert!(
+        candidates
+            .windows(2)
+            .all(|w| live.first(w[0]) < live.first(w[1])),
+        "candidates must be in ascending first-occurrence order"
+    );
+    let n = candidates.len();
+    // Distinct accessed variables end at distinct positions, so the
+    // ranks by L are a permutation of 0..n.
+    let mut by_last: Vec<usize> = (0..n).collect();
+    by_last.sort_unstable_by_key(|&i| live.last(candidates[i]));
+    let mut rank = vec![0usize; n];
+    for (r, &i) in by_last.iter().enumerate() {
+        rank[i] = r;
+    }
+    let mut later = Fenwick::new(n);
+    let mut nested_sum = vec![0u64; n];
+    for i in (0..n).rev() {
+        nested_sum[i] = later.sum_below(rank[i]);
+        later.add(rank[i], live.frequency(candidates[i]));
+    }
+
+    let mut chain = Vec::new();
+    let mut t_min = 0usize;
+    for (&v, &nested) in candidates.iter().zip(&nested_sum) {
+        if live.first(v) > t_min && live.frequency(v) > nested {
+            chain.push(v);
+            t_min = live.last(v);
+        }
+    }
+    chain
+}
+
+/// A Fenwick (binary indexed) tree of sums over positions `0..n`.
+struct Fenwick(Vec<u64>);
+
+impl Fenwick {
+    fn new(n: usize) -> Self {
+        Self(vec![0; n + 1])
+    }
+
+    /// Adds `x` at position `i`.
+    fn add(&mut self, i: usize, x: u64) {
+        let mut i = i + 1;
+        while i < self.0.len() {
+            self.0[i] += x;
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Sum over positions `0..i`.
+    fn sum_below(&self, mut i: usize) -> u64 {
+        let mut sum = 0;
+        while i > 0 {
+            sum += self.0[i];
+            i &= i - 1;
+        }
+        sum
+    }
+}
+
+impl InterHeuristic for Dma {
+    fn name(&self) -> &'static str {
+        "DMA"
+    }
+
+    fn distribute(
+        &self,
+        seq: &AccessSequence,
+        dbcs: usize,
+        capacity: usize,
+    ) -> Result<Vec<Vec<VarId>>, PlacementError> {
+        Ok(self.distribute_counted(seq, dbcs, capacity)?.0)
     }
 }
 

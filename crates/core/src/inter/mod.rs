@@ -4,6 +4,8 @@
 //!   Distribution* (Chen et al., TVLSI'16, §III-A of the paper).
 //! * [`Dma`] — the paper's contribution (Algorithm 1): *Disjoint Memory
 //!   Accesses* are separated from the rest and stored in access order.
+//! * [`DmaMulti`] — DMA re-run on its own leftover, peeling off several
+//!   disjoint chains (the paper's §VI future work).
 
 mod afd;
 mod dma;
@@ -55,6 +57,23 @@ pub(crate) fn check_fit(vars: usize, dbcs: usize, capacity: usize) -> Result<(),
         });
     }
     Ok(())
+}
+
+/// A membership table over variable ids `0..len` with `vars` set.
+pub(crate) fn membership(vars: &[VarId], len: usize) -> Vec<bool> {
+    let mut set = vec![false; len];
+    for v in vars {
+        set[v.index()] = true;
+    }
+    set
+}
+
+/// Number of leading DBCs of `dist` whose first variable is a member —
+/// the DBCs a composite strategy leaves in their native access order.
+pub(crate) fn leading_members(dist: &[Vec<VarId>], member: &[bool]) -> usize {
+    dist.iter()
+        .take_while(|l| l.first().is_some_and(|v| member[v.index()]))
+        .count()
 }
 
 #[cfg(test)]

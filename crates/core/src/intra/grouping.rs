@@ -7,57 +7,92 @@
 //! `Σ_{edges {u,v}} w_uv · |pos(u) − pos(v)|` over the access graph, which
 //! is what the grouping greedily minimizes.
 
+use super::id_bound;
 use rtm_trace::VarId;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Dense edge-weight view of one DBC's restricted subsequence.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct LocalGraph {
-    /// Map from VarId to dense local index.
-    pub(crate) index: HashMap<VarId, usize>,
+    /// Local index of every variable index below the largest one in the
+    /// subsequence ([`ABSENT`] for variables that do not occur).
+    local: Vec<usize>,
+    /// Local index -> variable, in first-use order.
     pub(crate) vars: Vec<VarId>,
-    /// Adjacency list: local -> (local, weight), sorted for determinism.
+    /// Adjacency list: local -> (local, weight), sorted by neighbor.
     pub(crate) adj: Vec<Vec<(usize, u64)>>,
     pub(crate) freq: Vec<u64>,
 }
 
+/// [`LocalGraph::local`] entry of a variable absent from the subsequence.
+const ABSENT: usize = usize::MAX;
+
 impl LocalGraph {
-    /// Builds the graph of `sub`.
+    /// Builds the graph of `sub` in `O(m log m)` for `m = sub.len()`.
     pub(crate) fn of(sub: &[VarId]) -> Self {
-        let mut index = HashMap::new();
+        let mut local = vec![ABSENT; id_bound(sub)];
         let mut vars = Vec::new();
+        let mut freq = Vec::new();
         for &v in sub {
-            index.entry(v).or_insert_with(|| {
+            let slot = &mut local[v.index()];
+            if *slot == ABSENT {
+                *slot = vars.len();
                 vars.push(v);
-                vars.len() - 1
-            });
-        }
-        let n = vars.len();
-        let mut weights: HashMap<(usize, usize), u64> = HashMap::new();
-        let mut freq = vec![0u64; n];
-        for &v in sub {
-            freq[index[&v]] += 1;
-        }
-        for pair in sub.windows(2) {
-            let (a, b) = (index[&pair[0]], index[&pair[1]]);
-            if a != b {
-                let key = (a.min(b), a.max(b));
-                *weights.entry(key).or_insert(0) += 1;
+                freq.push(0);
             }
+            freq[*slot] += 1;
         }
-        let mut adj = vec![Vec::new(); n];
-        for (&(a, b), &w) in &weights {
+        // One key per transition between two variables, the smaller local
+        // index in the high half. Local indices fit in 32 bits: variable
+        // ids are `u32`, so a subsequence has at most 2^32 of them.
+        let mut edges: Vec<u64> = sub
+            .windows(2)
+            .map(|p| (local[p[0].index()], local[p[1].index()]))
+            .filter(|(a, b)| a != b)
+            .map(|(a, b)| ((a.min(b) as u64) << 32) | a.max(b) as u64)
+            .collect();
+        edges.sort_unstable();
+        // Keys arrive sorted, so each list receives its smaller neighbors
+        // (as the second endpoint) before its larger ones (as the first),
+        // each group ascending: the lists come out sorted.
+        let mut adj = vec![Vec::new(); vars.len()];
+        for run in edges.chunk_by(|x, y| x == y) {
+            let (a, b) = ((run[0] >> 32) as usize, (run[0] & 0xffff_ffff) as usize);
+            let w = run.len() as u64;
             adj[a].push((b, w));
             adj[b].push((a, w));
         }
-        for l in &mut adj {
-            l.sort_unstable();
-        }
         Self {
-            index,
+            local,
             vars,
             adj,
             freq,
         }
+    }
+
+    /// A graph from its parts, for the test-only reference pipeline.
+    #[cfg(test)]
+    pub(crate) fn from_parts(
+        vars: Vec<VarId>,
+        adj: Vec<Vec<(usize, u64)>>,
+        freq: Vec<u64>,
+    ) -> Self {
+        let mut local = vec![ABSENT; id_bound(&vars)];
+        for (i, v) in vars.iter().enumerate() {
+            local[v.index()] = i;
+        }
+        Self {
+            local,
+            vars,
+            adj,
+            freq,
+        }
+    }
+
+    /// The local index of `v`, if it occurs in the subsequence.
+    pub(crate) fn local_index(&self, v: VarId) -> Option<usize> {
+        self.local.get(v.index()).copied().filter(|&i| i != ABSENT)
     }
 
     /// Number of local vertices.
@@ -104,13 +139,14 @@ pub(crate) fn bidirectional_grouping(g: &LocalGraph, seed: Seed) -> Vec<usize> {
     if n == 0 {
         return Vec::new();
     }
-    let seed_vertex =
-        match seed {
-            Seed::Frequency => (0..n)
-                .max_by_key(|&v| (g.freq[v], g.degree_weight(v), std::cmp::Reverse(g.vars[v]))),
-            Seed::DegreeWeight => (0..n)
-                .max_by_key(|&v| (g.degree_weight(v), g.freq[v], std::cmp::Reverse(g.vars[v]))),
-        };
+    let seed_vertex = match seed {
+        Seed::Frequency => {
+            (0..n).max_by_key(|&v| (g.freq[v], g.degree_weight(v), Reverse(g.vars[v])))
+        }
+        Seed::DegreeWeight => {
+            (0..n).max_by_key(|&v| (g.degree_weight(v), g.freq[v], Reverse(g.vars[v])))
+        }
+    };
     let Some(seed_vertex) = seed_vertex else {
         unreachable!("n > 0 was checked above")
     };
@@ -124,13 +160,24 @@ pub(crate) fn bidirectional_grouping(g: &LocalGraph, seed: Seed) -> Vec<usize> {
     for &(b, w) in &g.adj[seed_vertex] {
         conn[b] += w;
     }
+    // The unplaced vertices by (connection, frequency, lowest id). A
+    // vertex whose connection grows is pushed again; connections only
+    // grow, so its newest entry outranks its older ones and surfaces
+    // first. Entries of placed vertices are skipped.
+    let entry = |v: usize, conn: u64| (conn, g.freq[v], Reverse(g.vars[v]), v);
+    let mut frontier: BinaryHeap<_> = (0..n)
+        .filter(|&v| v != seed_vertex)
+        .map(|v| entry(v, conn[v]))
+        .collect();
 
     for _ in 1..n {
-        let next = (0..n)
-            .filter(|&v| !placed[v])
-            .max_by_key(|&v| (conn[v], g.freq[v], std::cmp::Reverse(g.vars[v])));
-        let Some(next) = next else {
-            unreachable!("fewer than n vertices are placed")
+        let next = loop {
+            let Some((.., v)) = frontier.pop() else {
+                unreachable!("every unplaced vertex has an entry")
+            };
+            if !placed[v] {
+                break v;
+            }
         };
 
         let mut cost_left = 0i128;
@@ -155,6 +202,7 @@ pub(crate) fn bidirectional_grouping(g: &LocalGraph, seed: Seed) -> Vec<usize> {
         for &(b, w) in &g.adj[next] {
             if !placed[b] {
                 conn[b] += w;
+                frontier.push(entry(b, conn[b]));
             }
         }
     }

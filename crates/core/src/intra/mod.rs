@@ -40,13 +40,22 @@ pub trait IntraHeuristic {
 ///
 /// Heuristics derive their order from the subsequence; variables assigned to
 /// the DBC but never accessed must still receive offsets.
-pub(crate) fn append_unaccessed(mut ordered: Vec<VarId>, vars: &[VarId]) -> Vec<VarId> {
-    for &v in vars {
-        if !ordered.contains(&v) {
-            ordered.push(v);
-        }
-    }
-    ordered
+pub(crate) fn append_unaccessed(ordered: Vec<VarId>, vars: &[VarId]) -> Vec<VarId> {
+    first_uses(ordered.iter().chain(vars))
+}
+
+/// The distinct variables of `ids`, in order of first occurrence.
+pub(crate) fn first_uses<'a>(ids: impl Iterator<Item = &'a VarId> + Clone) -> Vec<VarId> {
+    let mut seen = vec![false; id_bound(ids.clone())];
+    ids.filter(|v| !std::mem::replace(&mut seen[v.index()], true))
+        .copied()
+        .collect()
+}
+
+/// One past the largest variable index in `ids` — the length of a dense
+/// table indexed by them.
+pub(crate) fn id_bound<'a>(ids: impl IntoIterator<Item = &'a VarId>) -> usize {
+    ids.into_iter().map(|v| v.index() + 1).max().unwrap_or(0)
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-use super::{append_unaccessed, IntraHeuristic};
+use super::{first_uses, IntraHeuristic};
 use rtm_trace::VarId;
 
 /// Order of first use (OFU): variables receive offsets in the order they are
@@ -31,13 +31,8 @@ impl IntraHeuristic for Ofu {
     }
 
     fn order(&self, vars: &[VarId], sub: &[VarId]) -> Vec<VarId> {
-        let mut seen = Vec::with_capacity(vars.len());
-        for &v in sub {
-            if !seen.contains(&v) {
-                seen.push(v);
-            }
-        }
-        append_unaccessed(seen, vars)
+        // First uses in `sub`, then the unaccessed variables of `vars`.
+        first_uses(sub.iter().chain(vars))
     }
 }
 

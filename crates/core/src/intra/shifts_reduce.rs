@@ -60,14 +60,17 @@ impl IntraHeuristic for ShiftsReduce {
 
     fn order(&self, vars: &[VarId], sub: &[VarId]) -> Vec<VarId> {
         let g = LocalGraph::of(sub);
-        let n = g.len();
-        if n == 0 {
-            return append_unaccessed(Vec::new(), vars);
-        }
+        let grouped = bidirectional_grouping(&g, Seed::DegreeWeight);
+        append_unaccessed(self.refine(&g, grouped), vars)
+    }
+}
 
-        let mut layout = bidirectional_grouping(&g, Seed::DegreeWeight);
-
-        // Adjacent-swap hill climbing on the arrangement objective.
+impl ShiftsReduce {
+    /// Adjacent-swap hill climbing of a `layout` of `g`'s vertices on the
+    /// arrangement objective; returns the refined order of `g`'s
+    /// variables.
+    pub(crate) fn refine(&self, g: &LocalGraph, mut layout: Vec<usize>) -> Vec<VarId> {
+        let n = layout.len();
         let mut pos = vec![0usize; n];
         for (p, &v) in layout.iter().enumerate() {
             pos[v] = p;
@@ -76,7 +79,7 @@ impl IntraHeuristic for ShiftsReduce {
             let mut improved = false;
             for i in 0..n.saturating_sub(1) {
                 let (a, b) = (layout[i], layout[i + 1]);
-                if swap_delta(&g, &pos, a, b) < 0 {
+                if swap_delta(g, &pos, a, b) < 0 {
                     layout.swap(i, i + 1);
                     pos[a] = i + 1;
                     pos[b] = i;
@@ -87,9 +90,7 @@ impl IntraHeuristic for ShiftsReduce {
                 break;
             }
         }
-
-        let ordered: Vec<VarId> = layout.into_iter().map(|v| g.vars[v]).collect();
-        append_unaccessed(ordered, vars)
+        layout.into_iter().map(|v| g.vars[v]).collect()
     }
 }
 
@@ -127,8 +128,8 @@ fn swap_delta(g: &LocalGraph, pos: &[usize], a: usize, b: usize) -> i64 {
 pub fn arrangement_cost(layout: &[VarId], sub: &[VarId]) -> u64 {
     let g = LocalGraph::of(sub);
     let mut pos = vec![usize::MAX; g.len()];
-    for (p, v) in layout.iter().enumerate() {
-        if let Some(&i) = g.index.get(v) {
+    for (p, &v) in layout.iter().enumerate() {
+        if let Some(i) = g.local_index(v) {
             pos[i] = p;
         }
     }
@@ -137,7 +138,13 @@ pub fn arrangement_cost(layout: &[VarId], sub: &[VarId]) -> u64 {
 
 /// Builds the restricted subsequence of `seq` for the variables in `vars`.
 pub fn restrict(seq: &AccessSequence, vars: &[VarId]) -> Vec<VarId> {
-    seq.restrict_to(|v| vars.contains(&v))
+    let mut keep = vec![false; seq.vars().len()];
+    for v in vars {
+        if let Some(k) = keep.get_mut(v.index()) {
+            *k = true;
+        }
+    }
+    seq.restrict_to(|v| keep[v.index()])
 }
 
 #[cfg(test)]

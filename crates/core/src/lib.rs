@@ -69,6 +69,8 @@ mod error;
 pub mod eval;
 pub mod exact;
 pub mod ga;
+#[cfg(test)]
+mod heuristic_reference;
 pub mod inter;
 pub mod intra;
 mod placement;

@@ -523,15 +523,17 @@ impl PlacementProblem {
     /// heuristic, which is what makes the never-loses guarantee hold at
     /// any budget ≥ 1 evaluation.
     pub fn heuristic_seeds(&self) -> Vec<Placement> {
-        let mut scored: Vec<(u64, Placement)> = [
-            Strategy::AfdOfu,
-            Strategy::DmaOfu,
-            Strategy::DmaChen,
-            Strategy::DmaSr,
-        ]
-        .iter()
-        .filter_map(|s| self.solve(s).ok().map(|sol| (sol.shifts, sol.placement)))
-        .collect();
+        // AFD-OFU, then DMA-OFU, DMA-Chen and DMA-SR — the three DMA seeds
+        // share one distribution and one split of the trace.
+        let mut seeds: Vec<Placement> = self.afd_with_intra(&Ofu).into_iter().collect();
+        if let Ok((dist, keep)) = Dma.distribute_counted(&self.seq, self.dbcs, self.capacity) {
+            let subs = self.split(&dist, keep);
+            for intra in [&Ofu as &dyn IntraHeuristic, &Chen, &ShiftsReduce::new()] {
+                seeds.push(reorder(dist.clone(), intra, keep, &subs));
+            }
+        }
+        let mut scored: Vec<(u64, Placement)> =
+            seeds.into_iter().map(|p| (self.evaluate(&p), p)).collect();
         scored.sort_by_key(|(shifts, _)| *shifts);
         scored.into_iter().map(|(_, p)| p).collect()
     }
@@ -545,13 +547,8 @@ impl PlacementProblem {
     /// DMA distribution; intra heuristic on the non-disjoint DBCs only
     /// (lines 22–23 of Algorithm 1 — disjoint DBCs keep access order).
     fn dma_with_intra(&self, intra: &dyn IntraHeuristic) -> Result<Placement, PlacementError> {
-        let dist = Dma.distribute(&self.seq, self.dbcs, self.capacity)?;
-        let part = Dma.partition(&self.seq);
-        let k = dist
-            .iter()
-            .take_while(|l| l.first().is_some_and(|v| part.disjoint.contains(v)))
-            .count();
-        Ok(self.apply_intra(dist, intra, k))
+        let (dist, keep) = Dma.distribute_counted(&self.seq, self.dbcs, self.capacity)?;
+        Ok(self.apply_intra(dist, intra, keep))
     }
 
     /// Multi-chain DMA distribution; intra heuristic on the leftover DBCs
@@ -560,28 +557,61 @@ impl PlacementProblem {
         &self,
         intra: &dyn IntraHeuristic,
     ) -> Result<Placement, PlacementError> {
-        let multi = crate::inter::DmaMulti::new();
-        let dist = multi.distribute(&self.seq, self.dbcs, self.capacity)?;
-        let k = multi.chain_dbc_count(&self.seq, self.dbcs, self.capacity)?;
-        Ok(self.apply_intra(dist, intra, k))
+        let (dist, keep) = crate::inter::DmaMulti::new().distribute_counted(
+            &self.seq,
+            self.dbcs,
+            self.capacity,
+        )?;
+        Ok(self.apply_intra(dist, intra, keep))
     }
 
     /// Reorders DBCs `skip..` of `dist` with `intra`.
     fn apply_intra(
         &self,
-        mut dist: Vec<Vec<VarId>>,
+        dist: Vec<Vec<VarId>>,
         intra: &dyn IntraHeuristic,
         skip: usize,
     ) -> Placement {
-        for list in dist.iter_mut().skip(skip) {
-            if list.len() < 2 {
-                continue;
-            }
-            let sub = self.seq.restrict_to(|v| list.contains(&v));
-            *list = intra.order(list, &sub);
-        }
-        Placement::from_dbc_lists(dist)
+        let subs = self.split(&dist, skip);
+        reorder(dist, intra, skip, &subs)
     }
+
+    /// The trace restricted to each DBC of `dist` from `skip` on, in one
+    /// pass over the trace. DBCs an intra heuristic leaves alone (fewer
+    /// than two variables) get an empty subsequence.
+    fn split(&self, dist: &[Vec<VarId>], skip: usize) -> Vec<Vec<VarId>> {
+        let mut dbc_of = vec![usize::MAX; self.seq.vars().len()];
+        for (d, list) in dist.iter().enumerate().skip(skip) {
+            if list.len() >= 2 {
+                for v in list {
+                    dbc_of[v.index()] = d;
+                }
+            }
+        }
+        let mut subs = vec![Vec::new(); dist.len()];
+        for &v in self.seq.accesses() {
+            if let Some(sub) = subs.get_mut(dbc_of[v.index()]) {
+                sub.push(v);
+            }
+        }
+        subs
+    }
+}
+
+/// Reorders DBCs `skip..` of `dist` with `intra`, given their
+/// subsequences ([`PlacementProblem::split`]).
+fn reorder(
+    mut dist: Vec<Vec<VarId>>,
+    intra: &dyn IntraHeuristic,
+    skip: usize,
+    subs: &[Vec<VarId>],
+) -> Placement {
+    for (list, sub) in dist.iter_mut().zip(subs).skip(skip) {
+        if list.len() >= 2 {
+            *list = intra.order(list, sub);
+        }
+    }
+    Placement::from_dbc_lists(dist)
 }
 
 #[cfg(test)]

@@ -50,6 +50,9 @@ pub struct TraceEntry {
     /// The canonical query text — the identity the fingerprint only
     /// approximates.
     text: Arc<str>,
+    /// The fingerprint of `text`: the key the entry is filed under, kept
+    /// so that a request fingerprints its text only once.
+    fingerprint: Fingerprint,
     seq: Arc<AccessSequence>,
     sessions: Mutex<HashMap<GeometryKey, Arc<Session>>>,
     last_used: AtomicU64,
@@ -64,6 +67,11 @@ impl TraceEntry {
     /// The canonical query text this entry answers for.
     pub fn text(&self) -> &str {
         &self.text
+    }
+
+    /// The fingerprint of [`text`](Self::text).
+    pub fn fingerprint(&self) -> Fingerprint {
+        self.fingerprint
     }
 
     /// Number of warm sessions held for this trace.
@@ -202,6 +210,7 @@ impl SessionCache {
         }
         let entry = Arc::new(TraceEntry {
             text: Arc::from(text),
+            fingerprint: fp,
             seq,
             sessions: Mutex::new(HashMap::new()),
             last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
@@ -326,6 +335,8 @@ mod tests {
             .unwrap();
         assert!(!hit_a && hit_b);
         assert!(Arc::ptr_eq(&a.seq(), &b.seq()), "parse was not shared");
+        assert_eq!(a.fingerprint(), Fingerprint::of_text("a b a b c"));
+        assert_eq!(b.fingerprint(), a.fingerprint());
         let s = c.stats();
         assert_eq!((s.trace_hits, s.trace_misses), (1, 1));
     }

@@ -320,7 +320,7 @@ impl Connection {
         let solution = session.solve(&strategy)?;
         let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
         Ok(self.place_json(
-            &text,
+            entry.fingerprint(),
             geom,
             trace_hit,
             session_hit,
@@ -336,7 +336,7 @@ impl Connection {
     #[allow(clippy::too_many_arguments)]
     fn place_json(
         &self,
-        text: &str,
+        fingerprint: Fingerprint,
         geom: GeometryKey,
         trace_hit: bool,
         session_hit: bool,
@@ -361,7 +361,7 @@ impl Connection {
              \"elapsed_ms\":{:.3},\"inflight\":{}}},{}}}",
             hit(trace_hit),
             hit(session_hit),
-            Fingerprint::of_text(text),
+            fingerprint,
             session_solves,
             deadline_ms,
             elapsed_ms,
@@ -448,6 +448,13 @@ mod tests {
         assert_eq!(json::find_str(&warm, "session_cache"), Some("hit"));
         assert_eq!(json::find_u64(&cold, "session_solves"), Some(1));
         assert_eq!(json::find_u64(&warm, "session_solves"), Some(2));
+        // Both envelopes carry the fingerprint of the canonical text.
+        let Ok(crate::protocol::Request::Place(req)) = crate::protocol::parse_request(q) else {
+            panic!("not a place request: {q}")
+        };
+        let fp = Fingerprint::of_text(&req.canonical_text()).to_string();
+        assert_eq!(json::find_str(&cold, "fingerprint"), Some(fp.as_str()));
+        assert_eq!(json::find_str(&warm, "fingerprint"), Some(fp.as_str()));
         // The deterministic payload is bit-identical across warm and cold.
         assert_eq!(
             crate::report::deterministic_slice(&cold).unwrap(),

@@ -130,6 +130,54 @@ fn unsolvable_queries_are_errors_not_crashes() {
     handle.shutdown();
 }
 
+/// DMA-Multi-SR queries that once panicked the solve (one DBC shared by a
+/// chain and a leftover) or never returned (a leftover overflowing the
+/// non-chain DBCs) get exactly one answer line each, equal to the
+/// in-process reference, and the connection keeps serving.
+#[test]
+fn dma_multi_queries_get_exactly_one_response_line() {
+    let handle = start(1);
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    // A query that never returned fails here instead of hanging the suite.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(120)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    for line in [
+        "place strategy=dma-multi-sr dbcs=1 :: a b a c a b d d c",
+        "place strategy=dma-multi-sr dbcs=2 capacity=3 :: x y z w x y z w a a b b x y z w",
+        "place strategy=dma-multi-sr profile=adv-chase scale=0.1 dbcs=4",
+    ] {
+        let Request::Place(req) = parse_request(line).unwrap() else {
+            unreachable!()
+        };
+        let (strategy, geom, seq, sol) = req.reference_solution(10_000).unwrap();
+        let reference = rtm_serve::report::solution_fields(
+            &strategy,
+            &rtm_serve::report::Geometry::flat(geom.dbcs, geom.capacity, geom.ports),
+            &seq,
+            &sol,
+        );
+        writer
+            .write_all(format!("{line}\nping\n").as_bytes())
+            .unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        assert!(resp.starts_with("{\"ok\":true"), "{line}: {resp:?}");
+        assert_eq!(
+            deterministic_slice(&resp).unwrap(),
+            deterministic_slice(&reference).unwrap(),
+            "{line}"
+        );
+        // The next line answers the ping: the query sent exactly one.
+        let mut pong = String::new();
+        reader.read_line(&mut pong).unwrap();
+        assert!(pong.contains("\"pong\":true"), "{line}: then {pong:?}");
+    }
+    handle.shutdown();
+}
+
 /// Two different traces engineered to share length and token count (the
 /// cheap structural prefix of the fingerprint) must never cross-hit: each
 /// gets its own session and its own solution.

@@ -2,7 +2,7 @@
 //! yields valid placements, the analytic cost model agrees with the
 //! simulator, and the paper's quality ordering holds in aggregate.
 
-use rtm::offsetstone::TierWorkload;
+use rtm::offsetstone::{Tier, TierWorkload};
 use rtm::{
     suite, Budget, GaConfig, PlacementProblem, RandomWalkConfig, RtmGeometry, SaConfig, Simulator,
     Strategy,
@@ -12,28 +12,48 @@ fn capacity_for(dbcs: usize, vars: usize) -> usize {
     (4096 * 8 / (dbcs * 32)).max(vars.div_ceil(dbcs))
 }
 
+const HEURISTICS: [Strategy; 7] = [
+    Strategy::AfdNative,
+    Strategy::AfdOfu,
+    Strategy::DmaNative,
+    Strategy::DmaOfu,
+    Strategy::DmaChen,
+    Strategy::DmaSr,
+    Strategy::DmaMultiSr,
+];
+
+/// Every heuristic solves `seq` at each DBC count, on the capacity the
+/// CLI grows to fit, with a valid placement.
+fn assert_heuristics_valid(name: &str, seq: &rtm::AccessSequence, dbcs: &[usize]) {
+    for &dbcs in dbcs {
+        let capacity = capacity_for(dbcs, seq.vars().len());
+        let problem = PlacementProblem::new(seq.clone(), dbcs, capacity);
+        for strategy in &HEURISTICS {
+            let sol = problem
+                .solve(strategy)
+                .unwrap_or_else(|e| panic!("{} on {name} @ {dbcs} DBCs: {e}", strategy.name()));
+            sol.placement.validate(seq, capacity).unwrap_or_else(|e| {
+                panic!("{} invalid on {name} @ {dbcs} DBCs: {e}", strategy.name())
+            });
+        }
+    }
+}
+
 #[test]
 fn all_heuristics_are_valid_on_the_whole_suite() {
     for bench in suite() {
-        let seq = bench.trace();
-        for dbcs in [2usize, 8] {
-            let capacity = capacity_for(dbcs, seq.vars().len());
-            let problem = PlacementProblem::new(seq.clone(), dbcs, capacity);
-            for strategy in [
-                Strategy::AfdNative,
-                Strategy::AfdOfu,
-                Strategy::DmaNative,
-                Strategy::DmaOfu,
-                Strategy::DmaChen,
-                Strategy::DmaSr,
-            ] {
-                let sol = problem.solve(&strategy).unwrap_or_else(|e| {
-                    panic!("{} on {} @ {dbcs} DBCs: {e}", strategy.name(), bench.name())
-                });
-                sol.placement.validate(&seq, capacity).unwrap_or_else(|e| {
-                    panic!("{} invalid on {}: {e}", strategy.name(), bench.name())
-                });
-            }
+        assert_heuristics_valid(bench.name(), &bench.trace(), &[2, 8]);
+    }
+}
+
+#[test]
+fn all_heuristics_are_valid_on_every_tier_workload() {
+    // At scale 0.1 `adv-chase` leaves DMA-Multi more interleaved
+    // variables than its non-chain DBCs hold at 2, 4 and 8 DBCs, and at
+    // one DBC every workload has chains and a leftover to share it.
+    for tier in Tier::ALL {
+        for workload in tier.workloads_scaled(0.1) {
+            assert_heuristics_valid(workload.name(), &workload.generate(), &[1, 2, 4, 8]);
         }
     }
 }
