@@ -1,8 +1,8 @@
-//! `smp` — multi-core scaling of the fitness engine, swept over worker ×
-//! cache-shard counts; writes `BENCH_smp.json`.
+//! `smp` — multi-core scaling of the fitness engine, swept over worker
+//! counts; writes `BENCH_smp.json`.
 //!
 //! Three workloads per configuration, all asserted bit-identical to the
-//! serial (1 worker, 1 shard) baseline at collection time:
+//! serial (1 worker) baseline at collection time:
 //!
 //! * **batch** — batch fitness evaluation over the perf experiment's
 //!   offspring streams (reorder + paper mutation mix), aggregated over the
@@ -74,15 +74,11 @@ impl Measurement {
     }
 }
 
-/// One point of the workers × shards sweep.
+/// One point of the worker-count sweep.
 #[derive(Debug, Clone)]
 pub struct SmpRow {
     /// Engine worker count.
     pub workers: usize,
-    /// Requested shard count (`0` = the engine's auto policy).
-    pub shards: usize,
-    /// Effective shard count the engine resolved to.
-    pub shard_count: usize,
     /// Batch fitness evaluation (the headline).
     pub batch: Measurement,
     /// Seed-fixed GA run (evaluation time only).
@@ -151,12 +147,11 @@ fn dbcs_for(opts: &ExperimentOpts) -> usize {
     }
 }
 
-/// Measures one (workers, shards) configuration over all three workloads.
+/// Measures one worker count over all three workloads.
 /// With `golden == None` this *is* the baseline run and every `identical`
 /// is trivially true; otherwise outputs are compared bit-for-bit.
 fn measure_config(
     workers: usize,
-    shards: usize,
     traces: &[AccessSequence],
     dbcs: usize,
     opts: &ExperimentOpts,
@@ -171,13 +166,9 @@ fn measure_config(
         ..Measurement::default()
     };
     let mut totals: Vec<u64> = Vec::new();
-    let mut shard_count = 1;
     for seq in traces {
         let capacity = capacity_for(dbcs, seq.vars().len());
-        let engine = FitnessEngine::new(seq, cost)
-            .with_threads(workers)
-            .with_shards(shards);
-        shard_count = engine.shard_count();
+        let engine = FitnessEngine::new(seq, cost).with_threads(workers);
         let base = base_lists(seq, dbcs, capacity);
         let base_costs = engine.per_dbc_costs(&base);
         // The job streams are a pure function of the seed: every
@@ -195,16 +186,14 @@ fn measure_config(
     if let Some(g) = golden {
         batch.identical = totals == g.batch_totals;
         if !batch.identical {
-            eprintln!("ERROR: batch totals diverged at workers={workers} shards={shards}");
+            eprintln!("ERROR: batch totals diverged at workers={workers}");
         }
     }
 
     // ---- Seed-fixed GA on the representative benchmark ----------------
     let rep = &traces[0];
     let capacity = capacity_for(dbcs, rep.vars().len());
-    let engine = FitnessEngine::new(rep, cost)
-        .with_threads(workers)
-        .with_shards(shards);
+    let engine = FitnessEngine::new(rep, cost).with_threads(workers);
     let placer = GeneticPlacer::new(ga_config(opts));
     let out = placer
         .run_with_engine(&engine, dbcs, capacity, &[])
@@ -219,14 +208,12 @@ fn measure_config(
     if let Some(g) = golden {
         ga.identical = ga_golden == g.ga;
         if !ga.identical {
-            eprintln!("ERROR: GA outcome diverged at workers={workers} shards={shards}");
+            eprintln!("ERROR: GA outcome diverged at workers={workers}");
         }
     }
 
     // ---- Seed-fixed, evals-budgeted portfolio race --------------------
-    let problem = PlacementProblem::new(rep.clone(), dbcs, capacity)
-        .with_threads(workers)
-        .with_shards(shards);
+    let problem = PlacementProblem::new(rep.clone(), dbcs, capacity).with_threads(workers);
     let t = Instant::now();
     let sol = problem
         .solve(&Strategy::Portfolio(race_config(opts)))
@@ -241,15 +228,13 @@ fn measure_config(
     if let Some(g) = golden {
         portfolio.identical = race_golden == g.race;
         if !portfolio.identical {
-            eprintln!("ERROR: portfolio outcome diverged at workers={workers} shards={shards}");
+            eprintln!("ERROR: portfolio outcome diverged at workers={workers}");
         }
     }
 
     (
         SmpRow {
             workers,
-            shards,
-            shard_count,
             batch,
             ga,
             portfolio,
@@ -263,7 +248,7 @@ fn measure_config(
 }
 
 /// Collects the full sweep: the serial baseline first, then every
-/// `opts.workers` × `opts.shards` configuration compared against it.
+/// other `opts.workers` count compared against it.
 pub fn collect(opts: &ExperimentOpts) -> (Vec<SmpRow>, Vec<&'static str>) {
     let benchmarks: Vec<Benchmark> = suite()
         .into_iter()
@@ -274,28 +259,23 @@ pub fn collect(opts: &ExperimentOpts) -> (Vec<SmpRow>, Vec<&'static str>) {
     let traces = generate_traces(&benchmarks, 0);
     let dbcs = dbcs_for(opts);
 
-    let (baseline, golden) = measure_config(1, 1, &traces, dbcs, opts, None);
+    let (baseline, golden) = measure_config(1, &traces, dbcs, opts, None);
     let mut rows = vec![baseline];
-    for &w in &opts.workers {
-        for &s in &opts.shards {
-            if (w, s) == (1, 1) {
-                continue; // already measured as the baseline
-            }
-            let (row, _) = measure_config(w, s, &traces, dbcs, opts, Some(&golden));
-            rows.push(row);
-        }
+    // One worker is already measured as the baseline.
+    for &w in opts.workers.iter().filter(|&&w| w != 1) {
+        let (row, _) = measure_config(w, &traces, dbcs, opts, Some(&golden));
+        rows.push(row);
     }
     (rows, names)
 }
 
-/// Best batch speedup over the serial baseline at `workers` workers (any
-/// shard count), `None` when the sweep has no such row.
+/// Batch speedup over the serial baseline at `workers` workers, `None`
+/// when the sweep has no such row.
 pub fn batch_speedup_at(rows: &[SmpRow], workers: usize) -> Option<f64> {
     let base = rows.first()?.batch.secs;
     rows.iter()
-        .filter(|r| r.workers == workers && r.batch.secs > 0.0)
+        .find(|r| r.workers == workers && r.batch.secs > 0.0)
         .map(|r| base / r.batch.secs)
-        .fold(None, |best, x| Some(best.map_or(x, |b: f64| b.max(x))))
 }
 
 /// The CI gate verdict: `"skipped"` below 2 CPUs or without a 4-worker
@@ -372,10 +352,7 @@ pub fn to_json(rows: &[SmpRow], names: &[&str], opts: &ExperimentOpts) -> String
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str("    {\n");
-        out.push_str(&format!(
-            "      \"workers\": {}, \"shards\": {}, \"shard_count\": {},\n",
-            r.workers, r.shards, r.shard_count
-        ));
+        out.push_str(&format!("      \"workers\": {},\n", r.workers));
         out.push_str(&measurement_json(
             "batch",
             &r.batch,
@@ -418,7 +395,6 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     let base_batch = rows[0].batch.secs;
     let mut t = Table::new(vec![
         "workers".into(),
-        "shards".into(),
         "batch_evals/s".into(),
         "batch_x".into(),
         "efficiency".into(),
@@ -445,7 +421,6 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
         };
         t.row(vec![
             r.workers.to_string(),
-            r.shard_count.to_string(),
             format!("{:.0}", r.batch.evals_per_sec()),
             format!("{batch_x:.2}"),
             format!("{:.2}", batch_x / r.workers as f64),
@@ -470,7 +445,6 @@ mod tests {
             dbcs: vec![4],
             benchmarks: vec!["dct".into()],
             workers: vec![1, 2],
-            shards: vec![1, 2],
             out_dir: std::env::temp_dir().join("rtm-smp-test"),
             ..ExperimentOpts::default()
         }
@@ -481,21 +455,19 @@ mod tests {
         let opts = tiny_opts();
         let (rows, names) = collect(&opts);
         assert_eq!(names, ["dct"]);
-        // Baseline + the 3 non-baseline points of the 2x2 sweep.
-        assert_eq!(rows.len(), 4);
-        assert_eq!((rows[0].workers, rows[0].shards), (1, 1));
+        // Baseline + the 2-worker point.
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].workers, 1);
         for r in &rows {
             assert!(
                 r.batch.identical && r.ga.identical && r.portfolio.identical,
-                "divergence at workers={} shards={}",
-                r.workers,
-                r.shards
+                "divergence at workers={}",
+                r.workers
             );
             assert!(
                 r.batch.contention_free(),
-                "contended batch lock at workers={} shards={}",
-                r.workers,
-                r.shards
+                "contended batch lock at workers={}",
+                r.workers
             );
             assert!(r.batch.evals > 0 && r.ga.evals > 0 && r.portfolio.evals > 0);
         }

@@ -13,8 +13,6 @@ use std::path::PathBuf;
 /// * `--budgets 5000,20000,50000` — eval budgets to sweep (`portfolio`
 ///   experiment);
 /// * `--workers 1,2,4` — engine worker counts to sweep (`smp` experiment);
-/// * `--shards 1,8` — cache shard counts to sweep (`smp` experiment;
-///   `0` = the engine's auto policy);
 /// * `--threads N` — engine worker count for the non-sweeping experiments
 ///   (`scale`; `0` = all cores);
 /// * `--legacy-spill` — revert Fig. 4/5/6 and latency to the historical
@@ -37,8 +35,6 @@ pub struct ExperimentOpts {
     pub budgets: Vec<u64>,
     /// Engine worker counts to sweep (the `smp` experiment).
     pub workers: Vec<usize>,
-    /// Cache shard counts to sweep (the `smp` experiment; `0` = auto).
-    pub shards: Vec<usize>,
     /// Engine worker count for the non-sweeping experiments (`0` = all
     /// cores) — routed into streaming engines the same way the CLI routes
     /// `--threads` into the materialized path.
@@ -69,7 +65,6 @@ impl Default for ExperimentOpts {
             subarrays: vec![1, 2, 4],
             budgets: Vec::new(),
             workers: vec![1, 2, 4],
-            shards: vec![1, 8],
             threads: 0,
             legacy_spill: false,
             seed: 1,
@@ -153,13 +148,6 @@ impl ExperimentOpts {
                         !opts.workers.is_empty() && opts.workers.iter().all(|&w| w >= 1),
                         "--workers takes positive integers"
                     );
-                }
-                "--shards" => {
-                    opts.shards = value("--shards")
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("--shards takes integers"))
-                        .collect();
-                    assert!(!opts.shards.is_empty(), "--shards takes a list");
                 }
                 "--threads" => {
                     opts.threads = value("--threads")
@@ -253,14 +241,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_workers_shards_and_threads() {
-        let o = parse(&["--workers", "1,2,8", "--shards", "0,4", "--threads", "2"]);
+    fn parses_workers_and_threads() {
+        let o = parse(&["--workers", "1,2,8", "--threads", "2"]);
         assert_eq!(o.workers, vec![1, 2, 8]);
-        assert_eq!(o.shards, vec![0, 4]);
         assert_eq!(o.threads, 2);
         let d = parse(&[]);
         assert_eq!(d.workers, vec![1, 2, 4]);
-        assert_eq!(d.shards, vec![1, 8]);
         assert_eq!(d.threads, 0);
     }
 

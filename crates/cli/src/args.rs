@@ -7,6 +7,31 @@ use std::str::FromStr;
 /// line); everything else is a `--key value` pair.
 const BOOL_FLAGS: &[&str] = &["json", "stream"];
 
+/// Every `--key value` option some command reads. Any other name is
+/// rejected at parse time, so a typo or a retired option fails loudly
+/// instead of being ignored.
+const VALUE_OPTIONS: &[&str] = &[
+    "addr",
+    "benchmark",
+    "budget-evals",
+    "budget-ms",
+    "budget-stall",
+    "capacity",
+    "dbcs",
+    "deadline-ms",
+    "lanes",
+    "max-inflight",
+    "max-traces",
+    "ports",
+    "profile",
+    "scale",
+    "seed",
+    "strategy",
+    "subarrays",
+    "threads",
+    "trace",
+];
+
 /// Parsed `--key value` pairs plus bare boolean flags.
 #[derive(Debug, Clone, Default)]
 pub struct CliArgs {
@@ -26,6 +51,9 @@ impl CliArgs {
                 values.insert(key.to_owned(), "true".to_owned());
                 continue;
             }
+            if !VALUE_OPTIONS.contains(&key) {
+                return Err(format!("unknown option --{key}"));
+            }
             let value = it
                 .next()
                 .ok_or_else(|| format!("option --{key} requires a value"))?;
@@ -36,6 +64,7 @@ impl CliArgs {
 
     /// Raw string value of an option.
     pub fn get(&self, key: &str) -> Option<&str> {
+        debug_assert!(VALUE_OPTIONS.contains(&key), "unregistered option `{key}`");
         self.values.get(key).map(String::as_str)
     }
 
@@ -54,7 +83,7 @@ impl CliArgs {
     where
         T::Err: std::fmt::Display,
     {
-        match self.values.get(key) {
+        match self.get(key) {
             None => Ok(None),
             Some(v) => v
                 .parse()
@@ -77,8 +106,8 @@ mod tests {
         let a = parse(&["--trace", "x.txt", "--dbcs", "8"]).unwrap();
         assert_eq!(a.get("trace"), Some("x.txt"));
         assert_eq!(a.get_parsed::<usize>("dbcs").unwrap(), Some(8));
-        assert_eq!(a.get("missing"), None);
-        assert_eq!(a.get_parsed::<usize>("missing").unwrap(), None);
+        assert_eq!(a.get("capacity"), None);
+        assert_eq!(a.get_parsed::<usize>("capacity").unwrap(), None);
     }
 
     #[test]

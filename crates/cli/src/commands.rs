@@ -216,14 +216,11 @@ fn stream_solve(
     };
     let strategy = parse_strategy(args.get("strategy").unwrap_or("sa"), args)?;
     let strategy_name = strategy.name();
-    // --threads/--shards reach the streaming engine exactly as they reach
-    // the materialized one (build_problem): results are identical for any
-    // value of either.
+    // --threads reaches the streaming engine exactly as it reaches the
+    // materialized one (build_problem): results are identical for any
+    // value.
     let threads: usize = args.get_parsed("threads")?.unwrap_or(0);
-    let shards: usize = args.get_parsed("shards")?.unwrap_or(0);
-    let engine = FitnessEngine::streaming(&workload, cost)
-        .with_threads(threads)
-        .with_shards(shards);
+    let engine = FitnessEngine::streaming(&workload, cost).with_threads(threads);
     let (placement, total, evals, time_to_best) = match &strategy {
         Strategy::Sa(cfg) => {
             let o = SimulatedAnnealing::new(*cfg).run_with_engine(&engine, dbcs, capacity, &[])?;

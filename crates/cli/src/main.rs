@@ -4,16 +4,17 @@
 //! rtm place    --trace FILE | --profile NAME [--scale S] [--stream] [--dbcs N] [--capacity N]
 //!              [--ports N] [--subarrays N] [--strategy NAME]
 //!              [--budget-evals N] [--budget-ms N] [--budget-stall N] [--lanes L,..] [--seed N]
-//!              [--threads N] [--shards N] [--json]
+//!              [--threads N] [--json]
 //! rtm simulate --trace FILE | --profile NAME [--scale S] [--stream] [--dbcs N] [--ports N]
-//!              [--subarrays N] [--strategy NAME] [--threads N] [--shards N] [--json]
+//!              [--subarrays N] [--strategy NAME] [--threads N] [--json]
 //! rtm stats    --trace FILE
 //! rtm suite    [--benchmark NAME]
 //! rtm strategies
 //! ```
 //!
 //! Traces are whitespace-separated variable names with optional `:r`/`:w`
-//! suffixes; `--trace -` reads stdin.
+//! suffixes; `--trace -` reads stdin. An option no command reads is an
+//! error (`error: unknown option --NAME`), never silently ignored.
 
 use rtm_placement::{
     Budget, GaConfig, LaneSpec, PlacementProblem, PortfolioConfig, RandomWalkConfig, SaConfig,
@@ -69,8 +70,8 @@ fn main() -> ExitCode {
 const USAGE: &str = "rtm — racetrack-memory data placement
 
 USAGE:
-    rtm place     --trace FILE | --profile NAME [--scale S] [--stream] [--dbcs N] [--capacity N] [--ports N] [--subarrays N] [--strategy NAME] [--threads N] [--shards N] [--json]
-    rtm simulate  --trace FILE | --profile NAME [--scale S] [--stream] [--dbcs N] [--ports N] [--subarrays N] [--strategy NAME] [--threads N] [--shards N] [--json]
+    rtm place     --trace FILE | --profile NAME [--scale S] [--stream] [--dbcs N] [--capacity N] [--ports N] [--subarrays N] [--strategy NAME] [--threads N] [--json]
+    rtm simulate  --trace FILE | --profile NAME [--scale S] [--stream] [--dbcs N] [--ports N] [--subarrays N] [--strategy NAME] [--threads N] [--json]
     rtm stats     --trace FILE
     rtm suite     [--benchmark NAME]
     rtm strategies
@@ -104,8 +105,6 @@ OPTIONS:
     --threads N       fitness-engine workers for the search strategies, on
                       both the materialized and --stream paths (default: all
                       cores; results are identical for any value)
-    --shards N        cache shards of the fitness engine (default: auto,
-                      4 x workers; results are identical for any value)
     --json            machine-readable output for place/simulate
     --benchmark NAME  one benchmark of the OffsetStone-style suite
 
@@ -296,12 +295,9 @@ fn build_problem(
         return Err(format!("--ports {ports} exceeds the track length {capacity}").into());
     }
     let threads: usize = args.get_parsed("threads")?.unwrap_or(0);
-    let shards: usize = args.get_parsed("shards")?.unwrap_or(0);
     let subarray = rtm_arch::RtmGeometry::new(dbcs, 32, capacity, ports)?;
     let array = rtm_arch::ArrayGeometry::new(subarrays, subarray)?;
-    let problem = PlacementProblem::for_array(seq.clone(), &array)
-        .with_threads(threads)
-        .with_shards(shards);
+    let problem = PlacementProblem::for_array(seq.clone(), &array).with_threads(threads);
     Ok(ProblemSpec { problem, array })
 }
 

@@ -91,8 +91,13 @@ fn bad_flag_values_are_structured_errors() {
         "--strategy",
         "quantum",
     ]);
-    std::fs::remove_file(&trace).ok();
     assert_structured_failure(&out, "quantum");
+    // A retired option and a typo are rejected, not silently ignored.
+    for option in ["--shards", "--budget-eval"] {
+        let out = rtm(&["place", "--trace", trace.to_str().unwrap(), option, "8"]);
+        assert_structured_failure(&out, &format!("unknown option {option}"));
+    }
+    std::fs::remove_file(&trace).ok();
 }
 
 #[test]

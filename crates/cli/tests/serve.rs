@@ -164,3 +164,61 @@ fn daemon_survives_malformed_requests_from_the_binary() {
     }
     assert!(child.wait().expect("daemon exit").success());
 }
+
+/// Descriptor exhaustion: under a tight `ulimit -n`, holding more
+/// connections than the daemon has descriptors for makes `accept` fail
+/// with `EMFILE`. Once the clients close, the daemon must answer a fresh
+/// connection and report the failures as `accept_errors`.
+#[cfg(unix)]
+#[test]
+fn daemon_survives_accept_errors_under_an_fd_limit() {
+    use rtm_serve::json::find_u64;
+    use std::time::{Duration, Instant};
+    // The daemon starts with four descriptors (stdio and the listener) and
+    // each served connection holds two (the stream and its reader clone),
+    // so an even limit runs out on an `accept`, not on the clone.
+    let mut child = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -n 24 && exec \"$0\" serve --addr 127.0.0.1:0 --threads 1")
+        .arg(env!("CARGO_BIN_EXE_rtm"))
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn rtm serve under ulimit");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().expect("daemon stdout"))
+        .read_line(&mut line)
+        .expect("read listening line");
+    let addr: SocketAddr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner: {line:?}"))
+        .parse()
+        .expect("parse daemon address");
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+    };
+
+    // The first connection is served before the flood, so it can watch
+    // the counter while the backlog is stuck.
+    let mut first = connect();
+    assert!(roundtrip(&mut first, "ping").contains("\"pong\":true"));
+    let held: Vec<TcpStream> = (0..40).map(|_| connect()).collect();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while find_u64(&roundtrip(&mut first, "stats"), "accept_errors").unwrap_or(0) == 0 {
+        assert!(Instant::now() < deadline, "accept never failed");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(held);
+    drop(first);
+
+    let mut fresh = connect();
+    assert!(roundtrip(&mut fresh, "ping").contains("\"pong\":true"));
+    let stats = roundtrip(&mut fresh, "stats");
+    assert!(find_u64(&stats, "accept_errors") > Some(0), "{stats}");
+    let _ = roundtrip(&mut fresh, "shutdown");
+    assert!(child.wait().expect("daemon exit").success());
+}

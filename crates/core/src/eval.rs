@@ -110,43 +110,14 @@ fn lock_counted<'m, T: Default>(m: &'m Mutex<T>, contended: &AtomicU64) -> Mutex
     }
 }
 
-/// Upper bound on the cache shard count (shard selection reads the top
-/// 8 bits of the key, so anything ≤ 256 works; 64 is plenty ahead of any
-/// realistic worker count).
-const MAX_SHARDS: usize = 64;
-
-/// A cache split into independently locked shards, selected by the *top*
-/// bits of the key hash so the shard index stays independent of the
-/// second-touch filter slot (low bits). Sharding can never change a
-/// returned cost — every cached value is a pure function of its key
-/// (`DESIGN.md` §7) — it only bounds how many workers can contend on one
-/// mutex. Poison recovery ([`lock_cache`] / [`try_lock_cache`]) applies per
-/// shard: one poisoned shard rebuilds alone, the others keep their
-/// contents.
-#[derive(Debug)]
-struct Sharded<T> {
-    shards: Box<[Mutex<T>]>,
-}
-
-impl<T: Default> Sharded<T> {
-    /// Builds `count` empty shards (`count` must be a power of two).
-    fn new(count: usize) -> Self {
-        debug_assert!(count.is_power_of_two() && count <= MAX_SHARDS);
-        Self {
-            shards: (0..count).map(|_| Mutex::new(T::default())).collect(),
-        }
-    }
-
-    /// The shard responsible for `key`.
-    fn shard(&self, key: u64) -> &Mutex<T> {
-        &self.shards[((key >> 56) as usize) & (self.shards.len() - 1)]
-    }
-
-    /// All shards (fault injection and the poison-recovery tests).
-    #[cfg_attr(not(any(test, feature = "faults")), allow(dead_code))]
-    fn iter(&self) -> std::slice::Iter<'_, Mutex<T>> {
-        self.shards.iter()
-    }
+/// Poisons `m` by panicking while its lock is held (fault injection and
+/// the poison-recovery tests).
+#[cfg(any(test, feature = "faults"))]
+fn poison<T>(m: &Mutex<T>) {
+    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _guard = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        panic!("injected cache poison");
+    }));
 }
 
 /// A fast multiply-xor hasher (FxHash-style) for the memo cache. DBC lists
@@ -286,9 +257,9 @@ fn mix_member(v: u64) -> u64 {
 /// subsequence cache is wiped (≈ tens of MB worst case).
 const SUBSEQ_ELEM_CAPACITY: usize = 1 << 22;
 
-/// Default bound on memoized DBC lists before the cache is wiped (epoch
-/// eviction keeps the engine's memory proportional to the working set of a
-/// few generations, not a whole run).
+/// Bound on memoized DBC lists before the memo — or a batch worker's
+/// overlay — is wiped (epoch eviction keeps the engine's memory
+/// proportional to the working set of a few generations, not a whole run).
 const MEMO_CAPACITY: usize = 1 << 16;
 
 /// How a materialized engine holds its trace: borrowed from the caller
@@ -371,16 +342,16 @@ pub struct EngineStats {
     /// Per-DBC costs inherited unchanged from a parent (clean under the
     /// dirty mask — never even looked up).
     pub dbc_inherited: u64,
-    /// Worker-overlay memo entries merged into the shared sharded memo at
-    /// batch boundaries (the batch path's writes all arrive this way).
+    /// Worker-overlay memo entries merged into the shared memo at batch
+    /// boundaries (the batch path's writes all arrive this way).
     pub memo_merged: u64,
-    /// Memo-shard acquisitions that found the shard held and had to block.
+    /// Memo-lock acquisitions that found the lock held and had to block.
     /// The batch hot path only ever try-locks (contention = recompute,
     /// never block), so this counts the direct path alone — the smp
     /// experiment asserts it stays 0 for pure batch evaluation.
     pub memo_contended: u64,
-    /// Subsequence-shard acquisitions that found the shard held and had to
-    /// block (direct path only, as with `memo_contended`).
+    /// Subsequence-cache lock acquisitions that found the lock held and
+    /// had to block (direct path only, as with `memo_contended`).
     pub subseq_contended: u64,
     /// Wall nanoseconds spent inside evaluation calls (batch timings are
     /// wall time, so parallel fan-out shows up as higher throughput).
@@ -581,15 +552,8 @@ pub struct FitnessEngine<'a> {
     /// Whether the caches are enabled at all (memoization can be turned
     /// off for pure random sampling via [`with_memo`](Self::with_memo)).
     caching: bool,
-    /// Explicit shard-count override (`0` = auto: scales with the worker
-    /// count; see [`shard_count`](Self::shard_count)).
-    shards: usize,
-    memo: Option<Sharded<Memo>>,
-    subseq: Option<Sharded<SubseqCache>>,
-    /// Per-shard memoized-list bound (total capacity split across shards).
-    memo_shard_cap: usize,
-    /// Per-shard stored-element bound for the subsequence cache.
-    subseq_shard_cap: usize,
+    memo: Option<Mutex<Memo>>,
+    subseq: Option<Mutex<SubseqCache>>,
     evaluations: AtomicU64,
     dbc_recomputations: AtomicU64,
     dbc_cache_hits: AtomicU64,
@@ -697,11 +661,8 @@ impl<'a> FitnessEngine<'a> {
             mode,
             pool: Arc::new(WorkerPool::new(0)),
             caching: mode == EvalMode::Incremental,
-            shards: 0,
             memo: None,
             subseq: None,
-            memo_shard_cap: MEMO_CAPACITY,
-            subseq_shard_cap: SUBSEQ_ELEM_CAPACITY,
             evaluations: AtomicU64::new(0),
             dbc_recomputations: AtomicU64::new(0),
             dbc_cache_hits: AtomicU64::new(0),
@@ -716,45 +677,25 @@ impl<'a> FitnessEngine<'a> {
         engine
     }
 
-    /// (Re)builds the sharded caches for the current mode, source, worker
-    /// count and shard override. Only called from the builder methods,
-    /// before any costing — caches start empty either way. The
-    /// subsequence cache stores O(subsequence)-sized summaries; streaming
-    /// engines exist to avoid exactly that flavor of resident growth, so
-    /// only materialized sources enable it.
+    /// (Re)builds the caches for the current mode and source. Only called
+    /// from the constructor and [`with_memo`](Self::with_memo), before any
+    /// costing — caches start empty either way. The subsequence cache
+    /// stores O(subsequence)-sized summaries; streaming engines exist to
+    /// avoid exactly that flavor of resident growth, so only materialized
+    /// sources enable it.
     fn rebuild_caches(&mut self) {
-        let n = self.shard_count();
-        self.memo_shard_cap = (MEMO_CAPACITY / n).max(1 << 10);
-        self.subseq_shard_cap = (SUBSEQ_ELEM_CAPACITY / n).max(1 << 16);
         let subseq = self.caching && matches!(self.source, TraceSource::Materialized { .. });
-        self.memo = self.caching.then(|| Sharded::new(n));
-        self.subseq = subseq.then(|| Sharded::new(n));
-    }
-
-    /// Resolved cache shard count: the explicit
-    /// [`with_shards`](Self::with_shards) override rounded up to a power
-    /// of two, or 4× the worker count (clamped to `[1, 64]`) — enough
-    /// shards that workers rarely collide even under skewed key
-    /// distributions.
-    pub fn shard_count(&self) -> usize {
-        if self.shards > 0 {
-            self.shards.next_power_of_two().min(MAX_SHARDS)
-        } else {
-            (self.pool.workers() * 4)
-                .next_power_of_two()
-                .clamp(1, MAX_SHARDS)
-        }
+        self.memo = self.caching.then(Mutex::default);
+        self.subseq = subseq.then(Mutex::default);
     }
 
     /// Sets the worker limit of the engine's [`WorkerPool`] (`0` =
-    /// auto-detect). The auto shard count tracks the worker count, so the
-    /// caches are rebuilt (empty either way at builder time).
+    /// auto-detect).
     ///
     /// Worker count never affects results — only wall time (see the
     /// determinism argument in the module docs and in [`crate::pool`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.pool = Arc::new(WorkerPool::new(threads));
-        self.rebuild_caches();
         self
     }
 
@@ -765,19 +706,6 @@ impl<'a> FitnessEngine<'a> {
     /// (`DESIGN.md` §7), so this is purely a resource-control knob.
     pub fn with_worker_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool = pool;
-        self.rebuild_caches();
-        self
-    }
-
-    /// Sets the cache shard count (`0` = auto: scales with the worker
-    /// count; values round up to a power of two, capped at 64). `1` is the
-    /// runtime single-shard fallback — one global mutex per cache, the
-    /// pre-sharding layout. Shard count never affects results — every
-    /// cached value is a pure function of its key (`DESIGN.md` §7) — only
-    /// lock contention.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self.rebuild_caches();
         self
     }
 
@@ -875,24 +803,18 @@ impl<'a> FitnessEngine<'a> {
         EvalScratch::default()
     }
 
-    /// Deliberately poisons **every shard** of the engine's memo and
-    /// subsequence caches by panicking while each lock is held (fault
-    /// injection — `--features faults` only). The next evaluation recovers
-    /// shard by shard via [`lock_cache`] / [`try_lock_cache`]'s
-    /// clear-and-rebuild, so results are unchanged.
+    /// Deliberately poisons the engine's memo and subsequence cache locks
+    /// by panicking while each is held (fault injection — `--features
+    /// faults` only). The next evaluation recovers each cache via
+    /// [`lock_cache`] / [`try_lock_cache`]'s clear-and-rebuild, so results
+    /// are unchanged.
     #[cfg(feature = "faults")]
     pub fn poison_caches(&self) {
-        fn poison<T>(m: &Mutex<T>) {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                panic!("injected cache poison");
-            }));
-        }
         if let Some(m) = &self.memo {
-            m.iter().for_each(poison::<Memo>);
+            poison(m);
         }
         if let Some(c) = &self.subseq {
-            c.iter().for_each(poison::<SubseqCache>);
+            poison(c);
         }
     }
 
@@ -930,8 +852,7 @@ impl<'a> FitnessEngine<'a> {
     }
 
     /// The memo key of a list — the exact hash the memo map computes
-    /// internally; the shard index (top bits) and filter slot (low bits)
-    /// both derive from it.
+    /// internally; the second-touch filter slot is its low bits.
     fn list_key(list: &[VarId]) -> u64 {
         let mut hasher = ListHasher::default();
         std::hash::Hash::hash(list, &mut hasher);
@@ -939,12 +860,12 @@ impl<'a> FitnessEngine<'a> {
     }
 
     /// The cached costing core. `overlay` is the batch path's per-worker
-    /// private memo ([`BatchCtx`]): when present, the shared shards are
-    /// only ever try-locked (contention = recompute, never block) and all
+    /// private memo ([`BatchCtx`]): when present, the shared memo is only
+    /// ever try-locked (contention = recompute, never block) and all
     /// writes go to the overlay — the hot loop takes **zero** contended
     /// locks. The direct path (`overlay == None`: SA/tabu re-costing,
-    /// [`per_dbc_costs`](Self::per_dbc_costs)) blocks on the shard as
-    /// before, counting contended acquisitions. Either way the returned
+    /// [`per_dbc_costs`](Self::per_dbc_costs)) blocks on the memo lock,
+    /// counting contended acquisitions. Either way the returned
     /// cost is the same pure function of the list's content.
     fn dbc_cost_cached(
         &self,
@@ -956,7 +877,6 @@ impl<'a> FitnessEngine<'a> {
             return self.dbc_cost_uncached(list, scratch, overlay.is_some());
         };
         let key = Self::list_key(list);
-        let shard = memo.shard(key);
         let slot = (key as usize) & (FILTER_SLOTS - 1);
         match overlay {
             Some(worker) => {
@@ -964,7 +884,7 @@ impl<'a> FitnessEngine<'a> {
                     self.dbc_cache_hits.fetch_add(1, Ordering::Relaxed);
                     return c;
                 }
-                if let Some(shared) = try_lock_cache(shard) {
+                if let Some(shared) = try_lock_cache(memo) {
                     if let Some(&c) = shared.map.get(list) {
                         self.dbc_cache_hits.fetch_add(1, Ordering::Relaxed);
                         return c;
@@ -972,10 +892,10 @@ impl<'a> FitnessEngine<'a> {
                 }
                 let c = self.dbc_cost_uncached(list, scratch, true);
                 // Second-touch promotion against the worker's private
-                // filter; the entry reaches the shared shard at the batch
+                // filter; the entry reaches the shared memo at the batch
                 // boundary merge.
                 if worker.filter[slot] == key {
-                    if worker.map.len() >= self.memo_shard_cap {
+                    if worker.map.len() >= MEMO_CAPACITY {
                         worker.map.clear();
                     }
                     worker.map.insert(list.into(), c);
@@ -985,14 +905,14 @@ impl<'a> FitnessEngine<'a> {
                 c
             }
             None => {
-                if let Some(&c) = lock_counted(shard, &self.memo_contended).map.get(list) {
+                if let Some(&c) = lock_counted(memo, &self.memo_contended).map.get(list) {
                     self.dbc_cache_hits.fetch_add(1, Ordering::Relaxed);
                     return c;
                 }
                 let c = self.dbc_cost_uncached(list, scratch, false);
-                let mut m = lock_counted(shard, &self.memo_contended);
+                let mut m = lock_counted(memo, &self.memo_contended);
                 if m.filter[slot] == key {
-                    if m.map.len() >= self.memo_shard_cap {
+                    if m.map.len() >= MEMO_CAPACITY {
                         m.map.clear();
                     }
                     m.map.insert(list.into(), c);
@@ -1041,15 +961,14 @@ impl<'a> FitnessEngine<'a> {
                     // the entry's stored membership is verified against the
                     // offsets table (same size + every stored member present
                     // ⇒ identical sets), so a collision is just a miss. On
-                    // the nonblocking (batch) path a contended shard is a
+                    // the nonblocking (batch) path a contended lock is a
                     // miss too: recomputing the same pure value costs wall
                     // time, never correctness.
-                    let shard = cache.shard(set_key);
                     let cached = {
                         let guard = if nonblocking {
-                            try_lock_cache(shard)
+                            try_lock_cache(cache)
                         } else {
-                            Some(lock_counted(shard, &self.subseq_contended))
+                            Some(lock_counted(cache, &self.subseq_contended))
                         };
                         guard.and_then(|c| {
                             c.map.get(&set_key).and_then(|e| {
@@ -1072,12 +991,12 @@ impl<'a> FitnessEngine<'a> {
                             // Promote only memberships seen twice — the
                             // first sighting costs nothing but a filter
                             // write, so crossover churn never allocates. A
-                            // contended shard skips the promotion entirely
+                            // contended lock skips the promotion entirely
                             // on the nonblocking path.
                             let guard = if nonblocking {
-                                try_lock_cache(shard)
+                                try_lock_cache(cache)
                             } else {
-                                Some(lock_counted(shard, &self.subseq_contended))
+                                Some(lock_counted(cache, &self.subseq_contended))
                             };
                             if let Some(mut c) = guard {
                                 let slot = (set_key as usize) & (FILTER_SLOTS - 1);
@@ -1092,7 +1011,7 @@ impl<'a> FitnessEngine<'a> {
                                         summary: s.clone(),
                                     };
                                     c.stored += s.weight();
-                                    if c.stored > self.subseq_shard_cap {
+                                    if c.stored > SUBSEQ_ELEM_CAPACITY {
                                         c.map.clear();
                                         c.stored = s.weight();
                                     }
@@ -1418,7 +1337,7 @@ impl<'a> FitnessEngine<'a> {
     /// of worker count and steal schedule — identical to a sequential
     /// pass. Each worker costs through a private memo overlay (see
     /// [`BatchCtx`]), so the per-DBC hot loop takes zero contended locks;
-    /// overlays merge into the shared sharded memo when the batch ends.
+    /// overlays merge into the shared memo when the batch ends.
     pub fn evaluate_batch(&self, jobs: &mut [EvalJob]) {
         self.evaluations
             .fetch_add(jobs.len() as u64, Ordering::Relaxed);
@@ -1441,20 +1360,19 @@ impl<'a> FitnessEngine<'a> {
         }
     }
 
-    /// Merges a worker's private memo overlay into the shared sharded memo
-    /// at a batch boundary. Plain blocking locks are fine here — this runs
-    /// once per worker per batch, not per DBC, so it never shows up in the
+    /// Merges a worker's private memo overlay into the shared memo at a
+    /// batch boundary. A plain blocking lock is fine here — this runs once
+    /// per worker per batch, not per DBC, so it never shows up in the
     /// hot-path contention counters.
     fn merge_overlay(&self, overlay: Memo) {
         let Some(memo) = &self.memo else { return };
-        let mut merged = 0u64;
+        let merged = overlay.map.len() as u64;
+        let mut m = lock_cache(memo);
         for (list, c) in overlay.map {
-            let mut m = lock_cache(memo.shard(Self::list_key(&list)));
-            if m.map.len() >= self.memo_shard_cap {
+            if m.map.len() >= MEMO_CAPACITY {
                 m.map.clear();
             }
             m.map.insert(list, c);
-            merged += 1;
         }
         self.memo_merged.fetch_add(merged, Ordering::Relaxed);
     }
@@ -1520,10 +1438,10 @@ impl<'a> FitnessEngine<'a> {
 
 /// One worker's context for [`FitnessEngine::evaluate_batch`]: scratch
 /// buffers plus a private memo overlay. During the batch the worker reads
-/// the overlay first, then try-locks the shared shard, and writes **only**
+/// the overlay first, then try-locks the shared memo, and writes **only**
 /// the overlay — so the per-DBC hot loop never blocks on a lock. The
-/// overlay merges into the shared sharded memo when the context drops at
-/// the end of the batch.
+/// overlay merges into the shared memo when the context drops at the end
+/// of the batch.
 struct BatchCtx<'e, 'a> {
     engine: &'e FitnessEngine<'a>,
     scratch: EvalScratch,
@@ -1585,87 +1503,29 @@ mod tests {
         }
     }
 
-    /// Poisons every shard of both caches by panicking under each lock.
-    fn poison_all_shards(engine: &FitnessEngine<'_>) {
-        fn poison<T>(m: &Mutex<T>) {
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _guard = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                panic!("poison shard");
-            }));
-        }
-        for shard in engine.memo.as_ref().unwrap().iter() {
-            poison(shard);
-        }
-        for shard in engine.subseq.as_ref().unwrap().iter() {
-            poison(shard);
-        }
-    }
-
     #[test]
     fn poisoned_caches_recover_by_clear_and_rebuild() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
-        for shards in [1usize, 8] {
-            let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_shards(shards);
-            let want = engine.per_dbc_costs(&lists);
-            for _ in 0..2 {
-                poison_all_shards(&engine);
-                // Costs are pure functions of the lists: recovery rebuilds
-                // each shard and every result is bit-identical.
-                assert_eq!(engine.per_dbc_costs(&lists), want);
-                assert_eq!(engine.per_dbc_costs(&lists), want);
-            }
-            // Recovery is lazy and per shard: every shard clears its poison
-            // on its next acquisition, whichever key drives it there.
-            for shard in engine.memo.as_ref().unwrap().iter() {
-                drop(lock_cache(shard));
-            }
-            for shard in engine.subseq.as_ref().unwrap().iter() {
-                drop(lock_cache(shard));
-            }
-            assert!(engine
-                .memo
-                .as_ref()
-                .unwrap()
-                .iter()
-                .all(|s| !s.is_poisoned()));
-            assert!(engine
-                .subseq
-                .as_ref()
-                .unwrap()
-                .iter()
-                .all(|s| !s.is_poisoned()));
+        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let (memo, subseq) = (
+            engine.memo.as_ref().unwrap(),
+            engine.subseq.as_ref().unwrap(),
+        );
+        let want = engine.per_dbc_costs(&lists);
+        for _ in 0..2 {
+            poison(memo);
+            poison(subseq);
+            // Costs are pure functions of the lists: recovery rebuilds
+            // each cache and every result is bit-identical.
+            assert_eq!(engine.per_dbc_costs(&lists), want);
+            assert_eq!(engine.per_dbc_costs(&lists), want);
         }
-    }
-
-    #[test]
-    fn sharded_costs_are_shard_count_invariant() {
-        let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
-        let base = paper_placement(&seq);
-        let candidates: Vec<Vec<Vec<VarId>>> = (0..12)
-            .map(|i| {
-                let mut l = base.clone();
-                l[1].rotate_left(i % 4);
-                l
-            })
-            .collect();
-        let baseline = FitnessEngine::new(&seq, CostModel::single_port())
-            .with_threads(1)
-            .with_shards(1);
-        let want_batch = baseline.batch_costs(&candidates);
-        let want_dbc = baseline.per_dbc_costs(&base);
-        for shards in [1usize, 2, 8, 64] {
-            for threads in [1usize, 4] {
-                let engine = FitnessEngine::new(&seq, CostModel::single_port())
-                    .with_threads(threads)
-                    .with_shards(shards);
-                assert_eq!(engine.batch_costs(&candidates), want_batch);
-                // Repeat to exercise the memo-hit path through the shards.
-                assert_eq!(engine.per_dbc_costs(&base), want_dbc);
-                assert_eq!(engine.per_dbc_costs(&base), want_dbc);
-                assert_eq!(engine.per_dbc_costs(&base), want_dbc);
-            }
-        }
+        // Recovery is lazy: each cache clears its poison on its next
+        // acquisition.
+        drop(lock_cache(memo));
+        drop(lock_cache(subseq));
+        assert!(!memo.is_poisoned() && !subseq.is_poisoned());
     }
 
     #[test]
@@ -1675,7 +1535,7 @@ mod tests {
         let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(1);
         // The same lists recur within one batch: the worker's private
         // filter promotes them on second touch, and the batch-boundary
-        // merge lands them in the shared sharded memo.
+        // merge lands them in the shared memo.
         let mut jobs: Vec<EvalJob> = (0..4).map(|_| EvalJob::fresh(base.clone())).collect();
         engine.evaluate_batch(&mut jobs);
         let reference = FitnessEngine::new(&seq, CostModel::single_port());
@@ -1758,19 +1618,25 @@ mod tests {
                 l
             })
             .collect();
-        let seq_engine = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(1);
-        let par_engine = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(4);
-        assert_eq!(
-            seq_engine.batch_costs(&candidates),
-            par_engine.batch_costs(&candidates)
-        );
-        let mut jobs_a: Vec<EvalJob> = candidates.iter().cloned().map(EvalJob::fresh).collect();
-        let mut jobs_b = jobs_a.clone();
-        seq_engine.evaluate_batch(&mut jobs_a);
-        par_engine.evaluate_batch(&mut jobs_b);
-        let totals_a: Vec<u64> = jobs_a.iter().map(EvalJob::total).collect();
-        let totals_b: Vec<u64> = jobs_b.iter().map(EvalJob::total).collect();
-        assert_eq!(totals_a, totals_b);
+        let jobs = || -> Vec<EvalJob> { candidates.iter().cloned().map(EvalJob::fresh).collect() };
+        let serial = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(1);
+        let want_batch = serial.batch_costs(&candidates);
+        let want_dbc = serial.per_dbc_costs(&base);
+        let mut want_jobs = jobs();
+        serial.evaluate_batch(&mut want_jobs);
+        let want_totals: Vec<u64> = want_jobs.iter().map(EvalJob::total).collect();
+        for threads in [1usize, 4] {
+            let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(threads);
+            assert_eq!(engine.batch_costs(&candidates), want_batch);
+            let mut got_jobs = jobs();
+            engine.evaluate_batch(&mut got_jobs);
+            let totals: Vec<u64> = got_jobs.iter().map(EvalJob::total).collect();
+            assert_eq!(totals, want_totals);
+            // Repeat to exercise the memo-hit path.
+            for _ in 0..3 {
+                assert_eq!(engine.per_dbc_costs(&base), want_dbc);
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Before this module, `PlacementProblem::solve` constructed a fresh
 //! [`FitnessEngine`] on **every call** — the `O(|S|)` position-index build,
-//! the sharded per-DBC cost memo and the membership-keyed subsequence
+//! the per-DBC cost memo and the membership-keyed subsequence
 //! summaries were all thrown away between queries, even when the next query
 //! asked about the exact same trace. A single offline experiment never
 //! noticed; a server answering repeat queries paid the whole warm-up again
@@ -32,7 +32,7 @@
 //!
 //! # Sharing and concurrency
 //!
-//! `Session` is `Send + Sync`: the engine's caches are sharded mutexes and
+//! `Session` is `Send + Sync`: each engine cache is one mutex and
 //! its counters are atomics, so concurrent `solve` calls on one shared
 //! session are safe — and, because caches can change only *when* a value is
 //! computed, never *what*, each concurrent solve is bit-identical to the
@@ -107,8 +107,7 @@ impl Session {
         self.engine.get_or_init(|| {
             let engine =
                 FitnessEngine::shared(self.problem.seq_shared(), self.problem.cost_model())
-                    .with_threads(self.problem.threads())
-                    .with_shards(self.problem.shards());
+                    .with_threads(self.problem.threads());
             match &self.shared_pool {
                 Some(pool) => engine.with_worker_pool(pool.clone()),
                 None => engine,
@@ -133,10 +132,10 @@ impl Session {
         self.seeds.get_or_init(|| self.problem.heuristic_seeds())
     }
 
-    /// Deliberately poisons the warm engine's cache shards (fault
+    /// Deliberately poisons the warm engine's cache locks (fault
     /// injection — `--features faults` only; a no-op before the engine
-    /// exists). Recovery is per shard and results are unchanged, which is
-    /// exactly what the live-session fault tests pin.
+    /// exists). Each cache recovers by clear-and-rebuild and results are
+    /// unchanged, which is exactly what the live-session fault tests pin.
     #[cfg(feature = "faults")]
     pub fn poison_caches(&self) {
         if let Some(engine) = self.engine.get() {

@@ -304,8 +304,6 @@ pub struct PlacementProblem {
     capacity: usize,
     cost: CostModel,
     threads: usize,
-    /// Cache shard-count override for the engine (`0` = auto).
-    shards: usize,
     /// Subarray count of the hierarchical form; `1` = today's flat problem.
     subarrays: usize,
 }
@@ -327,7 +325,6 @@ impl PlacementProblem {
             capacity,
             cost: CostModel::single_port(),
             threads: 0,
-            shards: 0,
             subarrays: 1,
         }
     }
@@ -356,7 +353,6 @@ impl PlacementProblem {
             capacity: array.locations_per_dbc(),
             cost: CostModel::for_array(array),
             threads: 0,
-            shards: 0,
             subarrays: array.subarrays(),
         }
     }
@@ -392,19 +388,9 @@ impl PlacementProblem {
         self
     }
 
-    /// Sets the engine's cache shard count (`0` = auto: scales with the
-    /// worker count). Results are bit-identical for any value — shards
-    /// only bound lock contention (`DESIGN.md` §7).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// The fitness engine for this problem's trace and cost model.
     pub fn engine(&self) -> FitnessEngine<'_> {
-        FitnessEngine::new(&self.seq, self.cost)
-            .with_threads(self.threads)
-            .with_shards(self.shards)
+        FitnessEngine::new(&self.seq, self.cost).with_threads(self.threads)
     }
 
     /// The trace.
@@ -422,11 +408,6 @@ impl PlacementProblem {
     /// The configured engine worker count (`0` = auto-detect).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured engine cache shard count (`0` = auto).
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Number of DBCs `q`.

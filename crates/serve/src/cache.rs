@@ -11,8 +11,8 @@
 //!    query reuses the parsed [`AccessSequence`] and a mismatched one
 //!    never can.
 //! 2. **Session level** — per cached trace, one [`Session`] per requested
-//!    geometry `(dbcs, capacity, ports, shards)`. A session hit lands on a
-//!    warm engine: position index built, memo shards populated, heuristic
+//!    geometry `(dbcs, capacity, ports)`. A session hit lands on a
+//!    warm engine: position index built, memo populated, heuristic
 //!    seeds cached. Sessions run on the server's one global
 //!    [`WorkerPool`], so N concurrent warm engines can't oversubscribe
 //!    the host.
@@ -39,9 +39,6 @@ pub struct GeometryKey {
     pub capacity: usize,
     /// Access ports per track.
     pub ports: usize,
-    /// Engine cache shard count (`0` = auto). Part of the key so a shard
-    /// override gets its own engine; results are identical either way.
-    pub shards: usize,
 }
 
 /// One cached trace and its per-geometry warm sessions.
@@ -249,9 +246,8 @@ impl SessionCache {
             self.session_hits.fetch_add(1, Ordering::Relaxed);
             return (Arc::clone(s), true);
         }
-        let problem = PlacementProblem::shared(entry.seq(), key.dbcs, key.capacity)
-            .with_ports(key.ports)
-            .with_shards(key.shards);
+        let problem =
+            PlacementProblem::shared(entry.seq(), key.dbcs, key.capacity).with_ports(key.ports);
         let session = Arc::new(Session::new(problem).with_worker_pool(self.pool()));
         sessions.insert(key, Arc::clone(&session));
         self.session_misses.fetch_add(1, Ordering::Relaxed);
@@ -283,10 +279,10 @@ impl SessionCache {
         }
     }
 
-    /// Poisons the cache shards of every warm session (fault injection —
-    /// `--features faults` only). The engines recover per shard on the
-    /// next solve with unchanged results; the live-session fault tests pin
-    /// exactly that.
+    /// Poisons the cache locks of every warm session (fault injection —
+    /// `--features faults` only). The engines recover by clear-and-rebuild
+    /// on the next solve with unchanged results; the live-session fault
+    /// tests pin exactly that.
     #[cfg(feature = "faults")]
     pub fn poison_all_sessions(&self) {
         let map = self
@@ -321,7 +317,6 @@ mod tests {
         dbcs: 2,
         capacity: 64,
         ports: 1,
-        shards: 0,
     };
 
     #[test]

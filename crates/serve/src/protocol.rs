@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `place` keys mirror the CLI options exactly (`strategy`, `dbcs`,
-//! `capacity`, `ports`, `shards`, `budget-evals`, `budget-ms`,
+//! `capacity`, `ports`, `budget-evals`, `budget-ms`,
 //! `budget-stall`, `seed`, `lanes`) plus the serve-only `deadline-ms` —
 //! same names, same defaults, so a serve query and an `rtm place`
 //! invocation describe the same problem (pinned by the bit-identity
@@ -73,8 +73,6 @@ pub struct PlaceRequest {
     pub capacity: Option<usize>,
     /// Access ports per track (default 1).
     pub ports: usize,
-    /// Engine cache shards (default 0 = auto).
-    pub shards: usize,
     /// `--budget-evals` equivalent.
     pub budget_evals: Option<u64>,
     /// `--budget-ms` equivalent.
@@ -195,7 +193,6 @@ impl PlaceRequest {
             dbcs: 4,
             capacity: None,
             ports: 1,
-            shards: 0,
             budget_evals: None,
             budget_ms: None,
             budget_stall: None,
@@ -219,7 +216,6 @@ impl PlaceRequest {
                 "dbcs" => req.dbcs = num(key, value)?,
                 "capacity" => req.capacity = Some(num(key, value)?),
                 "ports" => req.ports = num(key, value)?,
-                "shards" => req.shards = num(key, value)?,
                 "budget-evals" => req.budget_evals = Some(num(key, value)?),
                 "budget-ms" => req.budget_ms = Some(num(key, value)?),
                 "budget-stall" => req.budget_stall = Some(num(key, value)?),
@@ -315,7 +311,6 @@ impl PlaceRequest {
             dbcs: self.dbcs,
             capacity,
             ports: self.ports,
-            shards: self.shards,
         })
     }
 
@@ -433,9 +428,8 @@ impl PlaceRequest {
         let strategy = self.resolve_strategy(default_deadline_ms)?;
         let seq = self.materialize()?;
         let geom = self.geometry(&seq)?;
-        let problem = PlacementProblem::new(seq.clone(), geom.dbcs, geom.capacity)
-            .with_ports(geom.ports)
-            .with_shards(geom.shards);
+        let problem =
+            PlacementProblem::new(seq.clone(), geom.dbcs, geom.capacity).with_ports(geom.ports);
         let solution = problem.solve(&strategy)?;
         Ok((strategy, geom, seq, solution))
     }
@@ -465,7 +459,7 @@ mod tests {
     fn place_defaults_mirror_the_cli() {
         let r = place("place :: a b a b");
         assert_eq!(r.strategy, "dma-sr");
-        assert_eq!((r.dbcs, r.ports, r.shards), (4, 1, 0));
+        assert_eq!((r.dbcs, r.ports), (4, 1));
         assert_eq!(r.capacity, None);
         let seq = r.materialize().unwrap();
         // 4 DBCs: the paper's 4 KiB track is 4096*8/(4*32) = 256.
@@ -516,6 +510,7 @@ mod tests {
             ("place", "missing trace"),
             ("place strategy=sa", "missing trace"),
             ("place bogus=1 :: a b", "unknown option"),
+            ("place shards=8 :: a b", "unknown option `shards`"),
             ("place dbcs=zero :: a b", "bad number"),
             ("place dbcs=0 :: a b", "dbcs"),
             ("place ports=0 :: a b", "ports"),

@@ -59,6 +59,8 @@ struct Counters {
     ok: AtomicU64,
     errors: AtomicU64,
     overloaded: AtomicU64,
+    /// Failed `accept` calls (fd exhaustion, aborted handshakes, …).
+    accept_errors: AtomicU64,
 }
 
 /// A bound, not-yet-running daemon. [`run`](Server::run) serves on the
@@ -121,7 +123,9 @@ impl Server {
 
     /// Serves until a `shutdown` request arrives. Each connection gets its
     /// own thread; panics and errors in one connection never reach
-    /// another.
+    /// another. A failed `accept` — `EMFILE` when the descriptor limit is
+    /// reached, `ECONNABORTED`, … — is counted and retried after the same
+    /// 5 ms back-off as an idle poll, so it can never end the daemon.
     pub fn run(self) {
         let mut workers = Vec::new();
         while !self.shutdown.load(Ordering::Acquire) {
@@ -136,10 +140,12 @@ impl Server {
                     };
                     workers.push(std::thread::spawn(move || conn.serve(stream)));
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                Err(e) => {
+                    if e.kind() != ErrorKind::WouldBlock {
+                        self.counters.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    }
                     std::thread::sleep(Duration::from_millis(5));
                 }
-                Err(_) => break,
             }
             workers.retain(|w| !w.is_finished());
         }
@@ -374,14 +380,16 @@ impl Connection {
         let c = self.cache.stats();
         format!(
             "{{\"ok\":true,\"stats\":{{\"requests\":{},\"responses_ok\":{},\
-             \"responses_error\":{},\"overloaded\":{},\"inflight\":{},\
-             \"max_inflight\":{},\"cache\":{{\"trace_hits\":{},\"trace_misses\":{},\
-             \"session_hits\":{},\"session_misses\":{},\"evictions\":{},\
-             \"collisions_rejected\":{},\"cached_traces\":{},\"cached_sessions\":{}}}}}}}",
+             \"responses_error\":{},\"overloaded\":{},\"accept_errors\":{},\
+             \"inflight\":{},\"max_inflight\":{},\"cache\":{{\"trace_hits\":{},\
+             \"trace_misses\":{},\"session_hits\":{},\"session_misses\":{},\
+             \"evictions\":{},\"collisions_rejected\":{},\"cached_traces\":{},\
+             \"cached_sessions\":{}}}}}}}",
             self.counters.requests.load(Ordering::Relaxed),
             self.counters.ok.load(Ordering::Relaxed),
             self.counters.errors.load(Ordering::Relaxed),
             self.counters.overloaded.load(Ordering::Relaxed),
+            self.counters.accept_errors.load(Ordering::Relaxed),
             self.inflight.load(Ordering::Acquire),
             self.config.max_inflight,
             c.trace_hits,
@@ -431,6 +439,7 @@ mod tests {
         json::validate(&stats).unwrap();
         // The stats request counts itself: ping + stats.
         assert_eq!(json::find_u64(&stats, "requests"), Some(2));
+        assert_eq!(json::find_u64(&stats, "accept_errors"), Some(0));
         let bye = roundtrip(&mut stream, "shutdown");
         assert_eq!(json::find_bool(&bye, "shutdown"), Some(true));
         handle.shutdown();

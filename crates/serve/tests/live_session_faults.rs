@@ -24,8 +24,8 @@ fn roundtrip(stream: &mut TcpStream, line: &str) -> String {
 }
 
 /// Poisoning every warm session's caches between two identical requests
-/// must be invisible in the responses: the engines recover shard by shard
-/// and the deterministic payloads stay bit-identical.
+/// must be invisible in the responses: each engine cache recovers by
+/// clear-and-rebuild and the deterministic payloads stay bit-identical.
 #[test]
 fn poisoned_live_sessions_recover_with_identical_answers() {
     let handle = Server::bind(ServeConfig {
@@ -89,7 +89,6 @@ fn lane_panics_on_a_warm_cached_engine_are_contained() {
         dbcs: 2,
         capacity: 512,
         ports: 1,
-        shards: 0,
     };
     let (session, session_hit) = cache.session(&entry, key);
     assert!(session_hit, "the daemon should have warmed this session");

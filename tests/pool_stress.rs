@@ -204,12 +204,12 @@ fn per_worker_contexts_are_isolated() {
     assert!(items.iter().enumerate().all(|(i, &v)| v == crunch(i)));
 }
 
-/// Sharded-cache poison storm (`--features faults`): every shard of the
-/// engine's memo and subsequence caches is repeatedly poisoned — between
-/// batches and concurrently with them — and each acquisition must recover
-/// its own shard via `clear_poison` without changing a single result bit.
+/// Cache poison storm (`--features faults`): the engine's memo and
+/// subsequence cache locks are repeatedly poisoned — between batches and
+/// concurrently with them — and each acquisition must recover its cache
+/// via `clear_poison` without changing a single result bit.
 #[cfg(feature = "faults")]
-mod sharded_cache_poison_storm {
+mod cache_poison_storm {
     use rtm::placement::eval::{EvalJob, FitnessEngine};
     use rtm::{AccessSequence, CostModel, VarId};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -244,27 +244,22 @@ mod sharded_cache_poison_storm {
     }
 
     #[test]
-    fn poison_storms_recover_every_shard_without_changing_results() {
+    fn poison_storms_recover_both_caches_without_changing_results() {
         let seq = trace();
         let cost = CostModel::single_port();
         let dbcs = 4;
         let variants = variants(&seq, dbcs);
 
-        // Golden totals from a serial, single-shard, never-poisoned engine.
-        let clean = FitnessEngine::new(&seq, cost)
-            .with_threads(1)
-            .with_shards(1);
+        // Golden totals from a serial, never-poisoned engine.
+        let clean = FitnessEngine::new(&seq, cost).with_threads(1);
         let mut jobs: Vec<EvalJob> = variants.iter().map(|v| EvalJob::fresh(v.clone())).collect();
         clean.evaluate_batch(&mut jobs);
         let want: Vec<u64> = jobs.iter().map(EvalJob::total).collect();
         let want_direct = clean.per_dbc_costs(&variants[0]);
 
-        let engine = FitnessEngine::new(&seq, cost)
-            .with_threads(4)
-            .with_shards(8);
-        assert_eq!(engine.shard_count(), 8);
+        let engine = FitnessEngine::new(&seq, cost).with_threads(4);
 
-        // Phase 1: storm between batches — every shard poisoned, then the
+        // Phase 1: storm between batches — both caches poisoned, then the
         // batch path (overlay + try-lock recovery) and the direct path
         // (blocking lock recovery) must both come back bit-identical.
         for round in 0..20 {
@@ -282,8 +277,8 @@ mod sharded_cache_poison_storm {
         }
 
         // Phase 2: storm *concurrent* with the batches — a poisoner thread
-        // hammers every shard while the pool evaluates; recovery is then
-        // genuinely per-shard and mid-flight.
+        // hammers both cache locks while the pool evaluates; recovery then
+        // happens mid-flight.
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {

@@ -220,7 +220,8 @@ proptest! {
 }
 
 /// Deals the accessed variables round-robin into `dbcs` lists of at most
-/// `capacity` — the fixed base placement the sharding tests mutate.
+/// `capacity` — the fixed base placement the engine-equivalence tests
+/// mutate.
 fn deal(seq: &AccessSequence, dbcs: usize, capacity: usize) -> Vec<Vec<rtm::VarId>> {
     let mut lists: Vec<Vec<rtm::VarId>> = vec![Vec::new(); dbcs];
     let mut d = 0usize;
@@ -237,12 +238,12 @@ fn deal(seq: &AccessSequence, dbcs: usize, capacity: usize) -> Vec<Vec<rtm::VarI
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Sharded ≡ unsharded bit-equality (DESIGN.md §7): for any trace, the
-    /// per-DBC costs and batch totals are identical across cache shard
-    /// counts {1,2,8} × worker counts {1,2,8} × port counts {1,2,4} —
-    /// both on the cold pass and on the cache-hitting repeat pass.
+    /// Parallel ≡ serial bit-equality (DESIGN.md §7): for any trace, the
+    /// per-DBC costs and batch totals are identical across worker counts
+    /// {1,2,8} × port counts {1,2,4} — both on the cold pass and on the
+    /// cache-hitting repeat pass.
     #[test]
-    fn sharded_engines_are_bit_identical_to_unsharded(
+    fn engines_are_bit_identical_across_workers_and_ports(
         seq in arb_trace(12, 60),
         dbcs in 1usize..4,
         port_sel in 0usize..3,
@@ -269,7 +270,7 @@ proptest! {
         variants.push(rotated);
 
         // Serial baseline: direct costs (cold + cached repeat) and batch.
-        let baseline = FitnessEngine::new(&seq, cost).with_threads(1).with_shards(1);
+        let baseline = FitnessEngine::new(&seq, cost).with_threads(1);
         let want: Vec<Vec<u64>> = variants.iter().map(|v| baseline.per_dbc_costs(v)).collect();
         let again: Vec<Vec<u64>> = variants.iter().map(|v| baseline.per_dbc_costs(v)).collect();
         prop_assert_eq!(&want, &again, "baseline cache changed a cost");
@@ -278,24 +279,20 @@ proptest! {
         baseline.evaluate_batch(&mut jobs);
         let want_totals: Vec<u64> = jobs.iter().map(EvalJob::total).collect();
 
-        for &shards in &[1usize, 2, 8] {
-            for &workers in &[1usize, 2, 8] {
-                let engine = FitnessEngine::new(&seq, cost)
-                    .with_threads(workers)
-                    .with_shards(shards);
-                let mut jobs: Vec<EvalJob> =
-                    variants.iter().map(|v| EvalJob::fresh(v.clone())).collect();
-                engine.evaluate_batch(&mut jobs);
-                let totals: Vec<u64> = jobs.iter().map(EvalJob::total).collect();
-                prop_assert_eq!(
-                    &totals, &want_totals,
-                    "batch diverged at workers={} shards={}", workers, shards
-                );
-                for (v, w) in variants.iter().zip(&want) {
-                    // Twice: the second pass reads the now-warm caches.
-                    prop_assert_eq!(&engine.per_dbc_costs(v), w);
-                    prop_assert_eq!(&engine.per_dbc_costs(v), w);
-                }
+        for &workers in &[1usize, 2, 8] {
+            let engine = FitnessEngine::new(&seq, cost).with_threads(workers);
+            let mut jobs: Vec<EvalJob> =
+                variants.iter().map(|v| EvalJob::fresh(v.clone())).collect();
+            engine.evaluate_batch(&mut jobs);
+            let totals: Vec<u64> = jobs.iter().map(EvalJob::total).collect();
+            prop_assert_eq!(
+                &totals, &want_totals,
+                "batch diverged at workers={}", workers
+            );
+            for (v, w) in variants.iter().zip(&want) {
+                // Twice: the second pass reads the now-warm caches.
+                prop_assert_eq!(&engine.per_dbc_costs(v), w);
+                prop_assert_eq!(&engine.per_dbc_costs(v), w);
             }
         }
     }
@@ -304,9 +301,9 @@ proptest! {
 /// Nested-search golden (DESIGN.md §7): a seed-fixed GA and a seed-fixed,
 /// evals-budgeted portfolio race (which runs a GA lane *inside* concurrent
 /// lanes sharing one engine) return bit-identical outcomes at every
-/// worker × shard configuration.
+/// worker count.
 #[test]
-fn nested_ga_and_portfolio_goldens_are_worker_and_shard_invariant() {
+fn nested_ga_and_portfolio_goldens_are_worker_invariant() {
     use rtm::placement::search::{Budget, PortfolioConfig};
     // A deterministic synthetic trace with enough structure for the
     // searches to have a non-trivial landscape.
@@ -325,10 +322,8 @@ fn nested_ga_and_portfolio_goldens_are_worker_and_shard_invariant() {
     let race_cfg = PortfolioConfig::new(Budget::evals(600)).with_seed(0xD1CE);
 
     let mut golden: Option<(u64, Vec<u64>, u64, Placement)> = None;
-    for (workers, shards) in [(1, 1), (2, 2), (8, 8)] {
-        let problem = PlacementProblem::new(seq.clone(), dbcs, capacity)
-            .with_threads(workers)
-            .with_shards(shards);
+    for workers in [1, 2, 8] {
+        let problem = PlacementProblem::new(seq.clone(), dbcs, capacity).with_threads(workers);
         let ga = problem.solve(&Strat::Ga(ga_cfg)).unwrap();
         let race = problem.solve(&Strat::Portfolio(race_cfg.clone())).unwrap();
         let outcome = (
@@ -339,10 +334,7 @@ fn nested_ga_and_portfolio_goldens_are_worker_and_shard_invariant() {
         );
         match &golden {
             None => golden = Some(outcome),
-            Some(g) => assert_eq!(
-                g, &outcome,
-                "nested search diverged at workers={workers} shards={shards}"
-            ),
+            Some(g) => assert_eq!(g, &outcome, "nested search diverged at workers={workers}"),
         }
     }
 }
