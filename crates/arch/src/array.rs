@@ -103,9 +103,10 @@ impl ArrayGeometry {
         self.subarray.dbcs()
     }
 
-    /// Total number of DBCs across the array.
+    /// Total number of DBCs across the array. Saturates instead of
+    /// wrapping, so an absurd subarray count cannot pass for a small array.
     pub fn total_dbcs(&self) -> usize {
-        self.subarrays * self.subarray.dbcs()
+        self.subarrays.saturating_mul(self.subarray.dbcs())
     }
 
     /// Variable slots per DBC (`N`, uniform across the array).

@@ -19,6 +19,7 @@ use crate::ExperimentOpts;
 use crate::Table;
 use rtm_arch::{table1 as arch_table1, ArrayGeometry, MemoryParams, RtmGeometry, ScalingModel};
 use rtm_offsetstone::{suite, Benchmark};
+use rtm_placement::inter::default_capacity;
 use rtm_placement::{PlacementProblem, Solution, Strategy};
 use rtm_sim::{SimStats, Simulator};
 use rtm_trace::AccessSequence;
@@ -56,15 +57,13 @@ impl ExperimentResult {
 /// explicit `--legacy-spill` comparison baseline and for the perf/ablation
 /// micro-harnesses where the grown flat geometry is the measured artifact.
 pub fn capacity_for(dbcs: usize, vars: usize) -> usize {
-    let table_capacity = 4096 * 8 / (dbcs * 32);
-    table_capacity.max(vars.div_ceil(dbcs))
+    default_capacity(dbcs, vars)
 }
 
 /// The paper-faithful 4 KiB subarray for a DBC count: 32 tracks, Table I
 /// domains per track, single port. Tracks are **never grown**.
 pub fn subarray_for(dbcs: usize) -> RtmGeometry {
-    let table_capacity = 4096 * 8 / (dbcs * 32);
-    RtmGeometry::new(dbcs, 32, table_capacity, 1).expect("paper subarray is valid")
+    RtmGeometry::new(dbcs, 32, default_capacity(dbcs, 0), 1).expect("paper subarray is valid")
 }
 
 /// The smallest array of paper-faithful 4 KiB subarrays (each `dbcs` DBCs)

@@ -26,7 +26,8 @@ use rtm_serve::loadgen::{self, LoadReport, LoadgenConfig};
 use rtm_serve::server::{ServeConfig, Server};
 
 /// Grace on top of the default deadline for the p99 gate (scheduling
-/// noise allowance; the contractual budget-watchdog grace is far smaller).
+/// noise allowance; the portfolio's contractual wind-down grace is far
+/// smaller).
 const GRACE_MS: f64 = 500.0;
 
 /// Collects one load run against a fresh in-process daemon.

@@ -4,6 +4,7 @@ use crate::args::CliArgs;
 use crate::{build_problem, build_simulator, parse_strategy, read_trace, ProblemSpec};
 use rtm_offsetstone::{suite as bench_suite, Benchmark, Tier, TierWorkload};
 use rtm_placement::eval::FitnessEngine;
+use rtm_placement::inter::default_capacity;
 use rtm_placement::{
     random_walk, CostModel, GeneticPlacer, Portfolio, SimulatedAnnealing, Solution, Strategy,
     StrategyKind, TabuSearch,
@@ -199,8 +200,7 @@ fn stream_solve(
     if dbcs == 0 {
         return Err("--dbcs must be at least 1".into());
     }
-    let paper_cap = 4096 * 8 / (dbcs * 32);
-    let default_cap = paper_cap.max(workload.var_count().div_ceil(dbcs));
+    let default_cap = default_capacity(dbcs, workload.var_count());
     let capacity: usize = args.get_parsed("capacity")?.unwrap_or(default_cap);
     let ports: usize = args.get_parsed("ports")?.unwrap_or(1);
     if ports == 0 {

@@ -16,6 +16,7 @@
 //! suffixes; `--trace -` reads stdin. An option no command reads is an
 //! error (`error: unknown option --NAME`), never silently ignored.
 
+use rtm_placement::inter::default_capacity;
 use rtm_placement::{
     Budget, GaConfig, LaneSpec, PlacementProblem, PortfolioConfig, RandomWalkConfig, SaConfig,
     Strategy, TabuConfig,
@@ -280,12 +281,10 @@ fn build_problem(
     if subarrays == 0 {
         return Err("--subarrays must be at least 1".into());
     }
-    let paper_cap = 4096 * 8 / (dbcs * 32);
-    let default_cap = if subarrays > 1 {
-        paper_cap
-    } else {
-        paper_cap.max(seq.vars().len().div_ceil(dbcs))
-    };
+    // A multi-subarray array keeps the paper's tracks; a flat one grows
+    // them to fit the trace.
+    let fit_vars = if subarrays > 1 { 0 } else { seq.vars().len() };
+    let default_cap = default_capacity(dbcs, fit_vars);
     let capacity: usize = args.get_parsed("capacity")?.unwrap_or(default_cap);
     let ports: usize = args.get_parsed("ports")?.unwrap_or(1);
     if ports == 0 {

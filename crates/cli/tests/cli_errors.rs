@@ -92,6 +92,12 @@ fn bad_flag_values_are_structured_errors() {
         "quantum",
     ]);
     assert_structured_failure(&out, "quantum");
+    // DBC counts past the supported maximum, including one whose
+    // `dbcs × 32` overflows, are refused before anything is allocated.
+    for dbcs in ["1099511627776", "576460752303423488"] {
+        let out = rtm(&["place", "--trace", trace.to_str().unwrap(), "--dbcs", dbcs]);
+        assert_structured_failure(&out, "exceed the maximum");
+    }
     // A retired option and a typo are rejected, not silently ignored.
     for option in ["--shards", "--budget-eval"] {
         let out = rtm(&["place", "--trace", trace.to_str().unwrap(), option, "8"]);

@@ -154,6 +154,11 @@ fn daemon_survives_malformed_requests_from_the_binary() {
         resp.contains("line 2") && resp.contains("column 3"),
         "{resp}"
     );
+    // A DBC count no array has is refused before anything is allocated
+    // per DBC, instead of aborting the daemon.
+    let resp = roundtrip(&mut stream, "place dbcs=1099511627776 :: a b a b c");
+    assert!(resp.starts_with("error: "), "{resp}");
+    assert!(resp.contains("exceed the maximum"), "{resp}");
     let ok = roundtrip(&mut stream, "place dbcs=2 :: a b a b");
     assert!(ok.starts_with("{\"ok\":true"), "{ok}");
     let _ = roundtrip(&mut stream, "shutdown");

@@ -1334,7 +1334,7 @@ impl<'a> FitnessEngine<'a> {
     /// Jobs fan out over the engine's [`WorkerPool`]: each job is claimed
     /// exactly once and writes only its own slot, and each per-DBC cost is
     /// a pure function of the list's content, so the result is independent
-    /// of worker count and steal schedule — identical to a sequential
+    /// of worker count and claim order — identical to a sequential
     /// pass. Each worker costs through a private memo overlay (see
     /// [`BatchCtx`]), so the per-DBC hot loop takes zero contended locks;
     /// overlays merge into the shared memo when the batch ends.

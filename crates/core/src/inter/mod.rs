@@ -44,12 +44,40 @@ pub trait InterHeuristic {
     ) -> Result<Vec<Vec<VarId>>, PlacementError>;
 }
 
-/// Checks the basic fit `vars ≤ dbcs × capacity` shared by all heuristics.
+/// The largest total DBC count a placement accepts: 2^20. A 64 MiB array
+/// of the paper's 4 KiB subarrays at 16 DBCs each has 2^18 DBCs, and
+/// every strategy allocates per DBC, so a larger count is a malformed
+/// request rather than a memory to place into.
+pub const MAX_DBCS: usize = 1 << 20;
+
+/// Domains per track of the paper's 4 KiB subarray with 32 tracks per DBC,
+/// summed over its DBCs: `4096 · 8 / 32`.
+const PAPER_SUBARRAY_DOMAINS: usize = 4096 * 8 / 32;
+
+/// The default locations per DBC for `vars` variables on `dbcs` DBCs: the
+/// paper's 4 KiB subarray split `dbcs` ways (`4096 · 8 / (dbcs · 32)`),
+/// grown to `⌈vars / dbcs⌉` so the variables fit one subarray (pass
+/// `vars = 0` for the paper's track length alone). It divides instead of
+/// multiplying, so no `dbcs` overflows it; zero DBCs give 0.
+pub fn default_capacity(dbcs: usize, vars: usize) -> usize {
+    PAPER_SUBARRAY_DOMAINS
+        .checked_div(dbcs)
+        .map_or(0, |paper| paper.max(vars.div_ceil(dbcs)))
+}
+
+/// Checks the geometry every heuristic needs before it allocates per DBC:
+/// at least one DBC and one location, at most [`MAX_DBCS`] DBCs, and the
+/// basic fit `vars ≤ dbcs × capacity` (saturating, so it cannot overflow).
 pub(crate) fn check_fit(vars: usize, dbcs: usize, capacity: usize) -> Result<(), PlacementError> {
     if dbcs == 0 || capacity == 0 {
         return Err(PlacementError::EmptyGeometry);
     }
-    if vars > dbcs * capacity {
+    if dbcs > MAX_DBCS {
+        return Err(PlacementError::Geometry(format!(
+            "{dbcs} DBCs exceed the maximum of {MAX_DBCS}"
+        )));
+    }
+    if vars > dbcs.saturating_mul(capacity) {
         return Err(PlacementError::InsufficientCapacity {
             vars,
             dbcs,
@@ -89,6 +117,27 @@ mod tests {
         ));
         assert_eq!(check_fit(1, 0, 4), Err(PlacementError::EmptyGeometry));
         assert_eq!(check_fit(1, 4, 0), Err(PlacementError::EmptyGeometry));
+        assert!(check_fit(1, MAX_DBCS, 1).is_ok());
+        assert!(matches!(
+            check_fit(1, MAX_DBCS + 1, 1),
+            Err(PlacementError::Geometry(_))
+        ));
+        // `dbcs × capacity` saturates instead of wrapping past the fit.
+        assert!(check_fit(usize::MAX, 4, usize::MAX / 2).is_ok());
+    }
+
+    #[test]
+    fn default_capacity_is_the_paper_track_grown_to_fit() {
+        // 512/256/128/64 locations for 2/4/8/16 DBCs (Table I).
+        for (dbcs, cap) in [(2, 512), (4, 256), (8, 128), (16, 64)] {
+            assert_eq!(default_capacity(dbcs, 0), cap);
+            assert_eq!(default_capacity(dbcs, dbcs * cap), cap);
+        }
+        assert_eq!(default_capacity(2, 1025), 513, "grown to fit");
+        assert_eq!(default_capacity(0, 10), 0);
+        // No DBC count overflows it.
+        assert_eq!(default_capacity(1 << 40, 5), 1);
+        assert_eq!(default_capacity(usize::MAX, 0), 0);
     }
 
     #[test]

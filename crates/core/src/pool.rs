@@ -1,5 +1,5 @@
-//! The in-tree work-stealing worker pool — the single execution substrate
-//! for every parallel fan-out in the crate.
+//! The in-tree worker pool — the single execution substrate for every
+//! parallel fan-out in the crate.
 //!
 //! [`FitnessEngine`](crate::FitnessEngine) batch evaluation, GA generation
 //! evaluation and [`Portfolio`](crate::Portfolio) lane racing all run their
@@ -15,19 +15,20 @@
 //!   thread otherwise — so the whole stack never runs more than `limit`
 //!   worker threads at once.
 //! * **Skew.** Static contiguous chunking stalls on uneven items (one
-//!   expensive DBC list, one slow lane). The pool deals items into
-//!   per-worker deques and lets idle workers **steal from the back of the
-//!   longest deque**, so tail latency tracks the single heaviest item.
+//!   expensive DBC list, one slow lane). The pool keeps a single claim
+//!   queue — one mutex over the batch's `(index, &mut item)` iterator —
+//!   and every worker, the caller included, claims the next item whenever
+//!   it finishes one, so tail latency tracks the single heaviest item.
 //!
 //! # Determinism
 //!
-//! Work stealing changes *which thread* computes an item, never *what* is
-//! computed: every item is claimed exactly once (deques hand out disjoint
-//! `&mut` slots), each item's result is written only to its own slot, and
-//! the work closure is required to be a pure function of the item (shared
-//! caches may change *when* a value is computed, never what — see
-//! `DESIGN.md` §7). Results are therefore bit-identical for any worker
-//! count and any steal schedule, which is what lets the engine equivalence
+//! The queue changes *which thread* computes an item, never *what* is
+//! computed: every item is claimed exactly once (the iterator hands out
+//! disjoint `&mut` slots), each item's result is written only to its own
+//! slot, and the work closure is required to be a pure function of the
+//! item (shared caches may change *when* a value is computed, never what —
+//! see `DESIGN.md` §7). Results are therefore bit-identical for any worker
+//! count and any claim order, which is what lets the engine equivalence
 //! and portfolio thread-invariance suites pin exact outputs at 1/2/8
 //! workers.
 //!
@@ -39,26 +40,28 @@
 //! remaining items are still drained by the surviving workers, the pool's
 //! tokens are released, and the panic is then propagated to the caller.
 //!
-//! A panic *while a deque lock is held* poisons only that mutex, never the
-//! data: the deque holds pending `(index, &mut slot)` claims that stay
-//! valid whether or not the poisoning pop completed, so every lock site
-//! recovers with [`PoisonError::into_inner`] and the surviving workers keep
-//! draining. One bad job degrades throughput, not correctness (`DESIGN.md`
-//! §9).
+//! The claim lock is held only for one `next()` on a slice iterator,
+//! which cannot panic; should the mutex ever be poisoned anyway, every
+//! claim recovers the iterator as-is with [`PoisonError::into_inner`],
+//! because each pending slot stays valid whether or not a claim completed
+//! (`DESIGN.md` §9).
 //!
 //! [`WorkerPool::run_with_cancel`] additionally polls a
 //! [`CancelToken`](crate::CancelToken) before claiming each item: on
-//! cancellation the workers stop claiming, finish only their in-flight
-//! items, and return, leaving the unclaimed slots untouched — the hook the
-//! portfolio watchdog uses to enforce `deadline + grace`.
+//! cancellation — an explicit `cancel()` or the token's deadline passing —
+//! the workers stop claiming, finish only their in-flight items, and
+//! return, leaving the unclaimed slots untouched. This is how a portfolio
+//! race enforces `deadline + grace`.
 
 use crate::cancel::CancelToken;
-use std::collections::VecDeque;
+use std::iter::Enumerate;
 use std::panic::resume_unwind;
+use std::slice::IterMut;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError, TryLockError};
 
-/// A work-stealing pool bounded by a shared worker-token budget.
+/// A worker pool with one shared claim queue per batch, bounded by a
+/// shared worker-token budget.
 ///
 /// The pool owns no threads while idle: [`run`](Self::run) spawns scoped
 /// workers for the duration of one batch and joins them before returning,
@@ -70,10 +73,7 @@ pub struct WorkerPool {
     /// Extra worker tokens currently lent out across (possibly nested)
     /// `run` calls. The caller's own thread is never counted.
     active: AtomicUsize,
-    steals: AtomicU64,
-    /// Deque claim attempts that found the lock already held (the steal
-    /// scan itself is lock-free — it reads per-deque length hints — so
-    /// only actual pops can contend).
+    /// Claims that found the batch's queue lock already held.
     contended: AtomicU64,
 }
 
@@ -89,7 +89,6 @@ impl WorkerPool {
         Self {
             limit,
             active: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
             contended: AtomicU64::new(0),
         }
     }
@@ -104,29 +103,29 @@ impl WorkerPool {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Cumulative number of items obtained by stealing from another
-    /// worker's deque (telemetry for tests and tuning).
+    /// Always 0: every worker claims from the batch's one shared queue, so
+    /// no item is ever taken from another worker. Kept so that telemetry
+    /// written against the earlier work-stealing pool (the `e2ebench`
+    /// `pool.steals` metric) still reads a well-defined value.
     pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
+        0
     }
 
-    /// Cumulative deque claim attempts that found the lock already held
-    /// (telemetry: `rtm-bench smp` reports it next to the cache contention
-    /// counters to bound hand-off cost on the parallel path).
+    /// Cumulative claims that found the batch's queue lock already held
+    /// (telemetry: `e2ebench` reports it as `pool.contended` to bound the
+    /// hand-off cost on the parallel path).
     pub fn contended(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
     }
 
     /// Runs `work(ctx, index, item)` once for every item, fanning out over
-    /// at most [`workers`](Self::workers) threads (caller included) with
-    /// per-worker deques and back-of-deque stealing.
+    /// at most [`workers`](Self::workers) threads (caller included) that
+    /// all claim from one queue in index order.
     ///
     /// `init` builds one per-worker context (scratch buffers); each worker
-    /// calls it exactly once. Items are dealt as contiguous index chunks,
-    /// so with no steals the assignment matches a static split; steals
-    /// rebalance skew without changing any result (see the module docs'
-    /// determinism argument). When no tokens are free — nested call, or a
-    /// 1-worker pool — the batch runs inline on the caller's thread.
+    /// calls it exactly once. When no tokens are free — nested call, or a
+    /// 1-worker pool — the batch runs inline on the caller's thread, which
+    /// is then the only worker.
     pub fn run<T, C, I, F>(&self, items: &mut [T], init: I, work: F)
     where
         T: Send,
@@ -153,111 +152,50 @@ impl WorkerPool {
         I: Fn() -> C + Sync,
         F: Fn(&mut C, usize, &mut T) + Sync,
     {
-        let n = items.len();
-        if n == 0 {
+        if items.is_empty() {
             return;
         }
-        let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-        let tokens = self.reserve(n - 1);
-        if tokens.count == 0 {
-            let mut ctx = init();
-            for (i, item) in items.iter_mut().enumerate() {
-                if cancelled() {
-                    return;
-                }
-                work(&mut ctx, i, item);
-            }
-            return;
-        }
-        let workers = tokens.count + 1;
-        // Deal contiguous index chunks into per-worker deques.
-        let chunk = n.div_ceil(workers);
-        let mut deques: Vec<Deque<'_, T>> = Vec::with_capacity(workers);
-        let mut base = 0;
-        let mut rest = items;
-        for _ in 0..workers {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            deques.push(Deque {
-                items: Mutex::new(
-                    head.iter_mut()
-                        .enumerate()
-                        .map(|(i, item)| (base + i, item))
-                        .collect(),
-                ),
-                len: AtomicUsize::new(take),
-            });
-            base += take;
-            rest = tail;
-        }
-        let deques = &deques;
-        let init = &init;
-        let work = &work;
+        let extra = self.reserve(items.len() - 1);
+        let queue = Mutex::new(items.iter_mut().enumerate());
+        let worker = || self.drain(&queue, cancel, &init, &work);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..workers)
-                .map(|w| scope.spawn(move || self.worker(w, deques, cancel, init, work)))
-                .collect();
-            // The caller participates as worker 0; if it panics, the scope
-            // still joins the spawned workers before unwinding further.
-            self.worker(0, deques, cancel, init, work);
-            for h in handles {
-                if let Err(panic) = h.join() {
+            let spawned: Vec<_> = (0..extra.count).map(|_| scope.spawn(worker)).collect();
+            // The caller drains as one more worker; if it panics, the
+            // scope still joins the spawned workers before unwinding.
+            worker();
+            for handle in spawned {
+                if let Err(panic) = handle.join() {
                     resume_unwind(panic);
                 }
             }
         });
     }
 
-    /// One worker: drain the own deque front-to-back, then steal from the
-    /// back of the longest other deque; exit when every deque is empty or
-    /// cancellation fires.
-    fn worker<T, C, I, F>(
+    /// One worker: claim the next item and run it until the queue is empty
+    /// or cancellation fires. Polling before every claim means a cancelled
+    /// batch stops growing its in-flight set immediately.
+    fn drain<T, C, I, F>(
         &self,
-        me: usize,
-        deques: &[Deque<'_, T>],
+        queue: &Mutex<Enumerate<IterMut<'_, T>>>,
         cancel: Option<&CancelToken>,
         init: &I,
         work: &F,
     ) where
-        T: Send,
-        I: Fn() -> C + Sync,
-        F: Fn(&mut C, usize, &mut T) + Sync,
+        I: Fn() -> C,
+        F: Fn(&mut C, usize, &mut T),
     {
         let mut ctx = init();
-        loop {
-            // Poll before every claim: a cancelled batch stops growing its
-            // in-flight set immediately.
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return;
-            }
-            let own = deques[me].pop(false, &self.contended);
-            if let Some((i, item)) = own {
-                work(&mut ctx, i, item);
-                continue;
-            }
-            // Steal: scan for the longest deque over the lock-free length
-            // hints (no deque lock is taken until a victim is chosen). A
-            // hint can only overstate the true length — it is stored under
-            // the lock after every pop and items are never re-added — so an
-            // all-zero scan means every item is claimed (finished or in
-            // flight) and an overstated hint just costs a rescan.
-            let victim = deques
-                .iter()
-                .enumerate()
-                .filter(|&(v, _)| v != me)
-                .map(|(v, d)| (d.len.load(Ordering::Acquire), v))
-                .max()
-                .filter(|&(len, _)| len > 0);
-            let Some((_, v)) = victim else {
-                return;
+        while !cancel.is_some_and(CancelToken::is_cancelled) {
+            let claim = match queue.try_lock() {
+                Ok(mut q) => q.next(),
+                Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner().next(),
+                Err(TryLockError::WouldBlock) => {
+                    self.contended.fetch_add(1, Ordering::Relaxed);
+                    queue.lock().unwrap_or_else(PoisonError::into_inner).next()
+                }
             };
-            let stolen = deques[v].pop(true, &self.contended);
-            if let Some((i, item)) = stolen {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                work(&mut ctx, i, item);
-            }
-            // A lost race (victim drained between scan and steal) just
-            // rescans; the next scan observes strictly less remaining work.
+            let Some((i, item)) = claim else { return };
+            work(&mut ctx, i, item);
         }
     }
 
@@ -280,42 +218,6 @@ impl WorkerPool {
     }
 }
 
-/// A deque of pending `(index, item)` slots for one worker, with a
-/// lock-free length hint so steal scans never take a lock.
-struct Deque<'a, T> {
-    items: Mutex<VecDeque<(usize, &'a mut T)>>,
-    /// Length hint, stored under the lock after every pop and read without
-    /// it by the steal scan. Items are only ever removed after dealing, so
-    /// the hint can only overstate the true length — a stale read costs a
-    /// rescan, never a missed item.
-    len: AtomicUsize,
-}
-
-impl<'a, T> Deque<'a, T> {
-    /// Pops one claim (front = own drain order, back = steal order),
-    /// counting the acquisition as contended if the lock was held. Poison
-    /// recovery takes the data as-is: a panic inside a pop cannot leave
-    /// the deque half-mutated (pending claims stay valid either way), so
-    /// the surviving workers keep draining it.
-    fn pop(&self, back: bool, contended: &AtomicU64) -> Option<(usize, &'a mut T)> {
-        let mut items = match self.items.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) => {
-                contended.fetch_add(1, Ordering::Relaxed);
-                self.items.lock().unwrap_or_else(PoisonError::into_inner)
-            }
-        };
-        let claim = if back {
-            items.pop_back()
-        } else {
-            items.pop_front()
-        };
-        self.len.store(items.len(), Ordering::Release);
-        claim
-    }
-}
-
 /// Reserved worker tokens; released on drop (also on the panic path, so a
 /// panicking batch never leaks pool capacity).
 struct Tokens<'a> {
@@ -335,6 +237,7 @@ impl Drop for Tokens<'_> {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Condvar;
     use std::time::Duration;
 
     #[test]
@@ -379,22 +282,35 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_under_skew() {
+    fn a_blocked_worker_leaves_the_rest_to_the_other() {
         let pool = WorkerPool::new(2);
-        // Chunked dealing gives worker 0 the first half (trivial) and
-        // worker 1 the second half (slow): worker 0 must steal.
-        let mut items: Vec<bool> = (0..8).map(|i| i >= 4).collect();
-        let before = pool.steals();
+        let n = 16;
+        let completed = (Mutex::new(0usize), Condvar::new());
+        let mut items = vec![false; n];
         pool.run(
             &mut items,
             || (),
-            |_, _, slow| {
-                if *slow {
-                    std::thread::sleep(Duration::from_millis(20));
+            |_, i, ran| {
+                let (count, changed) = &completed;
+                if i == 0 {
+                    // Item 0 finishes only after every other item has, so
+                    // the batch completes only if the other worker claims
+                    // all of them. The timeout fails the test instead of
+                    // hanging it; it never decides a passing run.
+                    let done = count.lock().unwrap();
+                    let (done, wait) = changed
+                        .wait_timeout_while(done, Duration::from_secs(60), |done| *done < n - 1)
+                        .unwrap();
+                    drop(done);
+                    assert!(!wait.timed_out(), "items stranded behind item 0");
+                } else {
+                    *count.lock().unwrap() += 1;
+                    changed.notify_all();
                 }
+                *ran = true;
             },
         );
-        assert!(pool.steals() > before, "no steals under forced skew");
+        assert!(items.iter().all(|&ran| ran));
         assert_eq!(pool.active(), 0, "tokens returned after the batch");
     }
 
@@ -431,7 +347,7 @@ mod tests {
     fn panics_propagate_and_release_tokens() {
         let pool = WorkerPool::new(4);
         for panic_at in [0usize, 7] {
-            // 0 lands in the caller's chunk, 7 in a spawned worker's.
+            // The first and the last item of the batch.
             let mut items: Vec<usize> = (0..8).collect();
             let result = catch_unwind(AssertUnwindSafe(|| {
                 pool.run(

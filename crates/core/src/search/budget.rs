@@ -126,8 +126,8 @@ impl Budget {
 }
 
 /// Why a metered run stopped — the telemetry that distinguishes "hit the
-/// deadline" from "spent the eval budget" from "was cancelled by the
-/// watchdog" (ISSUE 7: deadline overshoot used to be invisible).
+/// deadline" from "spent the eval budget" from "was cancelled", so a
+/// deadline overshoot shows instead of hiding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopCause {
     /// The solver reached a natural fixpoint (e.g. a zero-cost optimum)
@@ -139,8 +139,8 @@ pub enum StopCause {
     Stall,
     /// The wall-clock deadline elapsed.
     Deadline,
-    /// An attached [`CancelToken`] was cancelled (deadline watchdog or an
-    /// external caller).
+    /// An attached [`CancelToken`] was cancelled (its race deadline passed
+    /// or a caller cancelled it).
     Cancelled,
 }
 
@@ -325,7 +325,7 @@ impl BudgetMeter {
     /// Why the run stopped, judged from the meter's final state.
     ///
     /// Priority when several axes are spent at once: a blown deadline
-    /// outranks cancellation (the watchdog cancels *because* of the
+    /// outranks cancellation (a race token expires *because* of the
     /// deadline, and "deadline" is the actionable cause), which outranks
     /// the deterministic axes. A meter with nothing spent reports
     /// [`StopCause::Finished`] — the solver stopped on its own (e.g. a

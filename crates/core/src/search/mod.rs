@@ -52,7 +52,7 @@ use crate::placement::Placement;
 use rand::Rng;
 use rtm_trace::VarId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Result of one anytime solver run: the best placement found, its cost,
@@ -90,8 +90,9 @@ pub struct RaceEvent {
     pub elapsed: Duration,
 }
 
-/// The shared state of a race: a cancellation token, an optional global
-/// deadline, and the best-so-far incumbent with its improvement log.
+/// The shared state of a race: a cancellation token that also carries the
+/// optional global deadline, and the best-so-far incumbent with its
+/// improvement log.
 ///
 /// Publishing is lock-free on the fast path (an atomic best-cost check)
 /// and falls back to a mutex only on actual improvements. Lanes never read
@@ -105,15 +106,10 @@ pub struct RaceEvent {
 #[derive(Debug)]
 pub struct RaceControl {
     cancel: CancelToken,
-    deadline: Option<Instant>,
     started: Instant,
     best_cost: AtomicU64,
     best: Mutex<Option<Incumbent>>,
     events: Mutex<Vec<RaceEvent>>,
-    /// Publish attempts that found the incumbent lock held (telemetry;
-    /// the critical section is two pointer writes plus the event push, so
-    /// this should stay near zero even with many lanes).
-    publish_contended: AtomicU64,
     #[cfg(feature = "faults")]
     faults: Option<faults::FaultPlan>,
 }
@@ -128,17 +124,16 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl RaceControl {
-    /// Starts a race now, with an optional global wall-clock deadline.
+    /// Starts a race now, with an optional global wall-clock deadline: the
+    /// race's token reads as cancelled once it passes.
     pub fn new(deadline: Option<Duration>) -> Self {
         let started = Instant::now();
         Self {
-            cancel: CancelToken::new(),
-            deadline: deadline.map(|d| started + d),
+            cancel: deadline.map_or_else(CancelToken::new, |d| CancelToken::until(started + d)),
             started,
             best_cost: AtomicU64::new(u64::MAX),
             best: Mutex::new(None),
             events: Mutex::new(Vec::new()),
-            publish_contended: AtomicU64::new(0),
             #[cfg(feature = "faults")]
             faults: None,
         }
@@ -164,14 +159,14 @@ impl RaceControl {
     }
 
     /// Whether lanes should stop: an explicit request or an expired global
-    /// deadline.
+    /// deadline (both read through the race's token).
     pub fn should_stop(&self) -> bool {
-        self.cancel.is_cancelled() || self.deadline.is_some_and(|d| Instant::now() >= d)
+        self.cancel.is_cancelled()
     }
 
     /// The race's cancellation token — what [`request_stop`]
-    /// (Self::request_stop) cancels, and what lane meters and pool jobs
-    /// poll.
+    /// (Self::request_stop) cancels, what the race deadline expires, and
+    /// what lane meters and pool jobs poll.
     pub fn cancel_token(&self) -> &CancelToken {
         &self.cancel
     }
@@ -194,14 +189,7 @@ impl RaceControl {
             return false;
         }
         let record = (cost, lists.to_vec(), lane);
-        let mut best = match self.best.try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) => {
-                self.publish_contended.fetch_add(1, Ordering::Relaxed);
-                lock_recover(&self.best)
-            }
-        };
+        let mut best = lock_recover(&self.best);
         // Re-check under the lock: another lane may have won the race here.
         if best.as_ref().is_some_and(|(c, _, _)| cost >= *c) {
             return false;
@@ -215,11 +203,6 @@ impl RaceControl {
             elapsed: self.started.elapsed(),
         });
         true
-    }
-
-    /// Publish attempts that found the incumbent lock held (telemetry).
-    pub fn publish_contended(&self) -> u64 {
-        self.publish_contended.load(Ordering::Relaxed)
     }
 
     /// The incumbent's cost, if any lane has published yet.
@@ -246,19 +229,7 @@ pub(crate) type Race<'a> = Option<(&'a RaceControl, usize)>;
 
 /// Whether a race asked this lane to stop (`false` outside a race).
 pub(crate) fn race_stopped(race: Race<'_>) -> bool {
-    race.is_some_and(|(c, _)| {
-        if c.should_stop() {
-            // Latch the observation into the shared token: sibling lanes and
-            // the pool wind down without waiting for the watchdog's next
-            // poll, and this lane's own meter reads `Cancelled` instead of a
-            // spurious `Finished` (its per-lane clock may be nowhere near
-            // its own deadline when the *race* deadline expires).
-            c.request_stop();
-            true
-        } else {
-            false
-        }
-    })
+    race.is_some_and(|(c, _)| c.should_stop())
 }
 
 /// Publishes an improvement to the race, if racing.

@@ -23,10 +23,10 @@
 //!
 //! Every lane body runs under [`std::panic::catch_unwind`]: a panicking
 //! lane is recorded as [`LaneStatus::Panicked`] and the race continues on
-//! the surviving lanes. Under a wall-clock budget a watchdog thread
-//! cancels the race's [`CancelToken`](crate::CancelToken) at the deadline,
-//! which every lane meter, pool worker and injected stall polls
-//! cooperatively — so the portfolio returns within
+//! the surviving lanes. Under a wall-clock budget the race's
+//! [`CancelToken`](crate::CancelToken) carries the deadline and reads as
+//! cancelled once it passes; every lane meter, pool worker and injected
+//! stall polls it cooperatively — so the portfolio returns within
 //! `deadline + `[`PortfolioConfig::grace`] even when lanes misbehave. If
 //! *every* lane dies the best **published incumbent** is still returned
 //! (as a degraded result, see [`PortfolioOutcome::degraded`]); only when
@@ -44,7 +44,6 @@ use crate::inter::check_fit;
 use crate::placement::Placement;
 use crate::random_walk;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// One lane kind of a portfolio race.
@@ -353,51 +352,31 @@ impl Portfolio {
         // worker-token budget instead of oversubscribing the machine. Each
         // lane writes only its own slot and is a pure function of its
         // `(seed, budget)` pair, so results are independent of worker
-        // count and steal schedule (`DESIGN.md` §8).
+        // count and claim order (`DESIGN.md` §8). Under a wall-clock
+        // budget the race's token carries the deadline, so the pool stops
+        // claiming lanes, and every lane meter and injected stall stops,
+        // once it passes; no thread has to stand by to cancel it.
         let mut slots: Vec<LaneSlot> = self.config.lanes.iter().map(|_| LaneSlot::NotRun).collect();
-        let finished = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            // The watchdog exists only for wall-clock budgets: it turns
-            // the deadline into a cancellation every lane polls, so even a
-            // lane that stopped charging evaluations (e.g. an injected
-            // stall) is reclaimed. Deterministic (eval/stall) budgets
-            // never spawn it, so their trajectories see no new
-            // synchronization.
-            if self.config.budget.deadline().is_some() {
-                let control = &control;
-                let finished = &finished;
-                s.spawn(move || {
-                    while !finished.load(Ordering::Acquire) {
-                        if control.should_stop() {
-                            control.request_stop();
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                });
-            }
-            engine.pool().run_with_cancel(
-                &mut slots,
-                Some(control.cancel_token()),
-                || (),
-                |(), lane, slot| {
-                    let spec = self.config.lanes[lane];
-                    // Panic containment: a lane that unwinds is recorded
-                    // and the race continues. The closure only touches the
-                    // shared engine caches (poison-recovering), the race
-                    // control (poison-recovering) and this lane's slot, so
-                    // broken invariants cannot leak across the boundary.
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        self.run_lane(spec, (&control, lane), engine, dbcs, capacity, seeds)
-                    }));
-                    *slot = match result {
-                        Ok(res) => LaneSlot::Finished(res),
-                        Err(payload) => LaneSlot::Panicked(panic_message(payload.as_ref())),
-                    };
-                },
-            );
-            finished.store(true, Ordering::Release);
-        });
+        engine.pool().run_with_cancel(
+            &mut slots,
+            Some(control.cancel_token()),
+            || (),
+            |(), lane, slot| {
+                let spec = self.config.lanes[lane];
+                // Panic containment: a lane that unwinds is recorded and
+                // the race continues. The closure only touches the shared
+                // engine caches (poison-recovering), the race control
+                // (poison-recovering) and this lane's slot, so broken
+                // invariants cannot leak across the boundary.
+                let result = catch_unwind(AssertUnwindSafe(|| {
+                    self.run_lane(spec, (&control, lane), engine, dbcs, capacity, seeds)
+                }));
+                *slot = match result {
+                    Ok(res) => LaneSlot::Finished(res),
+                    Err(payload) => LaneSlot::Panicked(panic_message(payload.as_ref())),
+                };
+            },
+        );
         // A near-zero deadline can cancel the pool before any worker
         // claims a lane. The portfolio must still report a placement, so
         // run the first lane inline once: every solver returns its best

@@ -23,6 +23,7 @@
 //! when the trace text is at fault — and never kill the connection, let
 //! alone the daemon.
 
+use rtm_placement::inter::default_capacity;
 use rtm_placement::{
     Budget, GaConfig, LaneSpec, PlacementError, PlacementProblem, RandomWalkConfig, SaConfig,
     Solution, Strategy, TabuConfig,
@@ -292,10 +293,9 @@ impl PlaceRequest {
     ///
     /// [`RequestError::Malformed`] when ports exceed the track length.
     pub fn geometry(&self, seq: &AccessSequence) -> Result<GeometryKey, RequestError> {
-        let paper_cap = 4096 * 8 / (self.dbcs * 32).max(1);
         let capacity = self
             .capacity
-            .unwrap_or_else(|| paper_cap.max(seq.vars().len().div_ceil(self.dbcs)));
+            .unwrap_or_else(|| default_capacity(self.dbcs, seq.vars().len()));
         if capacity == 0 {
             return Err(RequestError::Malformed(
                 "capacity must be at least 1".into(),

@@ -231,12 +231,15 @@ impl Connection {
         };
         let mut reader = BufReader::new(read_half);
         let mut writer = stream;
-        let mut line = String::new();
+        // Raw bytes up to `\n`, decoded once per complete line: a read
+        // timeout that splits a multi-byte character keeps both halves,
+        // and invalid UTF-8 is one bad request, not a dead connection.
+        let mut line = Vec::new();
         loop {
-            match reader.read_line(&mut line) {
+            match reader.read_until(b'\n', &mut line) {
                 Ok(0) => break,
                 Ok(_) => {
-                    let (response, stop) = self.handle_line(line.trim_end_matches(['\r', '\n']));
+                    let (response, stop) = self.handle_line(&line);
                     if writer
                         .write_all(response.as_bytes())
                         .and_then(|()| writer.write_all(b"\n"))
@@ -260,10 +263,19 @@ impl Connection {
     }
 
     /// One request line → one response line. Never panics the connection:
-    /// every failure becomes an `error: …` response.
-    fn handle_line(&self, line: &str) -> (String, bool) {
+    /// every failure, invalid UTF-8 included, becomes an `error: …`
+    /// response.
+    fn handle_line(&self, line: &[u8]) -> (String, bool) {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        match parse_request(line) {
+        let request = std::str::from_utf8(line)
+            .map_err(|e| {
+                RequestError::Malformed(format!(
+                    "request is not valid UTF-8 (at byte {})",
+                    e.valid_up_to()
+                ))
+            })
+            .and_then(|text| parse_request(text.trim_end_matches(['\r', '\n'])));
+        match request {
             Ok(Request::Ping) => {
                 self.counters.ok.fetch_add(1, Ordering::Relaxed);
                 ("{\"ok\":true,\"pong\":true}".to_string(), false)
@@ -423,6 +435,11 @@ mod tests {
     fn roundtrip(stream: &mut TcpStream, line: &str) -> String {
         stream.write_all(line.as_bytes()).unwrap();
         stream.write_all(b"\n").unwrap();
+        reply(stream)
+    }
+
+    /// Reads one response line (empty when the daemon closed the socket).
+    fn reply(stream: &TcpStream) -> String {
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
@@ -483,6 +500,22 @@ mod tests {
         // Unknown command, same connection, still alive.
         let resp = roundtrip(&mut stream, "frobnicate");
         assert!(resp.starts_with("error: "), "{resp}");
+        // Invalid UTF-8 is one bad request, and the connection stays open.
+        stream.write_all(b"place dbcs=2 :: a \xff b a\n").unwrap();
+        let resp = reply(&stream);
+        assert!(resp.starts_with("error: "), "{resp}");
+        assert!(resp.contains("UTF-8"), "{resp}");
+        let pong = roundtrip(&mut stream, "ping");
+        assert_eq!(json::find_bool(&pong, "pong"), Some(true), "{pong}");
+        // A valid line whose `é` is split by a pause longer than the read
+        // timeout is reassembled and served, not dropped.
+        let split = "place dbcs=2 :: a é a b\n".as_bytes();
+        let cut = split.iter().position(|&b| b >= 0x80).unwrap() + 1;
+        stream.write_all(&split[..cut]).unwrap();
+        std::thread::sleep(Duration::from_millis(400));
+        stream.write_all(&split[cut..]).unwrap();
+        let ok = reply(&stream);
+        assert_eq!(json::find_bool(&ok, "ok"), Some(true), "{ok}");
         // And a good request still works afterwards.
         let ok = roundtrip(&mut stream, "place dbcs=2 :: a b a b");
         assert_eq!(json::find_bool(&ok, "ok"), Some(true));

@@ -467,7 +467,7 @@ fn random_walk_is_thread_invariant() {
 
 /// GA outcomes are bit-identical at 1, 2 and 8 pool workers, on a 2-port
 /// flat problem and a 2-port/2-subarray hierarchical problem (the pool's
-/// determinism contract: stealing moves work between threads, never
+/// determinism contract: claim order moves work between threads, never
 /// between result slots).
 #[test]
 fn ga_is_worker_count_invariant_on_multi_port_arrays() {

@@ -1,8 +1,8 @@
-//! Stress lane for the work-stealing [`WorkerPool`] (run under `--release`
-//! in CI): hammers the pool with many rounds of skewed, nested and
-//! panicking batches and asserts the determinism contract — every item
-//! computed exactly once into its own slot, results invariant to worker
-//! count and steal schedule, tokens never leaked — under far more
+//! Stress lane for the [`WorkerPool`] and its one shared claim queue (run
+//! under `--release` in CI): hammers the pool with many rounds of skewed,
+//! nested and panicking batches and asserts the determinism contract —
+//! every item computed exactly once into its own slot, results invariant
+//! to worker count and claim order, tokens never leaked — under far more
 //! scheduling churn than the unit suite.
 
 use rtm::placement::pool::WorkerPool;
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 /// A cheap deterministic per-item "computation" with data-dependent cost,
-/// so deques drain at uneven rates and stealing actually happens.
+/// so workers finish items at uneven rates and claim in a shifting order.
 fn crunch(i: usize) -> u64 {
     let mut h = i as u64 ^ 0x9E37_79B9_7F4A_7C15;
     // More rounds for later indices: a skewed, index-dependent workload.
@@ -37,10 +37,11 @@ fn hammer_rounds_are_exact_and_worker_count_invariant() {
 }
 
 #[test]
-fn extreme_skew_is_rebalanced_by_stealing() {
+fn extreme_skew_is_rebalanced_by_the_claim_queue() {
     let pool = WorkerPool::new(4);
-    // All the heavy items land in one worker's chunk; the other workers
-    // must steal to finish in bounded time, without perturbing any result.
+    // All the heavy items sit in the last quarter of the batch; whichever
+    // workers are free claim them one at a time, so the batch finishes in
+    // bounded time without any result being perturbed.
     let mut items: Vec<(usize, u64)> = (0..256).map(|i| (i, 0)).collect();
     pool.run(
         &mut items,
@@ -157,9 +158,10 @@ fn panic_storms_never_wedge_or_leak() {
 #[test]
 fn concurrent_panic_storms_poison_nothing_durably() {
     // Unlike the single-panic rounds above, every fourth item panics here,
-    // so several workers unwind *concurrently* while holding deque locks —
-    // the poisoned-mutex recovery path, not just token cleanup. After each
-    // storm both plain and cancellable submissions must complete exactly.
+    // so several workers unwind *concurrently* while their peers keep
+    // claiming from the same queue — more than token cleanup is exercised.
+    // After each storm both plain and cancellable submissions must
+    // complete exactly.
     let pool = WorkerPool::new(4);
     for round in 0..10 {
         let mut items: Vec<usize> = (0..64).collect();
@@ -197,7 +199,7 @@ fn per_worker_contexts_are_isolated() {
     pool.run(&mut items, Vec::<u64>::new, |scratch, i, slot| {
         scratch.push(i as u64);
         // Contexts are per-worker scratch: their length varies with the
-        // steal schedule, but results may only depend on the item.
+        // claim order, but results may only depend on the item.
         assert!(!scratch.is_empty());
         *slot = crunch(i);
     });
