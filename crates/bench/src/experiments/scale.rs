@@ -5,19 +5,19 @@
 //! One representative workload per [`Tier`] is grown along a length ladder
 //! (`--quick`: ~20k/50k accesses; full: 100k/1M per tier plus one
 //! 10M-access adversarial row). Each row streams the workload through
-//! [`CompactPositionIndex`] into a streaming [`FitnessEngine`], runs a
+//! [`PositionIndex`] into a streaming [`FitnessEngine`], runs a
 //! fixed random-walk eval budget, and replays the best placement through
 //! [`Simulator::run_stream`] — the whole pipeline never materializes a
 //! `Vec<Access>`.
 //!
-//! Recorded per row: index build time and compressed size, evaluations per
+//! Recorded per row: index build time and heap size, evaluations per
 //! second, best cost, simulator replay rate, the peak bytes tracked by the
 //! binary's counting allocator (zero when run without one, e.g. from unit
 //! tests) and the OS-reported `VmHWM`. Rows short enough to afford it are
-//! differentially checked against a materialized engine on the same
-//! placement (`"checked"`/`"identical"`), and the whole OffsetStone suite
-//! is swept once for streaming ≡ materialized cost identity
-//! (`"suite_identical"`) — CI greps both gates.
+//! differentially checked against a materialized engine and a replay of
+//! the raw accesses on the same placement (`"checked"`/`"identical"`), and
+//! the whole OffsetStone suite is swept once for streaming ≡ materialized
+//! ≡ replay cost identity (`"suite_identical"`) — CI greps both gates.
 
 use super::ExperimentResult;
 use crate::{ExperimentOpts, Table};
@@ -26,9 +26,9 @@ use rtm_offsetstone::{suite, Tier, TierWorkload};
 use rtm_placement::eval::FitnessEngine;
 use rtm_placement::random_walk;
 use rtm_placement::search::Budget;
-use rtm_placement::CostModel;
+use rtm_placement::{CostModel, Placement};
 use rtm_sim::Simulator;
-use rtm_trace::{AccessStream, CompactPositionIndex, VarId};
+use rtm_trace::{AccessStream, PositionIndex, VarId};
 use std::time::Instant;
 
 /// Memory instrumentation supplied by the binary (whose global allocator
@@ -73,9 +73,9 @@ pub struct ScaleRow {
     pub accesses: usize,
     /// Variable slots drawn from.
     pub variables: usize,
-    /// Seconds to build the compressed position index (two passes).
+    /// Seconds to build the position index (two passes).
     pub index_build_s: f64,
-    /// Compressed index heap footprint in bytes.
+    /// Position index heap footprint in bytes.
     pub index_heap_bytes: usize,
     /// Random-walk evaluations run.
     pub evals: u64,
@@ -175,12 +175,12 @@ fn measure(
     let cost = CostModel::single_port();
 
     let t = Instant::now();
-    let index = CompactPositionIndex::from_stream(w);
+    let index = PositionIndex::from_stream(w);
     let index_build_s = t.elapsed().as_secs_f64();
     let index_heap_bytes = index.heap_bytes();
 
     // Random walk through the streaming engine: candidate placements are
-    // costed straight off the compressed index, O(chunk) resident.
+    // costed straight off the position index, O(chunk) resident.
     let engine = FitnessEngine::from_compact_index(index, cost)
         .with_memo(false)
         .with_threads(threads);
@@ -205,14 +205,16 @@ fn measure(
     let peak_tracked_bytes = (probe.peak)();
 
     // Differential gate: the same best placement must cost bit-identically
-    // through a materialized engine (skipped above CHECK_LIMIT, where the
-    // check itself would defeat the bounded-memory point).
+    // through a materialized engine and through the index-free replay of
+    // the raw accesses (skipped above CHECK_LIMIT, where the check itself
+    // would defeat the bounded-memory point).
     let checked = accesses <= CHECK_LIMIT;
     let identical = !checked || {
         let seq = w.generate();
         let materialized = FitnessEngine::new(&seq, cost);
-        materialized.per_dbc_costs(out.placement.dbc_lists())
-            == engine.per_dbc_costs(out.placement.dbc_lists())
+        let streamed = engine.per_dbc_costs(out.placement.dbc_lists());
+        materialized.per_dbc_costs(out.placement.dbc_lists()) == streamed
+            && cost.per_dbc_costs(&out.placement, seq.accesses()) == streamed
     };
 
     ScaleRow {
@@ -246,7 +248,10 @@ fn suite_identical(dbcs: usize) -> bool {
         for (i, &v) in vars.iter().enumerate() {
             lists[i % dbcs].push(v);
         }
-        materialized.per_dbc_costs(&lists) == streaming.per_dbc_costs(&lists)
+        let streamed = streaming.per_dbc_costs(&lists);
+        let placement = Placement::from_dbc_lists(lists.clone());
+        materialized.per_dbc_costs(&lists) == streamed
+            && CostModel::single_port().per_dbc_costs(&placement, seq.accesses()) == streamed
     })
 }
 

@@ -159,6 +159,10 @@ fn daemon_survives_malformed_requests_from_the_binary() {
     let resp = roundtrip(&mut stream, "place dbcs=1099511627776 :: a b a b c");
     assert!(resp.starts_with("error: "), "{resp}");
     assert!(resp.contains("exceed the maximum"), "{resp}");
+    // So is a profile scaled past the access limit, before any generation.
+    let resp = roundtrip(&mut stream, "place profile=expected-dsp scale=1e30");
+    assert!(resp.starts_with("error: "), "{resp}");
+    assert!(resp.contains("scale"), "{resp}");
     let ok = roundtrip(&mut stream, "place dbcs=2 :: a b a b");
     assert!(ok.starts_with("{\"ok\":true"), "{ok}");
     let _ = roundtrip(&mut stream, "shutdown");

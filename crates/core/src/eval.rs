@@ -13,15 +13,19 @@
 //! 2. elitist µ+λ evolution produces offspring that share most DBC lists
 //!    with their parents, so most per-DBC costs are already known.
 //!
-//! [`FitnessEngine`] exploits both. It precomputes the trace's
-//! [`PositionIndex`] once, costs a DBC by merging its members' access
-//! positions through a sort-free bitmap scatter into reusable scratch
-//! buffers (`O(A + |S|/64)` in the DBC's *own* access count `A`,
-//! allocation-free after warm-up), memoizes per-DBC costs
-//! under a content key so recurring lists across generations are free, and
-//! fans batches of evaluations out over [`std::thread::scope`] workers in a
-//! way that is **bit-identical** to the sequential order: every job's slot
-//! is written by exactly one worker and each per-DBC cost is a pure function
+//! [`FitnessEngine`] exploits both. Every engine, built from an
+//! [`AccessSequence`] or from any [`AccessStream`], holds the same
+//! [`PositionIndex`] of the trace's dedup stream, built once in two
+//! passes. It costs a DBC by merging its members' access positions into
+//! trace order through a sort-free bitmap scatter, one window of at most
+//! 2^16 positions at a time, into reusable per-worker scratch (`O(A)` in
+//! the DBC's *own* access count `A`, plus, per window it touches, its
+//! member count and one bitmap word per 64 spanned positions;
+//! allocation-free after warm-up). It memoizes per-DBC costs under a
+//! content key so recurring lists across generations are free, and fans
+//! batches of evaluations out over its [`WorkerPool`] in a way that is
+//! **bit-identical** to the sequential order: every job's slot is written
+//! by exactly one worker and each per-DBC cost is a pure function
 //! of the list's content, so neither thread count nor scheduling can change
 //! a result (see `DESIGN.md` §7 for the full argument).
 //!
@@ -57,7 +61,7 @@
 use crate::cost::{AccessCoster, CostModel, InitialAlignment};
 use crate::placement::Placement;
 use crate::pool::WorkerPool;
-use rtm_trace::{AccessSequence, AccessStream, CompactPositionIndex, PositionIndex, VarId};
+use rtm_trace::{AccessSequence, AccessStream, PositionIndex, VarId};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -262,6 +266,11 @@ const SUBSEQ_ELEM_CAPACITY: usize = 1 << 22;
 /// proportional to the working set of a few generations, not a whole run).
 const MEMO_CAPACITY: usize = 1 << 16;
 
+/// Dedup positions per merge window: the slot array and bitmap cover one
+/// window, so a worker's merge scratch is `O(WINDOW + A)` whatever the
+/// trace length (256 KiB of slots, 8 KiB of bitmap).
+const WINDOW: usize = 1 << 16;
+
 /// How a materialized engine holds its trace: borrowed from the caller
 /// (the historical transient-engine path) or shared via [`Arc`] (the
 /// [`Session`](crate::Session) path, where the engine must outlive any one
@@ -286,31 +295,16 @@ impl std::ops::Deref for SeqRef<'_> {
     }
 }
 
-/// Where the engine's trace comes from.
-///
-/// Both variants index the **consecutive-deduplicated** stream (a
-/// self-transition is free at every port count), so a per-DBC cost is the
-/// same pure function of the list's content under either source — the
-/// streaming path is bit-identical to the materialized one by
-/// construction, and the equivalence tests pin it.
+/// What only an engine built from an [`AccessSequence`] holds: the
+/// sequence itself (naive replays, GA heuristic seeding) and its dedup
+/// stream as one array, which the linear replay behind
+/// [`FitnessEngine::batch_costs`] walks.
 #[derive(Debug)]
-enum TraceSource<'a> {
-    /// An in-memory [`AccessSequence`] with the uncompressed
-    /// [`PositionIndex`] of its dedup stream — the historical path, and
-    /// the only one that can serve naive-mode replays.
-    Materialized {
-        seq: SeqRef<'a>,
-        /// The trace with consecutive same-variable accesses collapsed.
-        /// All engine costing runs against this stream; only the naive
-        /// reference path replays `seq` verbatim.
-        dedup: Vec<VarId>,
-        /// Position index of `dedup` (not of the raw trace).
-        index: PositionIndex,
-    },
-    /// A delta-compressed [`CompactPositionIndex`] built from one
-    /// streaming pass pair — the trace itself is never materialized, so
-    /// resident memory is the compressed index, not `O(|S|)` ids.
-    Streamed { index: CompactPositionIndex },
+struct Materialized<'a> {
+    seq: SeqRef<'a>,
+    /// The trace with runs of one variable collapsed — the stream the
+    /// [`PositionIndex`] indexes, in trace order.
+    dedup: Vec<VarId>,
 }
 
 /// How the engine computes per-DBC costs.
@@ -321,7 +315,7 @@ enum EvalMode {
     Incremental,
     /// The pre-engine path: clone the lists, build a [`Placement`] and
     /// replay the full trace. Kept as the reference for equivalence tests
-    /// and the `perf` baseline.
+    /// and the `perf` baseline; needs a sequence.
     Naive,
 }
 
@@ -406,17 +400,17 @@ impl EngineStats {
 /// allocation-free once the buffers have grown to the working-set size.
 #[derive(Debug, Default, Clone)]
 pub struct EvalScratch {
-    /// Variable at each trace position (validity gated by `bitmap`) —
-    /// the scatter target of the sort-free subsequence merge.
+    /// Variable at each position of the current merge window (validity
+    /// gated by `bitmap`) — the scatter target of the sort-free merge.
     slots: Vec<u32>,
-    /// One bit per trace position: whether the position belongs to the DBC
-    /// being merged.
+    /// One bit per window position: whether the position belongs to the
+    /// DBC being merged.
     bitmap: Vec<u64>,
+    /// One cursor per member whose run continues past the first merge
+    /// window.
+    runs: Vec<Cursor>,
     /// The merged member-access sequence (variables in trace order).
     seq_buf: Vec<u32>,
-    /// Packed `(position << 32) | var_index` keys for the streaming merge
-    /// (sorting them orders the members' accesses by trace position).
-    merge_buf: Vec<u64>,
     /// Variable -> offset table (`u32::MAX` = not in the DBC / placement),
     /// set and cleared around each costing.
     offsets: Vec<u32>,
@@ -429,6 +423,98 @@ pub struct EvalScratch {
     /// (`i64::MIN` = port not yet aligned) — a flat array instead of
     /// `Option<i64>` keeps that inner loop branch-light.
     disp1: Vec<i64>,
+}
+
+/// One member's progress through its position run during a windowed merge.
+#[derive(Debug, Clone)]
+struct Cursor {
+    /// The position at `at` (kept here so a member idle in a window costs
+    /// no read of the index).
+    next: u32,
+    /// Index of the next unmerged position in the index's raw array.
+    at: u32,
+    /// End of the member's run in the raw array.
+    end: u32,
+    /// The member's variable index.
+    var: u32,
+}
+
+/// One merge window: the scatter targets for dedup positions
+/// `base .. limit` and the range of positions scattered so far.
+struct Window<'s> {
+    /// Variable at each window position (validity gated by `bitmap`).
+    slots: &'s mut [u32],
+    /// One bit per window position.
+    bitmap: &'s mut [u64],
+    base: u32,
+    limit: u32,
+    lo: u32,
+    hi: u32,
+}
+
+impl<'s> Window<'s> {
+    /// An empty window over positions `0 .. WINDOW`.
+    fn new(slots: &'s mut [u32], bitmap: &'s mut [u64]) -> Self {
+        let mut win = Self {
+            slots,
+            bitmap,
+            base: 0,
+            limit: 0,
+            lo: 0,
+            hi: 0,
+        };
+        win.move_to(0);
+        win
+    }
+
+    /// Moves the drained window to positions `base .. base + WINDOW`.
+    fn move_to(&mut self, base: u32) {
+        self.base = base;
+        self.limit = base.saturating_add(WINDOW as u32);
+        (self.lo, self.hi) = (u32::MAX, 0);
+    }
+
+    /// Scatters the prefix of the ascending `run` that lies in this window
+    /// as accesses of `var` and returns its length — the whole run when
+    /// its last position is inside, so the scatter loop tests no bound.
+    #[inline]
+    fn scatter(&mut self, run: &[u32], var: u32) -> usize {
+        let n = match run.last() {
+            None => return 0,
+            Some(&last) if last < self.limit => run.len(),
+            Some(_) => run.partition_point(|&p| p < self.limit),
+        };
+        for &p in &run[..n] {
+            let off = (p - self.base) as usize;
+            self.slots[off] = var;
+            self.bitmap[off >> 6] |= 1u64 << (off & 63);
+        }
+        if n > 0 {
+            self.lo = self.lo.min(run[0]);
+            self.hi = self.hi.max(run[n - 1]);
+        }
+        n
+    }
+
+    /// Appends the scattered variables to `out` in position order. Only
+    /// the bitmap words between the lowest and highest scattered position
+    /// are read (and cleared for the next window), so a small DBC in a
+    /// long trace costs `O(A)`, not `O(WINDOW / 64)`.
+    fn drain_into(&mut self, out: &mut Vec<u32>) {
+        if self.lo > self.hi {
+            return;
+        }
+        let first = ((self.lo - self.base) >> 6) as usize;
+        let last = ((self.hi - self.base) >> 6) as usize;
+        for w in first..=last {
+            let mut bits = std::mem::take(&mut self.bitmap[w]);
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                out.push(self.slots[(w << 6) + b]);
+            }
+        }
+    }
 }
 
 /// Marks which DBCs of an [`EvalJob`] changed relative to the inherited
@@ -532,21 +618,22 @@ impl EvalJob {
 /// The incremental, allocation-free, parallel fitness evaluator.
 ///
 /// See the [module docs](self) for the design; construction is `O(|S|)`
-/// (one [`PositionIndex`] build), after which per-DBC costs are
-/// `O(A log A)` in the DBC's own access count.
+/// (one two-pass [`PositionIndex`] build), after which a per-DBC cost is
+/// `O(A)` in the DBC's own access count `A` plus a per-window term (see
+/// the module docs).
 #[derive(Debug)]
 pub struct FitnessEngine<'a> {
-    source: TraceSource<'a>,
+    /// Position index of the trace's dedup stream — what every per-DBC
+    /// merge reads, whichever constructor built the engine.
+    index: PositionIndex,
+    /// The sequence and its dedup copy, for engines built from an
+    /// [`AccessSequence`]; `None` for [`streaming`](Self::streaming) ones.
+    trace: Option<Materialized<'a>>,
     cost: CostModel,
     /// The per-access coster with port homes precomputed — the multi-port
     /// min-over-ports displacement runs in the merge/walk inner loops
     /// without a division per port per access.
     coster: AccessCoster,
-    /// Accessed variables in first-occurrence order — identical to
-    /// `seq.liveness().by_first_occurrence()` on a materialized trace, and
-    /// the canonical variable universe for fit checks and random seeding
-    /// when no sequence exists (streamed sources).
-    accessed: Vec<VarId>,
     mode: EvalMode,
     pool: Arc<WorkerPool>,
     /// Whether the caches are enabled at all (memoization can be turned
@@ -569,7 +656,7 @@ impl<'a> FitnessEngine<'a> {
     /// Creates the production engine: subsequence costing, memoization on,
     /// thread count auto-detected.
     pub fn new(seq: &'a AccessSequence, cost: CostModel) -> Self {
-        Self::with_mode(SeqRef::Borrowed(seq), cost, EvalMode::Incremental)
+        Self::materialized(SeqRef::Borrowed(seq), cost, EvalMode::Incremental)
     }
 
     /// Creates the reference engine replicating the pre-engine evaluation
@@ -577,7 +664,7 @@ impl<'a> FitnessEngine<'a> {
     /// list clone per evaluation). Used by the equivalence tests and as the
     /// baseline side of the `rtm-bench perf` experiment.
     pub fn naive(seq: &'a AccessSequence, cost: CostModel) -> Self {
-        Self::with_mode(SeqRef::Borrowed(seq), cost, EvalMode::Naive)
+        Self::materialized(SeqRef::Borrowed(seq), cost, EvalMode::Naive)
     }
 
     /// Creates a production engine that **shares ownership** of its trace:
@@ -587,77 +674,55 @@ impl<'a> FitnessEngine<'a> {
     /// bit-identical to [`new`](Self::new) over the same sequence — only
     /// the ownership of the trace differs.
     pub fn shared(seq: Arc<AccessSequence>, cost: CostModel) -> FitnessEngine<'static> {
-        FitnessEngine::with_mode(SeqRef::Shared(seq), cost, EvalMode::Incremental)
+        FitnessEngine::materialized(SeqRef::Shared(seq), cost, EvalMode::Incremental)
     }
 
     /// Creates a **streaming** engine over any [`AccessStream`]: the trace
-    /// is consumed in chunks (two passes) into a delta-compressed
-    /// [`CompactPositionIndex`] and never materialized, so resident memory
-    /// is the compressed index plus per-DBC scratch — `O(chunk)` during
-    /// the build, independent of trace length afterwards.
+    /// is consumed in chunks (two passes) into a [`PositionIndex`] and
+    /// never materialized, so resident memory is the index plus per-worker
+    /// scratch — `O(chunk)` during the build, independent of trace length
+    /// afterwards.
     ///
-    /// Costs are **bit-identical** to a materialized engine over the same
-    /// trace: both index the consecutive-deduplicated stream and walk the
-    /// same per-DBC subsequences. The membership-keyed subsequence cache
-    /// stays off (its summaries are `O(subsequence)` each — exactly the
-    /// allocation a bounded-memory pipeline must not make); the
-    /// content-keyed cost memo works as usual.
-    ///
-    /// [`seq`](Self::seq) returns `None` for a streaming engine, so
-    /// sequence-dependent extras (naive mode, heuristic seeding) are
-    /// unavailable — the search loops degrade gracefully.
+    /// Costs are **bit-identical** to an engine built from the same trace
+    /// as a sequence: both hold the same index and run the same merge and
+    /// caches. [`seq`](Self::seq) returns `None` for a streaming engine,
+    /// so what only a sequence gives is unavailable: naive mode and
+    /// heuristic seeding (the search loops degrade gracefully), and the
+    /// linear replay behind [`batch_costs`](Self::batch_costs), which sums
+    /// per-DBC merges instead.
     pub fn streaming(src: &dyn AccessStream, cost: CostModel) -> Self {
-        let index = CompactPositionIndex::from_stream(src);
-        Self::from_compact_index(index, cost)
+        Self::from_compact_index(PositionIndex::from_stream(src), cost)
     }
 
-    /// Creates a streaming engine from an already-built
-    /// [`CompactPositionIndex`] (see [`streaming`](Self::streaming)) —
-    /// lets callers that need the index anyway (memory accounting, reuse
-    /// across engines) avoid a second two-pass build.
-    pub fn from_compact_index(index: CompactPositionIndex, cost: CostModel) -> Self {
-        let accessed = index.accessed_vars().to_vec();
-        Self::with_source(
-            TraceSource::Streamed { index },
-            accessed,
-            cost,
-            EvalMode::Incremental,
-        )
+    /// Creates a streaming engine from an already-built [`PositionIndex`]
+    /// (see [`streaming`](Self::streaming)) — lets callers that need the
+    /// index anyway (memory accounting) avoid a second two-pass build.
+    pub fn from_compact_index(index: PositionIndex, cost: CostModel) -> Self {
+        Self::with_trace(index, None, cost, EvalMode::Incremental)
     }
 
-    fn with_mode(seq: SeqRef<'a>, cost: CostModel, mode: EvalMode) -> Self {
-        let mut dedup: Vec<VarId> = Vec::with_capacity(seq.len());
-        let mut seen = vec![false; seq.vars().len()];
-        let mut accessed: Vec<VarId> = Vec::new();
+    fn materialized(seq: SeqRef<'a>, cost: CostModel, mode: EvalMode) -> Self {
+        let index = PositionIndex::from_stream(&*seq);
+        let mut dedup: Vec<VarId> = Vec::with_capacity(index.access_count());
         for &v in seq.accesses() {
             if dedup.last() != Some(&v) {
                 dedup.push(v);
             }
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                accessed.push(v);
-            }
         }
-        let index = PositionIndex::of_accesses(&dedup, seq.vars().len());
-        Self::with_source(
-            TraceSource::Materialized { seq, dedup, index },
-            accessed,
-            cost,
-            mode,
-        )
+        Self::with_trace(index, Some(Materialized { seq, dedup }), cost, mode)
     }
 
-    fn with_source(
-        source: TraceSource<'a>,
-        accessed: Vec<VarId>,
+    fn with_trace(
+        index: PositionIndex,
+        trace: Option<Materialized<'a>>,
         cost: CostModel,
         mode: EvalMode,
     ) -> Self {
         let mut engine = Self {
-            source,
+            index,
+            trace,
             cost,
             coster: cost.coster(),
-            accessed,
             mode,
             pool: Arc::new(WorkerPool::new(0)),
             caching: mode == EvalMode::Incremental,
@@ -677,16 +742,12 @@ impl<'a> FitnessEngine<'a> {
         engine
     }
 
-    /// (Re)builds the caches for the current mode and source. Only called
-    /// from the constructor and [`with_memo`](Self::with_memo), before any
-    /// costing — caches start empty either way. The subsequence cache
-    /// stores O(subsequence)-sized summaries; streaming engines exist to
-    /// avoid exactly that flavor of resident growth, so only materialized
-    /// sources enable it.
+    /// (Re)builds the caches for the current mode. Only called from the
+    /// constructor and [`with_memo`](Self::with_memo), before any costing —
+    /// caches start empty either way.
     fn rebuild_caches(&mut self) {
-        let subseq = self.caching && matches!(self.source, TraceSource::Materialized { .. });
         self.memo = self.caching.then(Mutex::default);
-        self.subseq = subseq.then(Mutex::default);
+        self.subseq = self.caching.then(Mutex::default);
     }
 
     /// Sets the worker limit of the engine's [`WorkerPool`] (`0` =
@@ -730,10 +791,7 @@ impl<'a> FitnessEngine<'a> {
     /// a [`streaming`](Self::streaming) engine (whose trace only ever
     /// existed as chunks).
     pub fn seq(&self) -> Option<&AccessSequence> {
-        match &self.source {
-            TraceSource::Materialized { seq, .. } => Some(&**seq),
-            TraceSource::Streamed { .. } => None,
-        }
+        self.trace.as_ref().map(|t| &*t.seq)
     }
 
     /// Accessed variables in first-occurrence order — identical to
@@ -741,7 +799,7 @@ impl<'a> FitnessEngine<'a> {
     /// and the canonical variable universe for fit checks and random
     /// seeding when none does.
     pub fn accessed_vars(&self) -> &[VarId] {
-        &self.accessed
+        self.index.accessed_vars()
     }
 
     /// Whether `placement` is a valid start state for this engine's trace:
@@ -757,7 +815,7 @@ impl<'a> FitnessEngine<'a> {
             .map(|v| v.index() + 1)
             .max()
             .unwrap_or(0);
-        let mut seen = vec![false; self.var_table_len().max(width)];
+        let mut seen = vec![false; self.index.var_count().max(width)];
         for list in lists {
             if list.len() > capacity {
                 return false;
@@ -769,23 +827,7 @@ impl<'a> FitnessEngine<'a> {
                 seen[v.index()] = true;
             }
         }
-        self.accessed.iter().all(|v| seen[v.index()])
-    }
-
-    /// Number of variable slots the trace's index covers.
-    fn var_table_len(&self) -> usize {
-        match &self.source {
-            TraceSource::Materialized { index, .. } => index.var_count(),
-            TraceSource::Streamed { index } => index.var_count(),
-        }
-    }
-
-    /// `v`'s dedup-stream access count (0 for unknown variables).
-    fn var_frequency(&self, v: VarId) -> usize {
-        match &self.source {
-            TraceSource::Materialized { index, .. } => index.frequency(v),
-            TraceSource::Streamed { index } => index.frequency(v),
-        }
+        self.accessed_vars().iter().all(|v| seen[v.index()])
     }
 
     /// The cost model in effect.
@@ -932,7 +974,7 @@ impl<'a> FitnessEngine<'a> {
     ) -> u64 {
         self.dbc_recomputations.fetch_add(1, Ordering::Relaxed);
         // Populate the var -> offset table and find the accessed members.
-        let table_len = self.var_table_len();
+        let table_len = self.index.var_count();
         if scratch.offsets.len() < table_len {
             scratch.offsets.resize(table_len, u32::MAX);
         }
@@ -941,7 +983,7 @@ impl<'a> FitnessEngine<'a> {
         let mut set_key = 0u64;
         for (off, &v) in list.iter().enumerate() {
             let i = v.index();
-            if i < table_len && self.var_frequency(v) > 0 {
+            if self.index.frequency(v) > 0 {
                 scratch.offsets[i] = off as u32;
                 members += 1;
                 last_offset = off as u32;
@@ -1006,7 +1048,7 @@ impl<'a> FitnessEngine<'a> {
                                         members: list
                                             .iter()
                                             .copied()
-                                            .filter(|&v| self.var_frequency(v) > 0)
+                                            .filter(|&v| self.index.frequency(v) > 0)
                                             .collect(),
                                         summary: s.clone(),
                                     };
@@ -1040,96 +1082,53 @@ impl<'a> FitnessEngine<'a> {
         total
     }
 
-    /// Merges the members' access positions into trace order
-    /// (`scratch.seq_buf`), dispatching on the trace source. Both forms
-    /// produce the identical subsequence, so [`walk_seq_buf`]
-    /// (Self::walk_seq_buf) yields bit-identical costs either way.
+    /// Merges the members' dedup positions into trace order
+    /// (`scratch.seq_buf`) without sorting, one [`Window`] of [`WINDOW`]
+    /// positions at a time: positions are scattered into a slot array
+    /// gated by a bitmap, and the bitmap's set bits read them back in
+    /// ascending order. The first window is filled straight off the member
+    /// list; a member whose run goes past it keeps a [`Cursor`], and each
+    /// later window is the one holding the lowest pending position, so no
+    /// empty window is visited.
     fn merge_members(&self, list: &[VarId], scratch: &mut EvalScratch) {
-        match &self.source {
-            TraceSource::Materialized { index, .. } => {
-                self.merge_members_indexed(index, list, scratch);
-            }
-            TraceSource::Streamed { index } => Self::merge_members_streamed(index, list, scratch),
+        let raw = self.index.raw_positions();
+        let span = WINDOW.min(self.index.access_count());
+        if scratch.slots.len() < span {
+            scratch.slots.resize(span, 0);
+            scratch.bitmap.resize(span.div_ceil(64), 0);
         }
-    }
-
-    /// Streaming merge: decode each member's delta-compressed positions,
-    /// pack `(position << 32) | var_index`, sort. Positions are unique
-    /// across members (each dedup slot belongs to one variable), so the
-    /// packed sort orders strictly by position — the same subsequence the
-    /// bitmap scatter extracts. `O(A log A)` in the DBC's own access
-    /// count, resident `O(A)`.
-    fn merge_members_streamed(
-        index: &CompactPositionIndex,
-        list: &[VarId],
-        scratch: &mut EvalScratch,
-    ) {
-        scratch.merge_buf.clear();
-        for &v in list {
-            for p in index.positions(v) {
-                scratch
-                    .merge_buf
-                    .push((u64::from(p) << 32) | v.index() as u64);
-            }
-        }
-        scratch.merge_buf.sort_unstable();
+        scratch.runs.clear();
         scratch.seq_buf.clear();
-        scratch
-            .seq_buf
-            .extend(scratch.merge_buf.iter().map(|&packed| packed as u32));
-    }
-
-    /// Materialized merge — no sort: positions are scattered into a
-    /// per-position slot array gated by a bitmap, then extracted in
-    /// ascending order by iterating the bitmap's set bits.
-    fn merge_members_indexed(
-        &self,
-        index: &PositionIndex,
-        list: &[VarId],
-        scratch: &mut EvalScratch,
-    ) {
-        let raw = index.raw_positions();
-        let len = index.access_count();
-        let words = len.div_ceil(64);
-        if scratch.slots.len() < len {
-            scratch.slots.resize(len, 0);
-        }
-        if scratch.bitmap.len() < words {
-            scratch.bitmap.resize(words, 0);
-        }
-        // Track the populated position range while scattering: the bitmap
-        // scan and clear below then visit only the words this DBC actually
-        // touches, so a small DBC in a long trace costs O(A), not O(|S|/64)
-        // (positions are ascending per member, so each span's first/last
-        // elements bound its range).
-        let mut lo = u32::MAX;
-        let mut hi = 0u32;
+        let mut win = Window::new(&mut scratch.slots, &mut scratch.bitmap);
         for &v in list {
-            let (start, end) = index.span(v);
-            if start == end {
-                continue;
-            }
-            lo = lo.min(raw[start as usize]);
-            hi = hi.max(raw[end as usize - 1]);
-            for &p in &raw[start as usize..end as usize] {
-                scratch.slots[p as usize] = v.index() as u32;
-                scratch.bitmap[(p >> 6) as usize] |= 1u64 << (p & 63);
-            }
-        }
-        scratch.seq_buf.clear();
-        if lo == u32::MAX {
-            return; // no member is ever accessed
-        }
-        let (w0, w1) = ((lo >> 6) as usize, (hi >> 6) as usize);
-        for w in w0..=w1 {
-            let mut bits = scratch.bitmap[w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                scratch.seq_buf.push(scratch.slots[(w << 6) + b]);
+            let (at, end) = self.index.span(v);
+            let run = &raw[at as usize..end as usize];
+            let var = v.index() as u32;
+            let n = win.scatter(run, var);
+            if n < run.len() {
+                let at = at + n as u32;
+                scratch.runs.push(Cursor {
+                    next: run[n],
+                    at,
+                    end,
+                    var,
+                });
             }
         }
-        scratch.bitmap[w0..=w1].fill(0);
+        win.drain_into(&mut scratch.seq_buf);
+        while let Some(next) = scratch.runs.iter().map(|c| c.next).min() {
+            win.move_to(next & !(WINDOW as u32 - 1));
+            for c in &mut scratch.runs {
+                if c.next < win.limit {
+                    c.at += win.scatter(&raw[c.at as usize..c.end as usize], c.var) as u32;
+                    if c.at < c.end {
+                        c.next = raw[c.at as usize];
+                    }
+                }
+            }
+            scratch.runs.retain(|c| c.at < c.end);
+            win.drain_into(&mut scratch.seq_buf);
+        }
     }
 
     /// Costs the freshly merged subsequence (`scratch.seq_buf`) against the
@@ -1212,13 +1211,15 @@ impl<'a> FitnessEngine<'a> {
     /// semantics without the naive path's clone and `Placement` build. Used
     /// for fresh candidates (random walk) where no per-DBC structure can be
     /// reused.
-    fn replay_lists(&self, lists: &[Vec<VarId>], scratch: &mut EvalScratch) -> u64 {
-        let TraceSource::Materialized { dedup, .. } = &self.source else {
-            unreachable!("replay_lists requires a materialized dedup stream");
-        };
+    fn replay_lists(
+        &self,
+        dedup: &[VarId],
+        lists: &[Vec<VarId>],
+        scratch: &mut EvalScratch,
+    ) -> u64 {
         self.dbc_recomputations
             .fetch_add(lists.len() as u64, Ordering::Relaxed);
-        let table_len = self.var_table_len();
+        let table_len = self.index.var_count();
         if scratch.offsets.len() < table_len {
             scratch.offsets.resize(table_len, u32::MAX);
         }
@@ -1318,13 +1319,13 @@ impl<'a> FitnessEngine<'a> {
     /// The pre-engine evaluation, verbatim: clone the lists, build a
     /// placement, replay the whole trace.
     fn naive_per_dbc_costs(&self, lists: &[Vec<VarId>]) -> Vec<u64> {
-        let TraceSource::Materialized { seq, .. } = &self.source else {
-            unreachable!("naive mode is only constructible from a materialized sequence");
+        let Some(trace) = &self.trace else {
+            unreachable!("naive mode is only constructible from a sequence");
         };
         self.dbc_recomputations
             .fetch_add(lists.len() as u64, Ordering::Relaxed);
         let p = Placement::from_dbc_lists(lists.to_vec());
-        self.cost.per_dbc_costs(&p, seq.accesses())
+        self.cost.per_dbc_costs(&p, trace.seq.accesses())
     }
 
     // ---- Batch evaluation --------------------------------------------------
@@ -1420,14 +1421,12 @@ impl<'a> FitnessEngine<'a> {
     }
 
     fn total_cost_uncached(&self, lists: &[Vec<VarId>], scratch: &mut EvalScratch) -> u64 {
-        match (self.mode, &self.source) {
-            (EvalMode::Incremental, TraceSource::Materialized { .. }) => {
-                self.replay_lists(lists, scratch)
-            }
-            // Streaming has no linear dedup stream to replay; per-DBC
+        match (self.mode, &self.trace) {
+            (EvalMode::Incremental, Some(trace)) => self.replay_lists(&trace.dedup, lists, scratch),
+            // A streaming engine has no dedup copy to replay; per-DBC
             // separability makes the sum of per-DBC merges the same total
             // (and the same recomputation count).
-            (EvalMode::Incremental, TraceSource::Streamed { .. }) => lists
+            (EvalMode::Incremental, None) => lists
                 .iter()
                 .map(|l| self.dbc_cost_uncached(l, scratch, true))
                 .sum(),
@@ -1656,12 +1655,16 @@ mod tests {
     fn streaming_engine_matches_materialized() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
+        let placement = Placement::from_dbc_lists(lists.clone());
         for cost in [CostModel::single_port(), CostModel::multi_port(2, 8)] {
             let materialized = FitnessEngine::new(&seq, cost);
+            // The index-free reference: a replay of the raw accesses.
+            let want = cost.per_dbc_costs(&placement, seq.accesses());
             // Arbitrary chunking must be invisible to the costs.
             for chunk in [1usize, 3, 7, 100] {
                 let chunked = rtm_trace::ChunkedSequence::new(&seq, chunk);
                 let streaming = FitnessEngine::streaming(&chunked, cost);
+                assert_eq!(streaming.per_dbc_costs(&lists), want, "chunk {chunk}");
                 assert_eq!(
                     streaming.per_dbc_costs(&lists),
                     materialized.per_dbc_costs(&lists),
@@ -1728,7 +1731,6 @@ mod tests {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
         let engine = FitnessEngine::streaming(&seq, CostModel::single_port());
-        assert!(engine.subseq.is_none(), "no O(subsequence) summaries");
         engine.per_dbc_costs(&lists);
         engine.per_dbc_costs(&lists);
         engine.per_dbc_costs(&lists);
@@ -1737,7 +1739,62 @@ mod tests {
         assert_eq!(stats.evaluations, 3);
         assert_eq!(stats.dbc_recomputations, 4);
         assert_eq!(stats.dbc_cache_hits, 2);
-        assert_eq!(stats.subseq_cache_hits, 0);
+    }
+
+    /// A trace of more than three merge windows: members that straddle
+    /// window edges and skip a whole window, next to dense members that
+    /// visit every window, and a DBC of sparse members only, whose merge
+    /// jumps over the window none of them touches. Sequence-built and
+    /// streaming engines must both equal a replay of the raw accesses on
+    /// every evaluation path.
+    #[test]
+    fn merges_across_window_edges_match_the_cost_model() {
+        const W: usize = WINDOW;
+        let len = 3 * W + 1000;
+        // Both sparse variables straddle the edges at W and 2W (or 3W) and
+        // have no access in [2W, 3W).
+        let s_at = [5, W - 3, W + 2, 3 * W + 100];
+        let t_at = [W - 1, W + 1, 2 * W - 1, len - 1];
+        let mut b = rtm_trace::SequenceBuilder::new();
+        let dense: Vec<VarId> = (0..6).map(|i| b.var(&format!("d{i}"))).collect();
+        let (s, t) = (b.var("s"), b.var("t"));
+        for i in 0..len {
+            let v = if s_at.contains(&i) {
+                s
+            } else if t_at.contains(&i) {
+                t
+            } else {
+                // Never the same variable twice in a row: nothing dedups.
+                dense[(i + i / 1000) % 6]
+            };
+            b.access(v, rtm_trace::AccessKind::Read);
+        }
+        let seq = b.finish();
+        let d = |i: usize| dense[i];
+        let placements = [
+            vec![vec![s, d(0), t], vec![d(1), d(2)], vec![d(3), d(4), d(5)]],
+            vec![vec![t, s], dense.clone()],
+        ];
+        let chunked = rtm_trace::ChunkedSequence::new(&seq, 4096);
+        for cost in [CostModel::single_port(), CostModel::multi_port(2, 8)] {
+            let engines = [
+                FitnessEngine::new(&seq, cost),
+                FitnessEngine::streaming(&chunked, cost),
+            ];
+            assert!(engines[1].index.access_count() > 2 * W);
+            for lists in &placements {
+                let placement = Placement::from_dbc_lists(lists.clone());
+                let want = cost.per_dbc_costs(&placement, seq.accesses());
+                for engine in &engines {
+                    assert_eq!(engine.per_dbc_costs(lists), want);
+                    let mut job = EvalJob::fresh(lists.clone());
+                    engine.evaluate_batch(std::slice::from_mut(&mut job));
+                    assert_eq!(job.dbc_costs, want);
+                    let total: u64 = want.iter().sum();
+                    assert_eq!(engine.batch_costs(std::slice::from_ref(lists)), [total]);
+                }
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,13 @@ use std::fmt;
 
 use crate::cache::GeometryKey;
 
+/// The longest tier workload a `place profile=NAME scale=S` query may ask
+/// for, in accesses: 2^24 (about 16.8M), above the 10M-access row of the
+/// scale ladder. The daemon materializes profile traces, so a larger
+/// scaled length is refused when the request is parsed, before anything is
+/// generated.
+pub const MAX_PROFILE_ACCESSES: usize = 1 << 24;
+
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -239,6 +246,16 @@ impl PlaceRequest {
                     return Err(RequestError::Malformed(
                         "scale must be a positive number".into(),
                     ));
+                }
+                // Sizing a workload generates nothing; an unknown name is
+                // reported when the trace is materialized.
+                let accesses =
+                    rtm_offsetstone::TierWorkload::by_name(&name, scale).map_or(0, |w| w.dims().1);
+                if accesses > MAX_PROFILE_ACCESSES {
+                    return Err(RequestError::Malformed(format!(
+                        "profile `{name}` at scale={scale} exceeds the limit of \
+                         {MAX_PROFILE_ACCESSES} accesses"
+                    )));
                 }
                 QuerySource::Profile { name, scale }
             }
@@ -517,6 +534,7 @@ mod tests {
             ("place profile=x :: a b", "mutually exclusive"),
             ("place strategy=bogus :: a b", "unknown strategy"),
             ("place scale=-2 profile=expected-dsp", "scale"),
+            ("place profile=expected-dsp scale=1e30", "scale"),
         ] {
             match parse_request(line).map(|r| match r {
                 Request::Place(p) => p.resolve_strategy(1000).map(|_| ()),

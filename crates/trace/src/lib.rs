@@ -14,9 +14,13 @@
 //! * [`Liveness`] — access frequency `A_v`, first occurrence `F_v`, last
 //!   occurrence `L_v`, lifespans and pairwise disjointness, i.e. exactly the
 //!   per-variable quantities lines 1–4 of the paper's Algorithm 1 compute.
-//! * [`PositionIndex`] — the inverse view of a trace (per-variable access
-//!   positions, CSR layout) that lets a single DBC be costed from only its
-//!   own accesses instead of a full trace replay.
+//! * [`PositionIndex`] — the inverse view of a trace's dedup stream
+//!   (per-variable access positions with runs of one variable collapsed,
+//!   raw-`u32` CSR layout), built in two passes from any [`AccessStream`].
+//!   It lets a single DBC be costed from only its own accesses instead of
+//!   a full trace replay.
+//! * [`AccessStream`] — a trace delivered in chunks, so the index build and
+//!   the simulator's replay never need the whole trace in memory.
 //!
 //! # Example
 //!
@@ -54,5 +58,5 @@ pub use index::PositionIndex;
 pub use liveness::{Liveness, VarLiveness};
 pub use sequence::{AccessKind, AccessSequence, SequenceBuilder};
 pub use stats::TraceStats;
-pub use stream::{AccessStream, ChunkedSequence, CompactPositionIndex, CompactPositions};
+pub use stream::{AccessStream, ChunkedSequence, CompactPositionIndex};
 pub use var::{VarId, VarTable};

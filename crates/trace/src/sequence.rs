@@ -166,12 +166,6 @@ impl AccessSequence {
         Liveness::of(self)
     }
 
-    /// Computes the per-variable access-position index of this trace (the
-    /// substrate of the placement crate's subsequence fitness engine).
-    pub fn position_index(&self) -> crate::PositionIndex {
-        crate::PositionIndex::of(self)
-    }
-
     /// Summarizes the trace as a weighted undirected access graph.
     pub fn access_graph(&self) -> AccessGraph {
         AccessGraph::of(self)

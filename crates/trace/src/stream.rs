@@ -1,5 +1,4 @@
-//! Chunked access streams and the compressed position index built from
-//! them.
+//! Chunked access streams.
 //!
 //! An [`AccessStream`] delivers a trace as a sequence of `(vars, kinds)`
 //! slice pairs instead of one materialized `Vec`. Anything that can replay
@@ -8,14 +7,10 @@
 //! and every consumer (index build, simulator replay) then runs in
 //! O(chunk) resident memory regardless of trace length.
 //!
-//! [`CompactPositionIndex`] is the streaming counterpart of
-//! [`PositionIndex`](crate::PositionIndex): per-variable access positions
-//! of the **consecutive-deduplicated** stream, delta-compressed as LEB128
-//! varints in CSR layout. Consecutive repeats of one variable cost no
-//! shifts at any port count, so the dedup view is exactly what the fitness
-//! engine costs — and delta coding stores a 10M-access trace in a few
-//! bytes per access instead of eight.
+//! [`PositionIndex::from_stream`] builds the one position index from any
+//! stream in two passes; [`CompactPositionIndex`] is another name for it.
 
+use crate::index::PositionIndex;
 use crate::sequence::{AccessKind, AccessSequence};
 use crate::var::VarId;
 
@@ -92,301 +87,58 @@ impl AccessStream for ChunkedSequence<'_> {
     }
 }
 
-/// Appends `value` to `out` as an LEB128 varint (1–5 bytes for a `u32`).
-fn push_varint(out: &mut Vec<u8>, mut value: u32) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            out.push(byte);
-            break;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Number of LEB128 bytes `value` encodes to.
-fn varint_len(value: u32) -> usize {
-    match value {
-        0..=0x7f => 1,
-        0x80..=0x3fff => 2,
-        0x4000..=0x1f_ffff => 3,
-        0x20_0000..=0xfff_ffff => 4,
-        _ => 5,
-    }
-}
-
-/// Compressed per-variable position index of the consecutive-deduplicated
-/// view of an [`AccessStream`], in delta-coded CSR layout.
-///
-/// Positions are 0-based indices into the **dedup stream** (consecutive
-/// repeats collapsed), matching the view the fitness engine costs. Each
-/// variable's run stores its first position absolute and every later one
-/// as a delta from its predecessor, both LEB128-encoded — ~1–3 bytes per
-/// access for realistic traces versus 4 in the uncompressed index.
+/// Another name for [`PositionIndex`], kept for callers written against
+/// the streaming pipeline's own index type (the `e2ebench` benchmark).
+/// Both names build the same raw-`u32` index with
+/// [`PositionIndex::from_stream`].
 ///
 /// # Example
 ///
 /// ```
-/// use rtm_trace::{AccessSequence, AccessStream, CompactPositionIndex};
+/// use rtm_trace::{AccessSequence, ChunkedSequence, CompactPositionIndex, PositionIndex};
 ///
 /// let seq = AccessSequence::parse("a a b a c a")?;
-/// let idx = CompactPositionIndex::from_stream(&seq);
-/// // Dedup stream is `a b a c a`; `a` sits at dedup positions 0, 2, 4.
-/// let a = seq.vars().id("a").unwrap();
-/// assert_eq!(idx.positions(a).collect::<Vec<_>>(), vec![0, 2, 4]);
-/// assert_eq!(idx.access_count(), 5);
+/// // Chunk boundaries (here inside the `a a` run) never show in the index.
+/// let idx = CompactPositionIndex::from_stream(&ChunkedSequence::new(&seq, 1));
+/// assert_eq!(idx, PositionIndex::from_stream(&seq));
 /// # Ok::<(), rtm_trace::ParseTraceError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompactPositionIndex {
-    /// `starts[v] .. starts[v + 1]` is `v`'s byte range in `data`.
-    starts: Vec<usize>,
-    /// Concatenated LEB128 runs: first position absolute, then deltas.
-    data: Vec<u8>,
-    /// Dedup-stream access count per variable.
-    freq: Vec<u32>,
-    /// Accessed variables in first-occurrence order (the canonical
-    /// variable ordering used by seeding and fit checks).
-    order: Vec<VarId>,
-    /// Length of the dedup stream.
-    dedup_len: usize,
-    /// Length of the raw stream.
-    raw_len: usize,
-}
-
-impl CompactPositionIndex {
-    /// Builds the index in two streaming passes over `src` — the first
-    /// sizes every variable's byte run exactly, the second fills them —
-    /// so peak memory is the finished index plus O(`var_count`) scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dedup stream exceeds `u32::MAX` accesses (positions
-    /// are 32-bit) or a delivered variable is out of `var_count` range.
-    pub fn from_stream(src: &dyn AccessStream) -> Self {
-        let vars = src.var_count();
-        let mut freq = vec![0u32; vars];
-        let mut last_pos = vec![0u32; vars];
-        let mut order: Vec<VarId> = Vec::new();
-        let mut bytes = vec![0usize; vars];
-        let mut raw_len = 0usize;
-        let mut dedup_len = 0usize;
-
-        // Pass 1: frequencies, first-occurrence order and exact byte
-        // lengths. The dedup carries across chunk boundaries.
-        let mut prev: Option<VarId> = None;
-        src.for_each_chunk(&mut |chunk, _| {
-            raw_len += chunk.len();
-            for &v in chunk {
-                if prev == Some(v) {
-                    continue;
-                }
-                prev = Some(v);
-                let Ok(pos) = u32::try_from(dedup_len) else {
-                    panic!("dedup stream longer than u32::MAX accesses")
-                };
-                let i = v.index();
-                if freq[i] == 0 {
-                    order.push(v);
-                    bytes[i] += varint_len(pos);
-                } else {
-                    bytes[i] += varint_len(pos - last_pos[i]);
-                }
-                last_pos[i] = pos;
-                freq[i] += 1;
-                dedup_len += 1;
-            }
-        });
-
-        // CSR byte offsets from the per-variable byte totals.
-        let mut starts = vec![0usize; vars + 1];
-        for i in 0..vars {
-            starts[i + 1] = starts[i] + bytes[i];
-        }
-        let total = starts[vars];
-        let mut data = vec![0u8; total];
-
-        // Pass 2: encode into the exact-capacity buffer at per-variable
-        // cursors, replaying the identical dedup.
-        let mut cursor = starts.clone();
-        let mut run = Vec::with_capacity(5);
-        let mut seen = vec![false; vars];
-        let mut pos = 0u32;
-        prev = None;
-        src.for_each_chunk(&mut |chunk, _| {
-            for &v in chunk {
-                if prev == Some(v) {
-                    continue;
-                }
-                prev = Some(v);
-                let i = v.index();
-                let delta = if seen[i] { pos - last_pos[i] } else { pos };
-                seen[i] = true;
-                last_pos[i] = pos;
-                run.clear();
-                push_varint(&mut run, delta);
-                data[cursor[i]..cursor[i] + run.len()].copy_from_slice(&run);
-                cursor[i] += run.len();
-                pos += 1;
-            }
-        });
-        debug_assert_eq!(pos as usize, dedup_len);
-
-        Self {
-            starts,
-            data,
-            freq,
-            order,
-            dedup_len,
-            raw_len,
-        }
-    }
-
-    /// Number of variable slots covered by the index.
-    pub fn var_count(&self) -> usize {
-        self.freq.len()
-    }
-
-    /// Length of the indexed dedup stream.
-    pub fn access_count(&self) -> usize {
-        self.dedup_len
-    }
-
-    /// Length of the raw stream the index was built from.
-    pub fn raw_access_count(&self) -> usize {
-        self.raw_len
-    }
-
-    /// `v`'s dedup-stream access count (0 for out-of-range ids).
-    pub fn frequency(&self, v: VarId) -> usize {
-        self.freq.get(v.index()).map_or(0, |&f| f as usize)
-    }
-
-    /// Accessed variables in first-occurrence order.
-    pub fn accessed_vars(&self) -> &[VarId] {
-        &self.order
-    }
-
-    /// Iterates `v`'s ascending dedup-stream positions (empty for
-    /// out-of-range or never-accessed variables).
-    pub fn positions(&self, v: VarId) -> CompactPositions<'_> {
-        let i = v.index();
-        if i >= self.freq.len() {
-            return CompactPositions {
-                data: &[],
-                remaining: 0,
-                acc: 0,
-                first: true,
-            };
-        }
-        CompactPositions {
-            data: &self.data[self.starts[i]..self.starts[i + 1]],
-            remaining: self.freq[i] as usize,
-            acc: 0,
-            first: true,
-        }
-    }
-
-    /// Bytes of heap the index retains — what a bounded-memory pipeline
-    /// budgets for.
-    pub fn heap_bytes(&self) -> usize {
-        self.data.len()
-            + self.starts.len() * size_of::<usize>()
-            + self.freq.len() * size_of::<u32>()
-            + self.order.len() * size_of::<VarId>()
-    }
-}
-
-/// Decoding iterator over one variable's run of a
-/// [`CompactPositionIndex`].
-#[derive(Debug, Clone)]
-pub struct CompactPositions<'a> {
-    data: &'a [u8],
-    remaining: usize,
-    acc: u32,
-    first: bool,
-}
-
-impl Iterator for CompactPositions<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let mut value = 0u32;
-        let mut shift = 0u32;
-        loop {
-            let (&byte, rest) = self.data.split_first()?;
-            self.data = rest;
-            value |= u32::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-        }
-        self.acc = if self.first { value } else { self.acc + value };
-        self.first = false;
-        self.remaining -= 1;
-        Some(self.acc)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for CompactPositions<'_> {}
+pub type CompactPositionIndex = PositionIndex;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PositionIndex;
 
     const PAPER_SEQ: &str = "a b a b c a c a d d a i e f e f g e g h g i h i";
 
-    /// Consecutive-dedup of a sequence's accesses — the reference the
-    /// compact index must agree with.
-    fn dedup_of(seq: &AccessSequence) -> Vec<VarId> {
-        let mut out: Vec<VarId> = Vec::new();
-        for &v in seq.accesses() {
-            if out.last() != Some(&v) {
-                out.push(v);
-            }
-        }
-        out
-    }
-
-    fn assert_matches_reference(seq: &AccessSequence, idx: &CompactPositionIndex) {
-        let dedup = dedup_of(seq);
-        let reference = PositionIndex::of_accesses(&dedup, seq.vars().len());
+    /// Checks `idx` against a linear scan of the sequence's dedup stream:
+    /// positions, frequencies and first-occurrence order.
+    fn assert_matches_reference(seq: &AccessSequence, idx: &PositionIndex) {
+        let mut dedup = seq.accesses().to_vec();
+        dedup.dedup();
         assert_eq!(idx.var_count(), seq.vars().len());
         assert_eq!(idx.access_count(), dedup.len());
-        assert_eq!(idx.raw_access_count(), seq.len());
+        let mut expect_order = Vec::new();
         for vi in 0..seq.vars().len() {
             let v = VarId::from_index(vi);
-            let got: Vec<u32> = idx.positions(v).collect();
-            assert_eq!(got.as_slice(), reference.positions(v), "positions of {v}");
-            assert_eq!(idx.frequency(v), reference.frequency(v));
-        }
-        // First-occurrence order must list each accessed variable once.
-        let mut seen = vec![false; seq.vars().len()];
-        let mut expect = Vec::new();
-        for &v in &dedup {
-            if !seen[v.index()] {
-                seen[v.index()] = true;
-                expect.push(v);
+            let expect: Vec<u32> = (0..dedup.len() as u32)
+                .filter(|&p| dedup[p as usize] == v)
+                .collect();
+            assert_eq!(idx.positions(v), expect.as_slice(), "positions of {v}");
+            assert_eq!(idx.frequency(v), expect.len());
+            if let Some(&first) = expect.first() {
+                expect_order.push((first, v));
             }
         }
-        assert_eq!(idx.accessed_vars(), expect.as_slice());
+        expect_order.sort_unstable();
+        let expect_order: Vec<VarId> = expect_order.into_iter().map(|(_, v)| v).collect();
+        assert_eq!(idx.accessed_vars(), expect_order.as_slice());
     }
 
     #[test]
     fn matches_position_index_on_the_paper_trace() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
-        let idx = CompactPositionIndex::from_stream(&seq);
-        assert_matches_reference(&seq, &idx);
+        assert_matches_reference(&seq, &PositionIndex::from_stream(&seq));
     }
 
     #[test]
@@ -394,85 +146,30 @@ mod tests {
         let seq = AccessSequence::parse("a a a b b a c c c c a").unwrap();
         for chunk in 1..=12 {
             let chunked = ChunkedSequence::new(&seq, chunk);
-            let idx = CompactPositionIndex::from_stream(&chunked);
-            assert_matches_reference(&seq, &idx);
+            assert_matches_reference(&seq, &PositionIndex::from_stream(&chunked));
         }
     }
 
     #[test]
     fn chunk_size_is_invisible() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
-        let whole = CompactPositionIndex::from_stream(&seq);
+        let whole = PositionIndex::from_stream(&seq);
         for chunk in [1usize, 2, 3, 5, 7, 23, 24, 1000] {
             let chunked = ChunkedSequence::new(&seq, chunk);
-            assert_eq!(CompactPositionIndex::from_stream(&chunked), whole);
+            assert_eq!(PositionIndex::from_stream(&chunked), whole);
         }
     }
 
     #[test]
     fn empty_and_out_of_range_are_empty() {
         let seq = AccessSequence::parse("a").unwrap();
-        let idx = CompactPositionIndex::from_stream(&seq);
-        assert_eq!(idx.positions(VarId::from_index(99)).count(), 0);
+        let idx = PositionIndex::from_stream(&seq);
+        assert_eq!(idx.positions(VarId::from_index(99)), &[] as &[u32]);
         assert_eq!(idx.frequency(VarId::from_index(99)), 0);
         let empty = crate::SequenceBuilder::new().finish();
-        let idx = CompactPositionIndex::from_stream(&empty);
+        let idx = PositionIndex::from_stream(&empty);
         assert_eq!(idx.access_count(), 0);
         assert_eq!(idx.accessed_vars(), &[] as &[VarId]);
-    }
-
-    #[test]
-    fn delta_coding_beats_raw_u32_on_a_local_trace() {
-        // A trace whose variables recur at small strides: deltas fit one
-        // byte each, so the compressed run undercuts 4 bytes/position.
-        let mut b = crate::SequenceBuilder::new();
-        let ids: Vec<VarId> = (0..8).map(|i| b.var(&format!("v{i}"))).collect();
-        for round in 0..1000 {
-            for (i, &v) in ids.iter().enumerate() {
-                b.access(v, AccessKind::Read);
-                // Break self-transitions so nothing dedups away.
-                let _ = (round, i);
-            }
-        }
-        let seq = b.finish();
-        let idx = CompactPositionIndex::from_stream(&seq);
-        assert_eq!(idx.access_count(), 8000);
-        assert!(
-            idx.data.len() < 4 * idx.access_count() / 2,
-            "{} bytes for {} positions",
-            idx.data.len(),
-            idx.access_count()
-        );
-        assert!(idx.heap_bytes() >= idx.data.len());
-    }
-
-    #[test]
-    fn varint_roundtrip_hits_every_length_class() {
-        for value in [
-            0u32,
-            1,
-            0x7f,
-            0x80,
-            0x3fff,
-            0x4000,
-            0x1f_ffff,
-            0x20_0000,
-            0xfff_ffff,
-            0x1000_0000,
-            u32::MAX,
-        ] {
-            let mut buf = Vec::new();
-            push_varint(&mut buf, value);
-            assert_eq!(buf.len(), varint_len(value), "length of {value:#x}");
-            let mut it = CompactPositions {
-                data: &buf,
-                remaining: 1,
-                acc: 0,
-                first: true,
-            };
-            assert_eq!(it.next(), Some(value));
-            assert_eq!(it.next(), None);
-        }
     }
 
     #[test]

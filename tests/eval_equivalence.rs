@@ -257,6 +257,11 @@ proptest! {
         let chunked = ChunkedSequence::new(&seq, chunk);
         let streaming = FitnessEngine::streaming(&chunked, cost).with_threads(workers);
         prop_assert_eq!(streaming.accessed_vars(), materialized.accessed_vars());
+        // Both engines share one index build, so also hold them to a
+        // replay of the raw accesses.
+        let placement = Placement::from_dbc_lists(lists.clone());
+        let want = cost.per_dbc_costs(&placement, seq.accesses());
+        prop_assert_eq!(&streaming.per_dbc_costs(&lists), &want);
         prop_assert_eq!(streaming.per_dbc_costs(&lists), materialized.per_dbc_costs(&lists));
         // Second pass answers from the streaming memo — still identical.
         prop_assert_eq!(streaming.per_dbc_costs(&lists), materialized.per_dbc_costs(&lists));

@@ -14,7 +14,7 @@
 use rtm::offsetstone::TierWorkload;
 use rtm::placement::eval::FitnessEngine;
 use rtm::placement::random_walk;
-use rtm::trace::{AccessStream, CompactPositionIndex};
+use rtm::trace::{AccessStream, PositionIndex};
 use rtm::{Budget, CostModel, RtmGeometry, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -94,7 +94,7 @@ fn solve_streamed_under(target: usize, evals: u64, budget_bytes: usize) {
     let cost = CostModel::single_port();
 
     reset_peak();
-    let index = CompactPositionIndex::from_stream(&w);
+    let index = PositionIndex::from_stream(&w);
     let index_bytes = index.heap_bytes();
     // Thread count pinned so per-worker merge scratch cannot scale the
     // peak with the CI machine's core count.
@@ -128,8 +128,8 @@ fn solve_streamed_under(target: usize, evals: u64, budget_bytes: usize) {
 }
 
 /// 10M accesses, fixed 128 MiB budget. A materialized `Vec<Access>` alone
-/// would exceed this; the compressed index plus O(chunk) evaluation stays
-/// well inside it.
+/// would exceed this; the position index plus per-worker merge scratch
+/// bounded by the merge window stays well inside it.
 #[test]
 #[cfg_attr(
     debug_assertions,
