@@ -132,6 +132,7 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     }
     ExperimentResult {
         tables: vec![("ablation".into(), t)],
+        record: None,
     }
 }
 

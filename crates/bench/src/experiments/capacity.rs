@@ -166,6 +166,7 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
             ("capacity_sweep".into(), sweep),
             ("capacity_vs_spill".into(), vs),
         ],
+        record: None,
     }
 }
 

@@ -136,7 +136,10 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     }
     tables.push(("fig4_improvements".to_owned(), t));
 
-    ExperimentResult { tables }
+    ExperimentResult {
+        tables,
+        record: None,
+    }
 }
 
 #[cfg(test)]

@@ -57,6 +57,7 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     }
     ExperimentResult {
         tables: vec![("fig5_energy".into(), t)],
+        record: None,
     }
 }
 

@@ -76,6 +76,7 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     }
     ExperimentResult {
         tables: vec![("fig6_tradeoff".into(), t)],
+        record: None,
     }
 }
 

@@ -119,6 +119,7 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
             ("ga_convergence_summary".into(), summary),
             ("ga_convergence_history".into(), history),
         ],
+        record: None,
     }
 }
 

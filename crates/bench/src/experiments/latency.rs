@@ -44,6 +44,7 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     }
     ExperimentResult {
         tables: vec![("latency_improvement".into(), t)],
+        record: None,
     }
 }
 

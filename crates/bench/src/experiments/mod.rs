@@ -24,21 +24,30 @@ use rtm_placement::{PlacementProblem, Solution, Strategy};
 use rtm_sim::{SimStats, Simulator};
 use rtm_trace::AccessSequence;
 
-/// A finished experiment: named tables ready for printing and CSV export.
+/// A finished experiment: named tables ready for printing and CSV export,
+/// plus the machine-readable record some experiments keep.
 #[derive(Debug, Clone, Default)]
 pub struct ExperimentResult {
     /// `(name, table)` pairs, in presentation order.
     pub tables: Vec<(String, Table)>,
+    /// `(file name, JSON text)` of the experiment's `BENCH_*.json` record.
+    pub record: Option<(&'static str, String)>,
 }
 
 impl ExperimentResult {
-    /// Prints every table to stdout and writes `<name>.csv` files under
-    /// `opts.out_dir`.
+    /// Writes the record (if any) under `opts.out_dir`, then prints every
+    /// table to stdout and writes `<name>.csv` files next to it.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the CSV export.
+    /// Propagates I/O errors from the record and CSV export.
     pub fn emit(&self, opts: &ExperimentOpts) -> std::io::Result<()> {
+        if let Some((file, json)) = &self.record {
+            std::fs::create_dir_all(&opts.out_dir)?;
+            let path = opts.out_dir.join(file);
+            std::fs::write(&path, json)?;
+            println!("wrote {}", path.display());
+        }
         for (name, table) in &self.tables {
             println!("\n== {name} ==\n");
             println!("{}", table.to_markdown());

@@ -24,8 +24,8 @@
 //! Every workload asserts bit-identical costs/outcomes between the two
 //! evaluators — the speedups are of *the same answers*.
 //!
-//! Besides the usual table/CSV output, `run` writes `BENCH_perf.json` into
-//! the output directory.
+//! Besides the usual table/CSV output, `run` returns the `BENCH_perf.json`
+//! record, which `emit` writes into the output directory.
 
 use super::{capacity_for, simulator_for, ExperimentResult};
 use crate::{ExperimentOpts, Table};
@@ -36,6 +36,7 @@ use rtm_offsetstone::{generate_traces, suite, Benchmark};
 use rtm_placement::eval::{EvalJob, FitnessEngine};
 use rtm_placement::random_walk::{self, RandomWalkConfig};
 use rtm_placement::{CostModel, GaConfig, GeneticPlacer, PlacementProblem, Strategy};
+use rtm_serve::json::{Fixed, Writer};
 use rtm_trace::{AccessSequence, VarId};
 use std::time::Instant;
 
@@ -390,17 +391,17 @@ pub fn collect(opts: &ExperimentOpts) -> (Vec<(usize, PerfMetrics)>, Vec<&'stati
     (data, names, load_s)
 }
 
-fn pair_json(name: &str, p: &Pair) -> String {
-    format!(
-        "      \"{name}\": {{\"evaluations\": {}, \"naive_s\": {:.4}, \"engine_s\": {:.4}, \"naive_evals_per_sec\": {:.1}, \"engine_evals_per_sec\": {:.1}, \"speedup\": {:.2}, \"identical\": {}}}",
-        p.evals,
-        p.naive_s,
-        p.engine_s,
-        p.naive_eps(),
-        p.engine_eps(),
-        p.speedup(),
-        p.identical,
-    )
+fn write_pair(w: &mut Writer, name: &str, p: &Pair) {
+    w.key(name)
+        .object()
+        .field("evaluations", p.evals)
+        .field("naive_s", Fixed(p.naive_s, 4))
+        .field("engine_s", Fixed(p.engine_s, 4))
+        .field("naive_evals_per_sec", Fixed(p.naive_eps(), 1))
+        .field("engine_evals_per_sec", Fixed(p.engine_eps(), 1))
+        .field("speedup", Fixed(p.speedup(), 2))
+        .field("identical", p.identical)
+        .end();
 }
 
 /// Renders the JSON record (`BENCH_perf.json`).
@@ -410,61 +411,42 @@ pub fn to_json(
     load_s: f64,
     opts: &ExperimentOpts,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"perf\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", opts.quick));
-    out.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    out.push_str(&format!(
-        "  \"threads\": {},\n",
-        std::thread::available_parallelism().map_or(1, usize::from)
-    ));
-    out.push_str(&format!("  \"suite_load_s\": {load_s:.4},\n"));
-    let quoted: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
-    out.push_str(&format!("  \"benchmarks\": [{}],\n", quoted.join(", ")));
-    out.push_str("  \"configs\": [\n");
-    for (i, (dbcs, m)) in data.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"dbcs\": {dbcs},\n"));
-        out.push_str(&pair_json("fitness_reorder", &m.reorder));
-        out.push_str(",\n");
-        out.push_str(&pair_json("fitness_mixed", &m.mixed));
-        out.push_str(",\n");
-        out.push_str(&pair_json("ga_eval", &m.ga_eval));
-        out.push_str(",\n");
-        out.push_str(&pair_json("ga_wall", &m.ga_wall));
-        out.push_str(",\n");
-        out.push_str(&pair_json("rw_eval", &m.rw_eval));
-        out.push_str(",\n");
-        out.push_str(&pair_json("rw_wall", &m.rw));
-        out.push_str(",\n");
-        out.push_str(&format!(
-            "      \"heuristic_solves_per_sec\": {:.2},\n",
-            rate(m.heuristic_solves, m.heuristic_s)
-        ));
-        out.push_str(&format!(
-            "      \"simulator_accesses_per_sec\": {:.1}\n",
-            rate(m.sim_accesses, m.sim_s)
-        ));
-        out.push_str(if i + 1 < data.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut w = Writer::pretty();
+    w.object()
+        .field("experiment", "perf")
+        .field("quick", opts.quick)
+        .field("seed", opts.seed)
+        .field("threads", threads)
+        .field("suite_load_s", Fixed(load_s, 4))
+        .key("benchmarks")
+        .values(names.iter().copied())
+        .key("configs")
+        .array();
+    for (dbcs, m) in data {
+        w.object().field("dbcs", *dbcs);
+        write_pair(&mut w, "fitness_reorder", &m.reorder);
+        write_pair(&mut w, "fitness_mixed", &m.mixed);
+        write_pair(&mut w, "ga_eval", &m.ga_eval);
+        write_pair(&mut w, "ga_wall", &m.ga_wall);
+        write_pair(&mut w, "rw_eval", &m.rw_eval);
+        write_pair(&mut w, "rw_wall", &m.rw);
+        let heuristic = rate(m.heuristic_solves, m.heuristic_s);
+        w.field("heuristic_solves_per_sec", Fixed(heuristic, 2))
+            .field(
+                "simulator_accesses_per_sec",
+                Fixed(rate(m.sim_accesses, m.sim_s), 1),
+            )
+            .end();
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end().end();
+    w.finish()
 }
 
-/// Runs the experiment and writes `BENCH_perf.json` next to the CSVs.
+/// Runs the experiment; its record is `BENCH_perf.json`.
 pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     let (data, names, load_s) = collect(opts);
     let json = to_json(&data, &names, load_s, opts);
-    let json_path = opts.out_dir.join("BENCH_perf.json");
-    if let Some(parent) = json_path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&json_path, &json).expect("writing BENCH_perf.json");
-    println!("wrote {}", json_path.display());
 
     let mut t = Table::new(vec![
         "dbcs".into(),
@@ -494,6 +476,7 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     }
     ExperimentResult {
         tables: vec![("perf".into(), t)],
+        record: Some(("BENCH_perf.json", json)),
     }
 }
 
@@ -523,7 +506,7 @@ mod tests {
         assert!(json.contains("\"experiment\": \"perf\""));
         assert!(json.contains("\"fitness_reorder\""));
         assert!(json.contains("\"identical\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        rtm_serve::json::validate(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{json}"));
     }
 
     #[test]

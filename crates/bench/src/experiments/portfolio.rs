@@ -26,6 +26,7 @@ use rtm_placement::{
     Budget, FitnessEngine, Placement, PlacementProblem, Portfolio, PortfolioConfig,
     PortfolioOutcome, Strategy,
 };
+use rtm_serve::json::{Fixed, Writer};
 
 /// One lane's quality numbers in one race.
 #[derive(Debug, Clone)]
@@ -261,78 +262,69 @@ pub fn point_counts(rows: &[Row]) -> Vec<((usize, usize), usize)> {
 
 /// Renders the JSON record (`BENCH_search.json`).
 pub fn to_json(rows: &[Row], skipped: &[String], opts: &ExperimentOpts) -> String {
-    let dbcs = opts.dbcs.first().copied().unwrap_or(4);
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"search\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", opts.quick));
-    out.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    out.push_str(&format!("  \"dbcs\": {dbcs},\n"));
-    out.push_str(&format!(
-        "  \"budgets\": [{}],\n",
-        budgets(opts)
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    let quoted: Vec<String> = skipped.iter().map(|s| format!("\"{s}\"")).collect();
-    out.push_str(&format!("  \"skipped\": [{}],\n", quoted.join(", ")));
-    let points: Vec<String> = point_counts(rows)
-        .iter()
-        .map(|((p, s), n)| format!("{{\"ports\": {p}, \"subarrays\": {s}, \"rows\": {n}}}"))
-        .collect();
-    out.push_str(&format!("  \"points\": [{}],\n", points.join(", ")));
-    let inter: Vec<String> = benchmark_intersection(rows)
-        .iter()
-        .map(|b| format!("\"{b}\""))
-        .collect();
-    out.push_str(&format!(
-        "  \"summary_benchmarks\": [{}],\n",
-        inter.join(", ")
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!(
-            "\"benchmark\": \"{}\", \"ports\": {}, \"subarrays\": {}, \"budget\": {}, ",
-            r.benchmark, r.ports, r.subarrays, r.budget
-        ));
-        out.push_str("\"lanes\": {");
-        for (j, l) in r.lanes.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "\"{}\": {{\"cost\": {}, \"evals\": {}, \"time_to_best_ms\": {:.3}}}",
-                l.name, l.cost, l.evals, l.time_to_best_ms
-            ));
-        }
-        out.push_str("}, ");
-        out.push_str(&format!(
-            "\"portfolio\": {{\"cost\": {}, \"winner\": \"{}\", \"time_to_best_ms\": {:.3}}}, ",
-            r.portfolio_cost, r.winner, r.portfolio_time_to_best_ms
-        ));
-        out.push_str(&format!(
-            "\"best_heuristic\": {{\"name\": \"{}\", \"cost\": {}}}",
-            r.best_heuristic.0, r.best_heuristic.1
-        ));
-        out.push_str(if i + 1 < rows.len() { "},\n" } else { "}\n" });
+    let mut w = Writer::pretty();
+    w.object()
+        .field("experiment", "search")
+        .field("quick", opts.quick)
+        .field("seed", opts.seed)
+        .field("dbcs", opts.dbcs.first().copied().unwrap_or(4))
+        .key("budgets")
+        .values(budgets(opts))
+        .key("skipped")
+        .values(skipped.iter().map(String::as_str))
+        .key("points")
+        .array();
+    for ((ports, subarrays), n) in point_counts(rows) {
+        w.object()
+            .field("ports", ports)
+            .field("subarrays", subarrays)
+            .field("rows", n)
+            .end();
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end()
+        .key("summary_benchmarks")
+        .values(benchmark_intersection(rows))
+        .key("rows")
+        .array();
+    for r in rows {
+        w.object()
+            .field("benchmark", r.benchmark)
+            .field("ports", r.ports)
+            .field("subarrays", r.subarrays)
+            .field("budget", r.budget)
+            .key("lanes")
+            .object();
+        for l in &r.lanes {
+            w.key(l.name)
+                .object()
+                .field("cost", l.cost)
+                .field("evals", l.evals)
+                .field("time_to_best_ms", Fixed(l.time_to_best_ms, 3))
+                .end();
+        }
+        w.end()
+            .key("portfolio")
+            .object()
+            .field("cost", r.portfolio_cost)
+            .field("winner", r.winner)
+            .field("time_to_best_ms", Fixed(r.portfolio_time_to_best_ms, 3))
+            .end()
+            .key("best_heuristic")
+            .object()
+            .field("name", r.best_heuristic.0)
+            .field("cost", r.best_heuristic.1)
+            .end()
+            .end();
+    }
+    w.end().end();
+    w.finish()
 }
 
 /// Runs the experiment: prints the per-config tables, writes the CSVs and
-/// `BENCH_search.json`.
+/// returns the `BENCH_search.json` record.
 pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     let (rows, skipped) = collect(opts);
     let json = to_json(&rows, &skipped, opts);
-    let json_path = opts.out_dir.join("BENCH_search.json");
-    if let Some(parent) = json_path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&json_path, &json).expect("writing BENCH_search.json");
-    println!("wrote {}", json_path.display());
     if !skipped.is_empty() {
         println!("skipped (does not fit geometry): {}", skipped.join(", "));
     }
@@ -434,6 +426,7 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
             ("search_quality".into(), quality),
             ("search_summary".into(), summary),
         ],
+        record: Some(("BENCH_search.json", json)),
     }
 }
 
@@ -476,7 +469,7 @@ mod tests {
         assert!(json.contains("\"experiment\": \"search\""));
         assert!(json.contains("\"portfolio\""));
         assert!(json.contains("\"best_heuristic\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        rtm_serve::json::validate(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{json}"));
     }
 
     fn stub_row(benchmark: &'static str, ports: usize, subarrays: usize, budget: u64) -> Row {

@@ -120,6 +120,7 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     }
     ExperimentResult {
         tables: vec![("ports_ablation".into(), t)],
+        record: None,
     }
 }
 

@@ -27,6 +27,7 @@ use rtm_placement::eval::FitnessEngine;
 use rtm_placement::random_walk;
 use rtm_placement::search::Budget;
 use rtm_placement::{CostModel, Placement};
+use rtm_serve::json::{Fixed, Writer};
 use rtm_sim::Simulator;
 use rtm_trace::{AccessStream, PositionIndex, VarId};
 use std::time::Instant;
@@ -286,58 +287,49 @@ pub fn collect(opts: &ExperimentOpts, probe: &MemProbe) -> (Vec<ScaleRow>, bool)
 
 /// Renders the JSON record (`BENCH_scale.json`).
 pub fn to_json(rows: &[ScaleRow], suite_ok: bool, opts: &ExperimentOpts) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"scale\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", opts.quick));
-    out.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    out.push_str(&format!("  \"dbcs\": {},\n", dbcs_for(opts)));
-    out.push_str(&format!(
-        "  \"threads\": {},\n",
-        if opts.threads > 0 {
-            opts.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        }
-    ));
-    out.push_str(&format!("  \"suite_identical\": {suite_ok},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"tier\": \"{}\", \"workload\": \"{}\", \"scale\": {:.3}, \"accesses\": {}, \"variables\": {}, \"index_build_s\": {:.4}, \"index_heap_bytes\": {}, \"evals\": {}, \"eval_s\": {:.4}, \"evals_per_sec\": {:.1}, \"best_cost\": {}, \"sim_accesses_per_sec\": {:.1}, \"peak_tracked_bytes\": {}, \"vm_hwm_kb\": {}, \"checked\": {}, \"identical\": {}}}{}\n",
-            r.tier,
-            r.workload,
-            r.scale,
-            r.accesses,
-            r.variables,
-            r.index_build_s,
-            r.index_heap_bytes,
-            r.evals,
-            r.eval_s,
-            r.evals_per_sec(),
-            r.best_cost,
-            r.sim_accesses_per_sec(),
-            r.peak_tracked_bytes,
-            r.vm_hwm_kb,
-            r.checked,
-            r.identical,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
+    let threads = if opts.threads > 0 {
+        opts.threads
+    } else {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    };
+    let mut w = Writer::pretty();
+    w.object()
+        .field("experiment", "scale")
+        .field("quick", opts.quick)
+        .field("seed", opts.seed)
+        .field("dbcs", dbcs_for(opts))
+        .field("threads", threads)
+        .field("suite_identical", suite_ok)
+        .key("rows")
+        .array();
+    for r in rows {
+        w.object()
+            .field("tier", r.tier)
+            .field("workload", r.workload)
+            .field("scale", Fixed(r.scale, 3))
+            .field("accesses", r.accesses)
+            .field("variables", r.variables)
+            .field("index_build_s", Fixed(r.index_build_s, 4))
+            .field("index_heap_bytes", r.index_heap_bytes)
+            .field("evals", r.evals)
+            .field("eval_s", Fixed(r.eval_s, 4))
+            .field("evals_per_sec", Fixed(r.evals_per_sec(), 1))
+            .field("best_cost", r.best_cost)
+            .field("sim_accesses_per_sec", Fixed(r.sim_accesses_per_sec(), 1))
+            .field("peak_tracked_bytes", r.peak_tracked_bytes)
+            .field("vm_hwm_kb", r.vm_hwm_kb)
+            .field("checked", r.checked)
+            .field("identical", r.identical)
+            .end();
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end().end();
+    w.finish()
 }
 
-/// Runs the experiment with `probe` and writes `BENCH_scale.json` next to
-/// the CSVs.
+/// Runs the experiment with `probe`; its record is `BENCH_scale.json`.
 pub fn run_with_probe(opts: &ExperimentOpts, probe: &MemProbe) -> ExperimentResult {
     let (rows, suite_ok) = collect(opts, probe);
     let json = to_json(&rows, suite_ok, opts);
-    let json_path = opts.out_dir.join("BENCH_scale.json");
-    if let Some(parent) = json_path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&json_path, &json).expect("writing BENCH_scale.json");
-    println!("wrote {}", json_path.display());
     if !suite_ok {
         eprintln!("ERROR: streaming/materialized cost divergence on the OffsetStone suite");
     }
@@ -366,6 +358,7 @@ pub fn run_with_probe(opts: &ExperimentOpts, probe: &MemProbe) -> ExperimentResu
     }
     ExperimentResult {
         tables: vec![("scale".into(), t)],
+        record: Some(("BENCH_scale.json", json)),
     }
 }
 
@@ -411,7 +404,7 @@ mod tests {
         assert!(json.contains("\"suite_identical\": true"));
         assert!(json.contains("\"peak_tracked_bytes\""));
         assert!(!json.contains("\"identical\": false"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        rtm_serve::json::validate(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{json}"));
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! per-solve engine-stat deltas aren't interleaved by concurrency.
 
 use crate::{ExperimentOpts, Table};
+use rtm_serve::json::{Fixed, Writer};
 use rtm_serve::loadgen::{self, LoadReport, LoadgenConfig};
 use rtm_serve::server::{ServeConfig, Server};
 
@@ -76,69 +77,45 @@ pub fn deadline_gate(report: &LoadReport) -> &'static str {
 
 /// Renders the JSON record (`BENCH_serve.json`).
 pub fn to_json(report: &LoadReport, opts: &ExperimentOpts) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"serve\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", opts.quick));
-    out.push_str(&format!("  \"queries\": {},\n", report.queries));
-    out.push_str(&format!("  \"requests\": {},\n", report.requests));
-    out.push_str(&format!("  \"identical\": {},\n", report.identical));
-    out.push_str(&format!("  \"mismatches\": {},\n", report.mismatches));
-    out.push_str(&format!("  \"errors\": {},\n", report.errors));
-    out.push_str(&format!(
-        "  \"trace_hit_rate\": {:.4},\n",
-        report.trace_hit_rate
-    ));
-    out.push_str(&format!(
-        "  \"session_hit_rate\": {:.4},\n",
-        report.session_hit_rate
-    ));
-    out.push_str(&format!(
-        "  \"cold_recomputations\": {},\n",
-        report.cold_recomputations
-    ));
-    out.push_str(&format!(
-        "  \"warm_recomputations\": {},\n",
-        report.warm_recomputations
-    ));
-    out.push_str(&format!(
-        "  \"warm_cache_win\": {},\n",
-        report.warm_cache_win
-    ));
-    out.push_str(&format!("  \"cold_mix_ms\": {:.3},\n", report.cold_mix_ms));
-    out.push_str(&format!("  \"warm_mix_ms\": {:.3},\n", report.warm_mix_ms));
-    let p = |tag: &str, x: &rtm_serve::loadgen::Percentiles| {
-        format!(
-            "  \"{tag}\": {{ \"p50\": {:.3}, \"p95\": {:.3}, \"p99\": {:.3}, \"max\": {:.3} }},\n",
-            x.p50, x.p95, x.p99, x.max
-        )
-    };
-    out.push_str(&p("client_latency_ms", &report.client_ms));
-    out.push_str(&p("server_elapsed_ms", &report.server_ms));
-    out.push_str(&format!("  \"deadline_ms\": {},\n", report.deadline_ms));
-    out.push_str(&format!("  \"grace_ms\": {GRACE_MS:.0},\n"));
-    out.push_str(&format!(
-        "  \"deadline_gate\": \"{}\"\n",
-        deadline_gate(report)
-    ));
-    out.push_str("}\n");
-    out
+    let mut w = Writer::pretty();
+    w.object()
+        .field("experiment", "serve")
+        .field("quick", opts.quick)
+        .field("queries", report.queries)
+        .field("requests", report.requests)
+        .field("identical", report.identical)
+        .field("mismatches", report.mismatches)
+        .field("errors", report.errors)
+        .field("trace_hit_rate", Fixed(report.trace_hit_rate, 4))
+        .field("session_hit_rate", Fixed(report.session_hit_rate, 4))
+        .field("cold_recomputations", report.cold_recomputations)
+        .field("warm_recomputations", report.warm_recomputations)
+        .field("warm_cache_win", report.warm_cache_win)
+        .field("cold_mix_ms", Fixed(report.cold_mix_ms, 3))
+        .field("warm_mix_ms", Fixed(report.warm_mix_ms, 3));
+    for (name, p) in [
+        ("client_latency_ms", &report.client_ms),
+        ("server_elapsed_ms", &report.server_ms),
+    ] {
+        w.key(name)
+            .object()
+            .field("p50", Fixed(p.p50, 3))
+            .field("p95", Fixed(p.p95, 3))
+            .field("p99", Fixed(p.p99, 3))
+            .field("max", Fixed(p.max, 3))
+            .end();
+    }
+    w.field("deadline_ms", report.deadline_ms)
+        .field("grace_ms", Fixed(GRACE_MS, 0))
+        .field("deadline_gate", deadline_gate(report))
+        .end();
+    w.finish()
 }
 
-/// Runs the load experiment and writes `BENCH_serve.json` next to the
-/// CSVs.
-///
-/// # Panics
-///
-/// Panics if the output directory is unwritable.
+/// Runs the load experiment; its record is `BENCH_serve.json`.
 pub fn run(opts: &ExperimentOpts) -> crate::experiments::ExperimentResult {
     let report = collect(opts);
     let json = to_json(&report, opts);
-    let json_path = opts.out_dir.join("BENCH_serve.json");
-    if let Some(parent) = json_path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&json_path, &json).expect("writing BENCH_serve.json");
-    println!("wrote {}", json_path.display());
 
     let mut t = Table::new(vec![
         "metric".into(),
@@ -172,6 +149,7 @@ pub fn run(opts: &ExperimentOpts) -> crate::experiments::ExperimentResult {
     ]);
     crate::experiments::ExperimentResult {
         tables: vec![("serve".into(), t)],
+        record: Some(("BENCH_serve.json", json)),
     }
 }
 
@@ -189,6 +167,7 @@ mod tests {
         };
         let result = run(&opts);
         assert_eq!(result.tables.len(), 1);
+        result.emit(&opts).unwrap();
         let json = std::fs::read_to_string(opts.out_dir.join("BENCH_serve.json")).unwrap();
         rtm_serve::json::validate(&json).unwrap();
         assert!(json.contains("\"identical\": true"), "{json}");

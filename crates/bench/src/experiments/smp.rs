@@ -33,6 +33,7 @@ use rtm_offsetstone::{generate_traces, suite, Benchmark};
 use rtm_placement::eval::{EngineStats, EvalJob, FitnessEngine};
 use rtm_placement::search::{Budget, PortfolioConfig};
 use rtm_placement::{CostModel, GaConfig, GeneticPlacer, Placement, PlacementProblem, Strategy};
+use rtm_serve::json::{Fixed, Writer};
 use rtm_trace::AccessSequence;
 use std::time::Instant;
 
@@ -295,40 +296,39 @@ pub fn speedup_gate(rows: &[SmpRow], host_cpus: usize) -> (&'static str, f64) {
 /// batch workload (`hot_path`): GA/portfolio lanes legitimately take the
 /// blocking direct path, so their contention counters are reported but
 /// not gated.
-fn measurement_json(
+fn write_measurement(
+    w: &mut Writer,
     name: &str,
     m: &Measurement,
     baseline: &Measurement,
     workers: usize,
     hot_path: bool,
-) -> String {
+) {
     let speedup = if m.secs > 0.0 {
         baseline.secs / m.secs
     } else {
         0.0
     };
+    w.key(name)
+        .object()
+        .field("evaluations", m.evals)
+        .field("secs", Fixed(m.secs, 4))
+        .field("evals_per_sec", Fixed(m.evals_per_sec(), 1))
+        .field("speedup", Fixed(speedup, 3))
+        .field("efficiency", Fixed(speedup / workers as f64, 3))
+        .field("identical", m.identical);
+    if hot_path {
+        w.field("contention_free", m.contention_free());
+    }
     let s = &m.stats;
-    let gate = if hot_path {
-        format!("\"contention_free\": {}, ", m.contention_free())
-    } else {
-        String::new()
-    };
-    format!(
-        "      \"{name}\": {{\"evaluations\": {}, \"secs\": {:.4}, \"evals_per_sec\": {:.1}, \"speedup\": {:.3}, \"efficiency\": {:.3}, \"identical\": {}, {gate}\"dbc_recomputations\": {}, \"dbc_cache_hits\": {}, \"subseq_cache_hits\": {}, \"dbc_inherited\": {}, \"memo_merged\": {}, \"memo_contended\": {}, \"subseq_contended\": {}}}",
-        m.evals,
-        m.secs,
-        m.evals_per_sec(),
-        speedup,
-        speedup / workers as f64,
-        m.identical,
-        s.dbc_recomputations,
-        s.dbc_cache_hits,
-        s.subseq_cache_hits,
-        s.dbc_inherited,
-        s.memo_merged,
-        s.memo_contended,
-        s.subseq_contended,
-    )
+    w.field("dbc_recomputations", s.dbc_recomputations)
+        .field("dbc_cache_hits", s.dbc_cache_hits)
+        .field("subseq_cache_hits", s.subseq_cache_hits)
+        .field("dbc_inherited", s.dbc_inherited)
+        .field("memo_merged", s.memo_merged)
+        .field("memo_contended", s.memo_contended)
+        .field("subseq_contended", s.subseq_contended)
+        .end();
 }
 
 /// Renders the JSON record (`BENCH_smp.json`). `rows[0]` is the serial
@@ -337,60 +337,41 @@ pub fn to_json(rows: &[SmpRow], names: &[&str], opts: &ExperimentOpts) -> String
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let (gate, four_worker) = speedup_gate(rows, host_cpus);
     let base = &rows[0];
-    let mut out = String::from("{\n");
-    out.push_str("  \"experiment\": \"smp\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", opts.quick));
-    out.push_str(&format!("  \"seed\": {},\n", opts.seed));
-    out.push_str(&format!("  \"dbcs\": {},\n", dbcs_for(opts)));
-    out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    let quoted: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
-    out.push_str(&format!("  \"benchmarks\": [{}],\n", quoted.join(", ")));
-    out.push_str(&format!(
-        "  \"four_worker_batch_speedup\": {four_worker:.3},\n"
-    ));
-    out.push_str(&format!("  \"speedup_gate\": \"{gate}\",\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"workers\": {},\n", r.workers));
-        out.push_str(&measurement_json(
-            "batch",
-            &r.batch,
-            &base.batch,
-            r.workers,
-            true,
-        ));
-        out.push_str(",\n");
-        out.push_str(&measurement_json("ga", &r.ga, &base.ga, r.workers, false));
-        out.push_str(",\n");
-        out.push_str(&measurement_json(
+    let mut w = Writer::pretty();
+    w.object()
+        .field("experiment", "smp")
+        .field("quick", opts.quick)
+        .field("seed", opts.seed)
+        .field("dbcs", dbcs_for(opts))
+        .field("host_cpus", host_cpus)
+        .key("benchmarks")
+        .values(names.iter().copied())
+        .field("four_worker_batch_speedup", Fixed(four_worker, 3))
+        .field("speedup_gate", gate)
+        .key("rows")
+        .array();
+    for r in rows {
+        w.object().field("workers", r.workers);
+        write_measurement(&mut w, "batch", &r.batch, &base.batch, r.workers, true);
+        write_measurement(&mut w, "ga", &r.ga, &base.ga, r.workers, false);
+        write_measurement(
+            &mut w,
             "portfolio",
             &r.portfolio,
             &base.portfolio,
             r.workers,
             false,
-        ));
-        out.push('\n');
-        out.push_str(if i + 1 < rows.len() {
-            "    },\n"
-        } else {
-            "    }\n"
-        });
+        );
+        w.end();
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.end().end();
+    w.finish()
 }
 
-/// Runs the sweep and writes `BENCH_smp.json` next to the CSVs.
+/// Runs the sweep; its record is `BENCH_smp.json`.
 pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     let (rows, names) = collect(opts);
     let json = to_json(&rows, &names, opts);
-    let json_path = opts.out_dir.join("BENCH_smp.json");
-    if let Some(parent) = json_path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(&json_path, &json).expect("writing BENCH_smp.json");
-    println!("wrote {}", json_path.display());
 
     let base_batch = rows[0].batch.secs;
     let mut t = Table::new(vec![
@@ -432,6 +413,7 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     }
     ExperimentResult {
         tables: vec![("smp".into(), t)],
+        record: Some(("BENCH_smp.json", json)),
     }
 }
 
@@ -476,7 +458,7 @@ mod tests {
         assert!(json.contains("\"speedup_gate\""));
         assert!(!json.contains("\"identical\": false"));
         assert!(!json.contains("\"contention_free\": false"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        rtm_serve::json::validate(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{json}"));
     }
 
     #[test]

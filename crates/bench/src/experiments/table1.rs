@@ -47,6 +47,7 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     }
     ExperimentResult {
         tables: vec![("table1".into(), t)],
+        record: None,
     }
 }
 

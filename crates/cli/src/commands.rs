@@ -9,7 +9,8 @@ use rtm_placement::{
     random_walk, CostModel, GeneticPlacer, Portfolio, SimulatedAnnealing, Solution, Strategy,
     StrategyKind, TabuSearch,
 };
-use rtm_serve::report::{json_escape, solution_fields, Geometry};
+use rtm_serve::json::{Fixed, Writer};
+use rtm_serve::report::{write_solution, Geometry};
 use rtm_serve::server::{ServeConfig, Server};
 use rtm_sim::SimStats;
 use rtm_trace::{AccessSequence, AccessStream};
@@ -283,8 +284,8 @@ fn stream_solve(
 }
 
 /// The stable machine-readable schema shared by `place` and `simulate`:
-/// the workspace-wide [`solution_fields`] payload (also what the serve
-/// protocol emits, so the two can never drift) wrapped in the CLI's
+/// the workspace-wide [`write_solution`] payload (also what the serve
+/// protocol emits, so the two can never drift) in the CLI's
 /// `{"command":…}` envelope — plus a `simulation` object when simulator
 /// statistics are available.
 fn json_report(
@@ -301,32 +302,30 @@ fn json_report(
         locations_per_dbc: spec.capacity(),
         ports_per_track: spec.ports(),
     };
-    let mut out = format!(
-        "{{\"command\":\"{}\",{}",
-        json_escape(command),
-        solution_fields(strategy, &geom, seq, sol)
-    );
+    let mut w = Writer::compact();
+    w.object().field("command", command);
+    write_solution(&mut w, strategy, &geom, seq, sol);
     if let Some(s) = stats {
-        let _ = write!(
-            out,
-            ",\"simulation\":{{\"reads\":{},\"writes\":{},\"shifts\":{},\
-             \"shifts_per_access\":{:.6},\"latency_ns\":{:.6},\"runtime_ns\":{:.6},\
-             \"energy_pj\":{{\"leakage\":{:.6},\"read_write\":{:.6},\"shift\":{:.6},\
-             \"total\":{:.6}}}}}",
-            s.reads,
-            s.writes,
-            s.shifts,
-            s.shifts_per_access(),
-            s.latency.total().value(),
-            s.runtime().value(),
-            s.energy.leakage.value(),
-            s.energy.read_write.value(),
-            s.energy.shift.value(),
-            s.energy.total().value()
-        );
+        let fixed = |x: f64| Fixed(x, 6);
+        w.key("simulation")
+            .object()
+            .field("reads", s.reads)
+            .field("writes", s.writes)
+            .field("shifts", s.shifts)
+            .field("shifts_per_access", fixed(s.shifts_per_access()))
+            .field("latency_ns", fixed(s.latency.total().value()))
+            .field("runtime_ns", fixed(s.runtime().value()))
+            .key("energy_pj")
+            .object()
+            .field("leakage", fixed(s.energy.leakage.value()))
+            .field("read_write", fixed(s.energy.read_write.value()))
+            .field("shift", fixed(s.energy.shift.value()))
+            .field("total", fixed(s.energy.total().value()))
+            .end()
+            .end();
     }
-    out.push('}');
-    out
+    w.end();
+    w.finish()
 }
 
 /// `rtm stats` — trace shape summary.
@@ -660,6 +659,61 @@ mod tests {
             ("lanes", ","),
         ]);
         assert!(place(&empty).is_err());
+        let _ = std::fs::remove_file(f);
+    }
+
+    /// Heuristic solves report zero search telemetry, so every byte is
+    /// pinned, the timing fields included.
+    #[test]
+    fn json_reports_are_pinned_byte_for_byte() {
+        let f = trace_file("a b a b c a c a d d a i e f e f g e g h g i h i");
+        let path = f.to_str().unwrap();
+        let payload = "\"strategy\":\"DMA-SR\",\"geometry\":{\"subarrays\":1,\
+             \"dbcs_per_subarray\":2,\"locations_per_dbc\":512,\"ports_per_track\":1,\
+             \"total_dbcs\":2},\"total_shifts\":9,\"per_subarray_shifts\":[9],\"dbcs\":[\
+             {\"subarray\":0,\"dbc\":0,\"shifts\":4,\"vars\":[\"b\",\"c\",\"d\",\"e\",\"h\"]},\
+             {\"subarray\":0,\"dbc\":1,\"shifts\":5,\"vars\":[\"f\",\"g\",\"i\",\"a\"]}],\
+             \"search\":{\"evals_consumed\":0,\"time_to_best_ms\":0.000,\"elapsed_ms\":0.000,\
+             \"stop\":\"finished\",\"cache\":{\"dbc_recomputations\":0,\"dbc_cache_hits\":0,\
+             \"subseq_cache_hits\":0,\"dbc_inherited\":0,\"memo_merged\":0,\
+             \"memo_contended\":0,\"subseq_contended\":0}}";
+        let a = args(&[("trace", path), ("dbcs", "2"), ("json", "")]);
+        assert_eq!(
+            place_report(&a).unwrap(),
+            format!("{{\"command\":\"place\",{payload}}}")
+        );
+        assert_eq!(
+            simulate_report(&a).unwrap(),
+            format!(
+                "{{\"command\":\"simulate\",{payload},\"simulation\":{{\"reads\":24,\
+                 \"writes\":0,\"shifts\":9,\"shifts_per_access\":0.375000,\
+                 \"latency_ns\":28.350000,\"runtime_ns\":52.350000,\"energy_pj\":{{\
+                 \"leakage\":177.466500,\"read_write\":54.240000,\"shift\":19.620000,\
+                 \"total\":251.326500}}}}}}"
+            )
+        );
+        // Two subarrays of two 2-port DBCs: a multi-entry shift list.
+        let a = args(&[
+            ("trace", path),
+            ("dbcs", "2"),
+            ("subarrays", "2"),
+            ("ports", "2"),
+            ("json", ""),
+        ]);
+        assert_eq!(
+            place_report(&a).unwrap(),
+            "{\"command\":\"place\",\"strategy\":\"DMA-SR\",\"geometry\":{\"subarrays\":2,\
+             \"dbcs_per_subarray\":2,\"locations_per_dbc\":512,\"ports_per_track\":2,\
+             \"total_dbcs\":4},\"total_shifts\":5,\"per_subarray_shifts\":[5,0],\"dbcs\":[\
+             {\"subarray\":0,\"dbc\":0,\"shifts\":4,\"vars\":[\"b\",\"c\",\"d\",\"e\",\"h\"]},\
+             {\"subarray\":0,\"dbc\":1,\"shifts\":1,\"vars\":[\"a\",\"f\"]},\
+             {\"subarray\":1,\"dbc\":0,\"shifts\":0,\"vars\":[\"i\"]},\
+             {\"subarray\":1,\"dbc\":1,\"shifts\":0,\"vars\":[\"g\"]}],\
+             \"search\":{\"evals_consumed\":0,\"time_to_best_ms\":0.000,\"elapsed_ms\":0.000,\
+             \"stop\":\"finished\",\"cache\":{\"dbc_recomputations\":0,\"dbc_cache_hits\":0,\
+             \"subseq_cache_hits\":0,\"dbc_inherited\":0,\"memo_merged\":0,\
+             \"memo_contended\":0,\"subseq_contended\":0}}}"
+        );
         let _ = std::fs::remove_file(f);
     }
 

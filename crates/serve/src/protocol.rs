@@ -21,7 +21,10 @@
 //! Successful responses are one line of JSON. Failures are one line
 //! starting with `error: ` — carrying `ParseTraceError`'s line and column
 //! when the trace text is at fault — and never kill the connection, let
-//! alone the daemon.
+//! alone the daemon. The one exception is a line longer than
+//! [`MAX_REQUEST_BYTES`]: it gets `error: request too large …` and its
+//! connection is closed, since the rest of the line cannot be skipped
+//! without reading it.
 
 use rtm_placement::inter::default_capacity;
 use rtm_placement::{
@@ -40,6 +43,14 @@ use crate::cache::GeometryKey;
 /// scaled length is refused when the request is parsed, before anything is
 /// generated.
 pub const MAX_PROFILE_ACCESSES: usize = 1 << 24;
+
+/// The longest request line the daemon reads, in bytes before the newline:
+/// 2^24 (16 MiB), far above the inline traces a client sends (a few
+/// thousand accesses). Larger traces go through `profile=` or the CLI. A
+/// connection whose line grows past it gets one `error: request too
+/// large …` line and is closed, so one client cannot grow the daemon
+/// without bound.
+pub const MAX_REQUEST_BYTES: usize = 1 << 24;
 
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]

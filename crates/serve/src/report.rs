@@ -1,40 +1,22 @@
-//! The one JSON emitter for solved placements.
+//! The placement payload every front end reports.
 //!
 //! The CLI's `--json` output and the serve protocol's `place` responses
-//! share this module, so string escaping and the solution schema cannot
-//! drift between the two (they used to be two hand-rolled formatters; a
-//! field added to one silently missed the other). Each front end wraps
-//! [`solution_fields`] in its own envelope — `{"command":"place",…}` for
-//! the CLI, `{"ok":true,"served":{…},…}` for the daemon — but the
-//! placement payload itself is byte-identical.
+//! share [`write_solution`], so the solution schema cannot drift between
+//! the two. Each front end writes its own envelope around it with the one
+//! JSON [`Writer`] — `{"command":"place",…}` for the CLI,
+//! `{"ok":true,"served":{…},…}` for the daemon — and the placement payload
+//! itself is byte-identical. Syntax and string escaping are the writer's,
+//! in [`crate::json`].
 //!
 //! [`deterministic_slice`] exposes the machine-independent prefix of that
 //! payload (strategy, geometry, shift totals, the full per-DBC layout —
 //! everything up to the wall-clock telemetry), which is what the
 //! bit-identity checks in the server tests and the load generator compare.
 
+use crate::json::{Fixed, Writer};
 use rtm_placement::{Solution, Strategy};
 use rtm_trace::AccessSequence;
-use std::fmt::Write as _;
-
-/// Escapes a string for a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use std::time::Duration;
 
 /// The geometry block of a report: per-subarray shape plus ports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,101 +48,90 @@ impl Geometry {
     }
 }
 
-/// The stable machine-readable body shared by the CLI and the daemon:
-/// `"strategy":… ,"geometry":{…},"total_shifts":…,"per_subarray_shifts":[…],
-/// "dbcs":[…],"search":{…}` — comma-separated fields without an enclosing
-/// object, so callers can splice them into their own envelope.
+/// Writes the stable machine-readable body shared by the CLI and the
+/// daemon into the open object of `w`: `"strategy"`, `"geometry"`,
+/// `"total_shifts"`, `"per_subarray_shifts"`, `"dbcs"` and `"search"` (with
+/// its `"cache"` counters and, for portfolio solves, `"lanes"`).
+pub fn write_solution(
+    w: &mut Writer,
+    strategy: &Strategy,
+    geom: &Geometry,
+    seq: &AccessSequence,
+    sol: &Solution,
+) {
+    w.field("strategy", strategy.name());
+    w.key("geometry")
+        .object()
+        .field("subarrays", geom.subarrays)
+        .field("dbcs_per_subarray", geom.dbcs_per_subarray)
+        .field("locations_per_dbc", geom.locations_per_dbc)
+        .field("ports_per_track", geom.ports_per_track)
+        .field("total_dbcs", geom.total_dbcs())
+        .end();
+    w.field("total_shifts", sol.shifts)
+        .key("per_subarray_shifts")
+        .values(sol.per_subarray_shifts(geom.dbcs_per_subarray));
+    w.key("dbcs").array();
+    for (d, list) in sol.placement.dbc_lists().iter().enumerate() {
+        w.object()
+            .field("subarray", d / geom.dbcs_per_subarray)
+            .field("dbc", d % geom.dbcs_per_subarray)
+            .field("shifts", sol.per_dbc_shifts[d])
+            .key("vars")
+            .values(list.iter().map(|&v| seq.vars().name(v)))
+            .end();
+    }
+    w.end();
+    let ms = |d: Duration| Fixed(d.as_secs_f64() * 1e3, 3);
+    let es = &sol.engine_stats;
+    w.key("search")
+        .object()
+        .field("evals_consumed", sol.evals_consumed)
+        .field("time_to_best_ms", ms(sol.time_to_best))
+        .field("elapsed_ms", ms(sol.elapsed))
+        .field("stop", sol.stop.name())
+        .key("cache")
+        .object()
+        .field("dbc_recomputations", es.dbc_recomputations)
+        .field("dbc_cache_hits", es.dbc_cache_hits)
+        .field("subseq_cache_hits", es.subseq_cache_hits)
+        .field("dbc_inherited", es.dbc_inherited)
+        .field("memo_merged", es.memo_merged)
+        .field("memo_contended", es.memo_contended)
+        .field("subseq_contended", es.subseq_contended)
+        .end();
+    if !sol.lanes.is_empty() {
+        w.key("lanes").array();
+        for lane in &sol.lanes {
+            w.object()
+                .field("name", lane.name)
+                .field("status", lane.status.name())
+                .field("cost", lane.cost)
+                .field("evals", lane.evals)
+                .end();
+        }
+        w.end();
+    }
+    w.end();
+}
+
+/// [`write_solution`]'s compact text as comma-separated fields without the
+/// enclosing braces, for callers that splice it into an envelope of their
+/// own.
 pub fn solution_fields(
     strategy: &Strategy,
     geom: &Geometry,
     seq: &AccessSequence,
     sol: &Solution,
 ) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "\"strategy\":\"{}\",\"geometry\":{{\"subarrays\":{},\
-         \"dbcs_per_subarray\":{},\"locations_per_dbc\":{},\"ports_per_track\":{},\
-         \"total_dbcs\":{}}},\"total_shifts\":{}",
-        json_escape(strategy.name()),
-        geom.subarrays,
-        geom.dbcs_per_subarray,
-        geom.locations_per_dbc,
-        geom.ports_per_track,
-        geom.total_dbcs(),
-        sol.shifts
-    );
-    let per_subarray = sol.per_subarray_shifts(geom.dbcs_per_subarray);
-    let _ = write!(
-        out,
-        ",\"per_subarray_shifts\":[{}]",
-        per_subarray
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    out.push_str(",\"dbcs\":[");
-    for (d, list) in sol.placement.dbc_lists().iter().enumerate() {
-        if d > 0 {
-            out.push(',');
-        }
-        let vars: Vec<String> = list
-            .iter()
-            .map(|&v| format!("\"{}\"", json_escape(seq.vars().name(v))))
-            .collect();
-        let _ = write!(
-            out,
-            "{{\"subarray\":{},\"dbc\":{},\"shifts\":{},\"vars\":[{}]}}",
-            d / geom.dbcs_per_subarray,
-            d % geom.dbcs_per_subarray,
-            sol.per_dbc_shifts[d],
-            vars.join(",")
-        );
-    }
-    out.push(']');
-    let _ = write!(
-        out,
-        ",\"search\":{{\"evals_consumed\":{},\"time_to_best_ms\":{:.3},\
-         \"elapsed_ms\":{:.3},\"stop\":\"{}\"",
-        sol.evals_consumed,
-        sol.time_to_best.as_secs_f64() * 1e3,
-        sol.elapsed.as_secs_f64() * 1e3,
-        sol.stop.name()
-    );
-    let es = &sol.engine_stats;
-    let _ = write!(
-        out,
-        ",\"cache\":{{\"dbc_recomputations\":{},\"dbc_cache_hits\":{},\
-         \"subseq_cache_hits\":{},\"dbc_inherited\":{},\"memo_merged\":{},\
-         \"memo_contended\":{},\"subseq_contended\":{}}}",
-        es.dbc_recomputations,
-        es.dbc_cache_hits,
-        es.subseq_cache_hits,
-        es.dbc_inherited,
-        es.memo_merged,
-        es.memo_contended,
-        es.subseq_contended
-    );
-    if !sol.lanes.is_empty() {
-        out.push_str(",\"lanes\":[");
-        for (i, lane) in sol.lanes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"status\":\"{}\",\"cost\":{},\"evals\":{}}}",
-                json_escape(lane.name),
-                lane.status.name(),
-                lane.cost.map_or("null".to_string(), |c| c.to_string()),
-                lane.evals
-            );
-        }
-        out.push(']');
-    }
-    out.push('}');
-    out
+    let mut w = Writer::compact();
+    w.object();
+    write_solution(&mut w, strategy, geom, seq, sol);
+    w.end();
+    let mut fields = w.finish();
+    fields.pop();
+    fields.remove(0);
+    fields
 }
 
 /// The machine-independent slice of a report containing
@@ -229,11 +200,5 @@ mod tests {
         assert!(slice.contains("\"dbcs\":["));
         assert!(!slice.contains("elapsed_ms"));
         assert!(deterministic_slice("error: nope").is_none());
-    }
-
-    #[test]
-    fn escape_covers_control_characters() {
-        assert_eq!(json_escape("a\u{1}b"), "a\\u0001b");
-        assert_eq!(json_escape("say \"hi\"\r\n"), "say \\\"hi\\\"\\r\\n");
     }
 }

@@ -9,14 +9,16 @@
 //! integration tests). Admission control bounds concurrent solves: beyond
 //! `max_inflight` in-flight `place` requests, new ones are rejected
 //! immediately with `error: overloaded …` instead of queueing into
-//! deadline misses.
+//! deadline misses. A request line never grows past
+//! [`MAX_REQUEST_BYTES`]: a longer one gets `error: request too large …`
+//! and its connection is closed.
 
-use crate::cache::{GeometryKey, SessionCache};
-use crate::fingerprint::Fingerprint;
-use crate::protocol::{parse_request, PlaceRequest, Request, RequestError};
-use crate::report::{solution_fields, Geometry};
+use crate::cache::SessionCache;
+use crate::json::{Fixed, Writer};
+use crate::protocol::{parse_request, PlaceRequest, Request, RequestError, MAX_REQUEST_BYTES};
+use crate::report::{write_solution, Geometry};
 use rtm_placement::WorkerPool;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -236,7 +238,10 @@ impl Connection {
         // and invalid UTF-8 is one bad request, not a dead connection.
         let mut line = Vec::new();
         loop {
-            match reader.read_until(b'\n', &mut line) {
+            // One byte past the limit tells an oversized line from one
+            // that just fits.
+            let room = (MAX_REQUEST_BYTES + 1).saturating_sub(line.len()) as u64;
+            match reader.by_ref().take(room).read_until(b'\n', &mut line) {
                 Ok(0) => break,
                 Ok(_) => {
                     let (response, stop) = self.handle_line(&line);
@@ -264,9 +269,17 @@ impl Connection {
 
     /// One request line → one response line. Never panics the connection:
     /// every failure, invalid UTF-8 included, becomes an `error: …`
-    /// response.
+    /// response; only a line cut off at the size limit also closes it.
     fn handle_line(&self, line: &[u8]) -> (String, bool) {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        if line.len() > MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+            self.counters.errors.fetch_add(1, Ordering::Relaxed);
+            let limit = MAX_REQUEST_BYTES;
+            return (
+                format!("error: request too large (limit {limit} bytes)"),
+                true,
+            );
+        }
         let request = std::str::from_utf8(line)
             .map_err(|e| {
                 RequestError::Malformed(format!(
@@ -278,7 +291,7 @@ impl Connection {
         match request {
             Ok(Request::Ping) => {
                 self.counters.ok.fetch_add(1, Ordering::Relaxed);
-                ("{\"ok\":true,\"pong\":true}".to_string(), false)
+                (ack("pong"), false)
             }
             Ok(Request::Stats) => {
                 self.counters.ok.fetch_add(1, Ordering::Relaxed);
@@ -287,7 +300,7 @@ impl Connection {
             Ok(Request::Shutdown) => {
                 self.counters.ok.fetch_add(1, Ordering::Relaxed);
                 self.shutdown.store(true, Ordering::Release);
-                ("{\"ok\":true,\"shutdown\":true}".to_string(), true)
+                (ack("shutdown"), true)
             }
             Ok(Request::Place(req)) => match self.handle_place(&req) {
                 Ok(json) => {
@@ -337,88 +350,69 @@ impl Connection {
         let started = Instant::now();
         let solution = session.solve(&strategy)?;
         let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-        Ok(self.place_json(
-            entry.fingerprint(),
-            geom,
-            trace_hit,
-            session_hit,
-            &strategy,
-            &seq,
-            &solution,
-            session.solves(),
-            deadline_ms,
-            elapsed_ms,
-        ))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn place_json(
-        &self,
-        fingerprint: Fingerprint,
-        geom: GeometryKey,
-        trace_hit: bool,
-        session_hit: bool,
-        strategy: &rtm_placement::Strategy,
-        seq: &rtm_trace::AccessSequence,
-        solution: &rtm_placement::Solution,
-        session_solves: u64,
-        deadline_ms: u64,
-        elapsed_ms: f64,
-    ) -> String {
-        let fields = solution_fields(
-            strategy,
-            &Geometry::flat(geom.dbcs, geom.capacity, geom.ports),
-            seq,
-            solution,
-        );
         let hit = |b: bool| if b { "hit" } else { "miss" };
-        format!(
-            "{{\"ok\":true,\"served\":{{\"trace_cache\":\"{}\",\
-             \"session_cache\":\"{}\",\"fingerprint\":\"{}\",\
-             \"session_solves\":{},\"deadline_ms\":{},\
-             \"elapsed_ms\":{:.3},\"inflight\":{}}},{}}}",
-            hit(trace_hit),
-            hit(session_hit),
-            fingerprint,
-            session_solves,
-            deadline_ms,
-            elapsed_ms,
-            self.inflight.load(Ordering::Acquire),
-            fields
-        )
+        let mut w = Writer::compact();
+        w.object()
+            .field("ok", true)
+            .key("served")
+            .object()
+            .field("trace_cache", hit(trace_hit))
+            .field("session_cache", hit(session_hit))
+            .field("fingerprint", entry.fingerprint().to_string().as_str())
+            .field("session_solves", session.solves())
+            .field("deadline_ms", deadline_ms)
+            .field("elapsed_ms", Fixed(elapsed_ms, 3))
+            .field("inflight", self.inflight.load(Ordering::Acquire))
+            .end();
+        let geometry = Geometry::flat(geom.dbcs, geom.capacity, geom.ports);
+        write_solution(&mut w, &strategy, &geometry, &seq, &solution);
+        w.end();
+        Ok(w.finish())
     }
 
     fn stats_json(&self) -> String {
+        let count = |n: &AtomicU64| n.load(Ordering::Relaxed);
         let c = self.cache.stats();
-        format!(
-            "{{\"ok\":true,\"stats\":{{\"requests\":{},\"responses_ok\":{},\
-             \"responses_error\":{},\"overloaded\":{},\"accept_errors\":{},\
-             \"inflight\":{},\"max_inflight\":{},\"cache\":{{\"trace_hits\":{},\
-             \"trace_misses\":{},\"session_hits\":{},\"session_misses\":{},\
-             \"evictions\":{},\"collisions_rejected\":{},\"cached_traces\":{},\
-             \"cached_sessions\":{}}}}}}}",
-            self.counters.requests.load(Ordering::Relaxed),
-            self.counters.ok.load(Ordering::Relaxed),
-            self.counters.errors.load(Ordering::Relaxed),
-            self.counters.overloaded.load(Ordering::Relaxed),
-            self.counters.accept_errors.load(Ordering::Relaxed),
-            self.inflight.load(Ordering::Acquire),
-            self.config.max_inflight,
-            c.trace_hits,
-            c.trace_misses,
-            c.session_hits,
-            c.session_misses,
-            c.evictions,
-            c.collisions_rejected,
-            c.cached_traces,
-            c.cached_sessions,
-        )
+        let mut w = Writer::compact();
+        w.object()
+            .field("ok", true)
+            .key("stats")
+            .object()
+            .field("requests", count(&self.counters.requests))
+            .field("responses_ok", count(&self.counters.ok))
+            .field("responses_error", count(&self.counters.errors))
+            .field("overloaded", count(&self.counters.overloaded))
+            .field("accept_errors", count(&self.counters.accept_errors))
+            .field("inflight", self.inflight.load(Ordering::Acquire))
+            .field("max_inflight", self.config.max_inflight)
+            .key("cache")
+            .object()
+            .field("trace_hits", c.trace_hits)
+            .field("trace_misses", c.trace_misses)
+            .field("session_hits", c.session_hits)
+            .field("session_misses", c.session_misses)
+            .field("evictions", c.evictions)
+            .field("collisions_rejected", c.collisions_rejected)
+            .field("cached_traces", c.cached_traces)
+            .field("cached_sessions", c.cached_sessions)
+            .end()
+            .end()
+            .end();
+        w.finish()
     }
+}
+
+/// `{"ok":true,"<key>":true}`: the `ping` and `shutdown` replies.
+fn ack(key: &str) -> String {
+    let mut w = Writer::compact();
+    w.object().field("ok", true).field(key, true).end();
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::Fingerprint;
     use crate::json;
 
     fn start() -> (ServerHandle, TcpStream) {
@@ -459,6 +453,73 @@ mod tests {
         assert_eq!(json::find_u64(&stats, "accept_errors"), Some(0));
         let bye = roundtrip(&mut stream, "shutdown");
         assert_eq!(json::find_bool(&bye, "shutdown"), Some(true));
+        handle.shutdown();
+    }
+
+    /// `reply` with the digits of every `elapsed_ms` and `time_to_best_ms`
+    /// masked (`12.345` → `#.###`): the only bytes that differ between runs.
+    fn mask_times(reply: &str) -> String {
+        let mut out = String::with_capacity(reply.len());
+        let mut rest = reply;
+        while let Some(at) = ["\"elapsed_ms\":", "\"time_to_best_ms\":"]
+            .iter()
+            .filter_map(|k| rest.find(k).map(|i| i + k.len()))
+            .min()
+        {
+            out.push_str(&rest[..at]);
+            rest = &rest[at..];
+            let int = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(0);
+            out.push('#');
+            rest = &rest[int..];
+            if let Some(frac) = rest.strip_prefix('.') {
+                let n = frac.find(|c: char| !c.is_ascii_digit()).unwrap_or(0);
+                out.push('.');
+                out.push_str(&"#".repeat(n));
+                rest = &frac[n..];
+            }
+        }
+        out.push_str(rest);
+        out
+    }
+
+    #[test]
+    fn replies_are_pinned_byte_for_byte() {
+        let (handle, mut stream) = start();
+        assert_eq!(
+            roundtrip(&mut stream, "stats"),
+            "{\"ok\":true,\"stats\":{\"requests\":1,\"responses_ok\":1,\"responses_error\":0,\
+             \"overloaded\":0,\"accept_errors\":0,\"inflight\":0,\"max_inflight\":32,\
+             \"cache\":{\"trace_hits\":0,\"trace_misses\":0,\"session_hits\":0,\
+             \"session_misses\":0,\"evictions\":0,\"collisions_rejected\":0,\
+             \"cached_traces\":0,\"cached_sessions\":0}}}"
+        );
+        assert_eq!(
+            roundtrip(&mut stream, "ping"),
+            "{\"ok\":true,\"pong\":true}"
+        );
+        let place = roundtrip(
+            &mut stream,
+            "place strategy=dma-sr dbcs=2 :: a b a b c a c a d d a i e f e f g e g h g i h i",
+        );
+        assert_eq!(
+            mask_times(&place),
+            "{\"ok\":true,\"served\":{\"trace_cache\":\"miss\",\"session_cache\":\"miss\",\
+             \"fingerprint\":\"47-24-823c3822f500a8e812916b991e2d7526c1c1001782bf761119f0582409efd2fd\",\
+             \"session_solves\":1,\"deadline_ms\":10000,\"elapsed_ms\":#.###,\"inflight\":1},\
+             \"strategy\":\"DMA-SR\",\"geometry\":{\"subarrays\":1,\"dbcs_per_subarray\":2,\
+             \"locations_per_dbc\":512,\"ports_per_track\":1,\"total_dbcs\":2},\
+             \"total_shifts\":9,\"per_subarray_shifts\":[9],\"dbcs\":[\
+             {\"subarray\":0,\"dbc\":0,\"shifts\":4,\"vars\":[\"b\",\"c\",\"d\",\"e\",\"h\"]},\
+             {\"subarray\":0,\"dbc\":1,\"shifts\":5,\"vars\":[\"f\",\"g\",\"i\",\"a\"]}],\
+             \"search\":{\"evals_consumed\":0,\"time_to_best_ms\":#.###,\"elapsed_ms\":#.###,\
+             \"stop\":\"finished\",\"cache\":{\"dbc_recomputations\":0,\"dbc_cache_hits\":0,\
+             \"subseq_cache_hits\":0,\"dbc_inherited\":0,\"memo_merged\":0,\
+             \"memo_contended\":0,\"subseq_contended\":0}}}"
+        );
+        assert_eq!(
+            roundtrip(&mut stream, "shutdown"),
+            "{\"ok\":true,\"shutdown\":true}"
+        );
         handle.shutdown();
     }
 
@@ -519,6 +580,37 @@ mod tests {
         // And a good request still works afterwards.
         let ok = roundtrip(&mut stream, "place dbcs=2 :: a b a b");
         assert_eq!(json::find_bool(&ok, "ok"), Some(true));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn an_oversized_line_gets_one_error_and_closes_only_its_connection() {
+        let (handle, mut stream) = start();
+        // A daemon that never answers fails the test instead of hanging it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let chunk = vec![b'a'; 1 << 16];
+        let mut left = MAX_REQUEST_BYTES + 1;
+        while left > 0 {
+            let n = left.min(chunk.len());
+            stream.write_all(&chunk[..n]).unwrap();
+            left -= n;
+        }
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        assert!(resp.starts_with("error: request too large"), "{resp}");
+        resp.clear();
+        assert_eq!(
+            reader.read_line(&mut resp).unwrap(),
+            0,
+            "not closed: {resp}"
+        );
+        // Other connections never notice.
+        let mut other = TcpStream::connect(handle.addr()).unwrap();
+        let pong = roundtrip(&mut other, "ping");
+        assert_eq!(json::find_bool(&pong, "pong"), Some(true), "{pong}");
         handle.shutdown();
     }
 
