@@ -280,7 +280,7 @@ pub fn batch_speedup_at(rows: &[SmpRow], workers: usize) -> Option<f64> {
 }
 
 /// The CI gate verdict: `"skipped"` below 2 CPUs or without a 4-worker
-/// row, otherwise `"pass"`/`"fail"` against [`SPEEDUP_FLOOR`].
+/// row, otherwise `"pass"`/`"fail"` against the 1.5× `SPEEDUP_FLOOR`.
 pub fn speedup_gate(rows: &[SmpRow], host_cpus: usize) -> (&'static str, f64) {
     let speedup = batch_speedup_at(rows, 4).unwrap_or(0.0);
     if host_cpus < 2 || batch_speedup_at(rows, 4).is_none() {

@@ -1,18 +1,15 @@
 //! The five subcommands.
 
 use crate::args::CliArgs;
-use crate::{build_problem, build_simulator, parse_strategy, read_trace, ProblemSpec};
+use crate::{build_array, build_problem, parse_strategy, read_trace, ProblemSpec};
+use rtm_arch::ArrayGeometry;
 use rtm_offsetstone::{suite as bench_suite, Benchmark, Tier, TierWorkload};
 use rtm_placement::eval::FitnessEngine;
-use rtm_placement::inter::default_capacity;
-use rtm_placement::{
-    random_walk, CostModel, GeneticPlacer, Portfolio, SimulatedAnnealing, Solution, Strategy,
-    StrategyKind, TabuSearch,
-};
+use rtm_placement::{search, CostModel, SearchOutcome, Solution, Strategy, StrategyKind};
 use rtm_serve::json::{Fixed, Writer};
 use rtm_serve::report::{write_solution, Geometry};
 use rtm_serve::server::{ServeConfig, Server};
-use rtm_sim::SimStats;
+use rtm_sim::{SimStats, Simulator};
 use rtm_trace::{AccessSequence, AccessStream};
 use std::fmt::Write as _;
 
@@ -36,7 +33,7 @@ pub fn simulate(args: &CliArgs) -> CmdResult {
 pub(crate) fn place_report(args: &CliArgs) -> Result<String, Box<dyn std::error::Error>> {
     let seq = read_trace(args)?;
     let spec = build_problem(args, &seq)?;
-    let strategy = parse_strategy(args.get("strategy").unwrap_or("dma-sr"), args)?;
+    let strategy = parse_strategy(args, StrategyKind::DmaSr)?;
     let sol = spec.problem.solve(&strategy)?;
     if args.flag("json") {
         return Ok(json_report("place", &strategy, &spec, &seq, &sol, None));
@@ -97,10 +94,9 @@ pub(crate) fn place_report(args: &CliArgs) -> Result<String, Box<dyn std::error:
 pub(crate) fn simulate_report(args: &CliArgs) -> Result<String, Box<dyn std::error::Error>> {
     let seq = read_trace(args)?;
     let spec = build_problem(args, &seq)?;
-    let strategy = parse_strategy(args.get("strategy").unwrap_or("dma-sr"), args)?;
+    let strategy = parse_strategy(args, StrategyKind::DmaSr)?;
     let sol = spec.problem.solve(&strategy)?;
-    let sim = build_simulator(&spec);
-    let stats = sim.run(&seq, &sol.placement)?;
+    let stats = Simulator::for_array(&spec.array).run(&seq, &sol.placement)?;
     if args.flag("json") {
         return Ok(json_report(
             "simulate",
@@ -121,19 +117,25 @@ pub(crate) fn simulate_report(args: &CliArgs) -> Result<String, Box<dyn std::err
 /// `rtm place --stream` — solve through the bounded-memory streaming
 /// pipeline (the trace is indexed, never materialized).
 pub fn place_stream(args: &CliArgs) -> CmdResult {
-    let (spec, outcome) = stream_solve(args)?;
+    let run = stream_solve(args)?;
+    let sub = run.array.subarray();
     let mut out = format!(
         "strategy {} on {} DBCs x {} locations ({} port(s)/track): {} shifts [streamed]",
-        outcome.strategy_name, spec.dbcs, spec.capacity, spec.ports, outcome.cost
+        run.strategy.name(),
+        sub.dbcs(),
+        sub.locations_per_dbc(),
+        sub.ports_per_track(),
+        run.outcome.cost
     );
     write!(
         out,
         "\nsearch: {} evals, best found after {:.1} ms",
-        outcome.evals,
-        outcome.time_to_best_ms()
+        run.outcome.evals,
+        run.outcome.time_to_best.as_secs_f64() * 1e3
     )?;
-    let per_dbc = outcome.engine.per_dbc_costs(outcome.placement.dbc_lists());
-    for (d, list) in outcome.placement.dbc_lists().iter().enumerate() {
+    let lists = run.outcome.placement.dbc_lists();
+    let per_dbc = run.engine.per_dbc_costs(lists);
+    for (d, list) in lists.iter().enumerate() {
         // Streams carry no symbol table; variables print positionally.
         let names: Vec<String> = list.iter().map(|v| format!("v{}", v.index())).collect();
         write!(out, "\nDBC{d} ({} shifts): {}", per_dbc[d], names.join(" "))?;
@@ -143,52 +145,34 @@ pub fn place_stream(args: &CliArgs) -> CmdResult {
 }
 
 /// `rtm simulate --stream` — solve as [`place_stream`], then replay the
-/// stream through [`rtm_sim::Simulator::run_stream`].
+/// stream through [`Simulator::run_stream`].
 pub fn simulate_stream(args: &CliArgs) -> CmdResult {
-    let (spec, outcome) = stream_solve(args)?;
-    let geometry = rtm_arch::RtmGeometry::new(spec.dbcs, 32, spec.capacity, spec.ports)?;
-    let params = rtm_arch::table1::preset(spec.dbcs)
-        .unwrap_or_else(|| rtm_arch::ScalingModel::from_table1().params(spec.dbcs));
-    let sim = rtm_sim::Simulator::new(geometry, params)?;
-    let stats = sim.run_stream(&spec.workload, &outcome.placement)?;
+    let run = stream_solve(args)?;
+    let stats =
+        Simulator::for_array(&run.array).run_stream(&run.workload, &run.outcome.placement)?;
     println!(
         "strategy {} [streamed]: {stats}\nruntime {:.1} (incl. compute gaps)",
-        outcome.strategy_name,
+        run.strategy.name(),
         stats.runtime()
     );
     Ok(())
 }
 
-/// The resolved geometry of a `--stream` invocation.
-struct StreamSpec {
+/// A solved `--stream` invocation: the generated workload, the array it
+/// was placed on, the strategy, its search outcome, and the streaming
+/// engine it was costed on (for per-DBC reporting).
+struct StreamRun {
     workload: TierWorkload,
-    dbcs: usize,
-    capacity: usize,
-    ports: usize,
+    array: ArrayGeometry,
+    strategy: Strategy,
+    outcome: SearchOutcome,
+    engine: FitnessEngine<'static>,
 }
 
-/// A solved streaming placement with its telemetry (and the engine it was
-/// costed on, for per-DBC reporting).
-struct StreamOutcome<'a> {
-    strategy_name: &'static str,
-    placement: rtm_placement::Placement,
-    cost: u64,
-    evals: u64,
-    time_to_best: std::time::Duration,
-    engine: FitnessEngine<'a>,
-}
-
-impl StreamOutcome<'_> {
-    fn time_to_best_ms(&self) -> f64 {
-        self.time_to_best.as_secs_f64() * 1e3
-    }
-}
-
-/// Resolves `--profile`/`--scale`/geometry and runs the selected anytime
-/// strategy through a streaming [`FitnessEngine`].
-fn stream_solve(
-    args: &CliArgs,
-) -> Result<(StreamSpec, StreamOutcome<'static>), Box<dyn std::error::Error>> {
+/// Resolves `--profile`/`--scale`, the array and the strategy, and runs
+/// the search on a streaming [`FitnessEngine`], unseeded (the heuristic
+/// seeds need the materialized trace).
+fn stream_solve(args: &CliArgs) -> Result<StreamRun, Box<dyn std::error::Error>> {
     let workload = crate::tier_workload(args)?
         .ok_or("--stream requires --profile (a file trace is already materialized)")?;
     if args.flag("json") {
@@ -197,90 +181,29 @@ fn stream_solve(
     if args.get("subarrays").is_some() {
         return Err("--subarrays is not supported with --stream".into());
     }
-    let dbcs: usize = args.get_parsed("dbcs")?.unwrap_or(4);
-    if dbcs == 0 {
-        return Err("--dbcs must be at least 1".into());
-    }
-    let default_cap = default_capacity(dbcs, workload.var_count());
-    let capacity: usize = args.get_parsed("capacity")?.unwrap_or(default_cap);
-    let ports: usize = args.get_parsed("ports")?.unwrap_or(1);
-    if ports == 0 {
-        return Err("--ports must be at least 1".into());
-    }
-    if ports > capacity {
-        return Err(format!("--ports {ports} exceeds the track length {capacity}").into());
-    }
-    let cost = if ports == 1 {
-        CostModel::single_port()
-    } else {
-        CostModel::multi_port(ports, capacity)
-    };
-    let strategy = parse_strategy(args.get("strategy").unwrap_or("sa"), args)?;
-    let strategy_name = strategy.name();
+    let array = build_array(args, workload.var_count())?;
+    let strategy = parse_strategy(args, StrategyKind::Sa)?;
     // --threads reaches the streaming engine exactly as it reaches the
     // materialized one (build_problem): results are identical for any
     // value.
     let threads: usize = args.get_parsed("threads")?.unwrap_or(0);
-    let engine = FitnessEngine::streaming(&workload, cost).with_threads(threads);
-    let (placement, total, evals, time_to_best) = match &strategy {
-        Strategy::Sa(cfg) => {
-            let o = SimulatedAnnealing::new(*cfg).run_with_engine(&engine, dbcs, capacity, &[])?;
-            (o.placement, o.cost, o.evals, o.time_to_best)
-        }
-        Strategy::Tabu(cfg) => {
-            let o = TabuSearch::new(*cfg).run_with_engine(&engine, dbcs, capacity, &[])?;
-            (o.placement, o.cost, o.evals, o.time_to_best)
-        }
-        Strategy::Portfolio(cfg) => {
-            let o = Portfolio::new(cfg.clone()).run_with_engine(&engine, dbcs, capacity, &[])?;
-            let best = o.best();
-            (
-                best.placement.clone(),
-                best.cost,
-                o.total_evals,
-                best.time_to_best,
-            )
-        }
-        Strategy::Ga(cfg) => {
-            let o = GeneticPlacer::new(*cfg).run_with_engine(&engine, dbcs, capacity, &[])?;
-            let cost = o.best_cost;
-            (o.best, cost, o.evaluations as u64, o.time_to_best)
-        }
-        Strategy::RandomWalk(cfg) => {
-            let o = random_walk::run_budgeted(
-                &engine,
-                dbcs,
-                capacity,
-                cfg.seed,
-                rtm_placement::Budget::evals(cfg.iterations as u64),
-                None,
-            )?;
-            (o.placement, o.cost, o.evals, o.time_to_best)
-        }
-        other => {
-            return Err(format!(
-            "strategy {} needs a materialized trace; --stream supports sa, tabu, ga, rw, portfolio",
-            other.name()
-        )
-            .into())
-        }
-    };
-    Ok((
-        StreamSpec {
-            workload,
-            dbcs,
-            capacity,
-            ports,
-        },
-        StreamOutcome {
-            strategy_name,
-            placement,
-            cost: total,
-            evals,
-            time_to_best,
-            engine,
-        },
-    ))
+    let engine =
+        FitnessEngine::streaming(&workload, CostModel::for_array(&array)).with_threads(threads);
+    let (outcome, _) = search::run(
+        &strategy,
+        &engine,
+        array.total_dbcs(),
+        array.locations_per_dbc(),
+        array.subarrays(),
+        || &[],
+    )?;
+    Ok(StreamRun {
+        workload,
+        array,
+        strategy,
+        outcome,
+        engine,
+    })
 }
 
 /// The stable machine-readable schema shared by `place` and `simulate`:
@@ -836,13 +759,13 @@ mod tests {
             ("budget-evals", "300"),
             ("seed", "5"),
         ]);
-        let (_, streamed) = stream_solve(&a).unwrap();
+        let streamed = stream_solve(&a).unwrap().outcome;
         let w = TierWorkload::by_name("stress-ctl", 0.05).unwrap();
         let seq = w.generate();
         let engine = FitnessEngine::new(&seq, CostModel::single_port());
         let capacity = seq.vars().len().div_ceil(2).max(4096 * 8 / (2 * 32));
         let cfg = rtm_placement::SaConfig::new(rtm_placement::Budget::evals(300)).with_seed(5);
-        let out = SimulatedAnnealing::new(cfg)
+        let out = rtm_placement::SimulatedAnnealing::new(cfg)
             .run_with_engine(&engine, 2, capacity, &[])
             .unwrap();
         assert_eq!(streamed.cost, out.cost);

@@ -16,13 +16,11 @@
 //! suffixes; `--trace -` reads stdin. An option no command reads is an
 //! error (`error: unknown option --NAME`), never silently ignored.
 
+use rtm_arch::ArrayGeometry;
 use rtm_placement::inter::default_capacity;
-use rtm_placement::{
-    Budget, GaConfig, LaneSpec, PlacementProblem, PortfolioConfig, RandomWalkConfig, SaConfig,
-    Strategy, TabuConfig,
-};
-use rtm_sim::Simulator;
+use rtm_placement::{Budget, PlacementProblem, Strategy, StrategyKind};
 use rtm_trace::AccessSequence;
+use std::error::Error;
 use std::io::Read;
 use std::process::ExitCode;
 
@@ -94,8 +92,8 @@ OPTIONS:
                       scoring, and simulation all use the N-port model
     --subarrays N     place across N paper-faithful 4 KiB subarrays
                       (default 1); tracks are never grown in array mode
-    --strategy NAME   afd-ofu | dma-ofu | dma-chen | dma-sr | dma-multi-sr |
-                      ga | rw | sa | tabu | portfolio  (default dma-sr)
+    --strategy NAME   a strategy name from `rtm strategies` (default dma-sr;
+                      sa with --stream)
     --budget-evals N  eval budget for sa/tabu/portfolio (default 50000;
                       per lane for portfolio)
     --budget-ms N     wall-clock budget in milliseconds for sa/tabu/portfolio
@@ -120,9 +118,7 @@ SERVE OPTIONS (see README `Serving` for the line protocol):
 
 /// Resolves `--profile NAME` (with `--scale S`) to a tier workload, if
 /// given.
-fn tier_workload(
-    args: &CliArgs,
-) -> Result<Option<rtm_offsetstone::TierWorkload>, Box<dyn std::error::Error>> {
+fn tier_workload(args: &CliArgs) -> Result<Option<rtm_offsetstone::TierWorkload>, Box<dyn Error>> {
     let Some(name) = args.get("profile") else {
         return Ok(None);
     };
@@ -140,7 +136,7 @@ fn tier_workload(
 
 /// Reads the trace named by `--trace` (stdin for `-`), or generates the
 /// tier workload named by `--profile`.
-fn read_trace(args: &CliArgs) -> Result<AccessSequence, Box<dyn std::error::Error>> {
+fn read_trace(args: &CliArgs) -> Result<AccessSequence, Box<dyn Error>> {
     if let Some(w) = tier_workload(args)? {
         return Ok(w.generate());
     }
@@ -159,80 +155,22 @@ fn read_trace(args: &CliArgs) -> Result<AccessSequence, Box<dyn std::error::Erro
     Ok(AccessSequence::parse(&text)?)
 }
 
-/// Resolves a strategy name, reading the search options (`--budget-evals`,
-/// `--budget-ms`, `--budget-stall`, `--lanes`, `--seed`) for the anytime
-/// strategies.
-fn parse_strategy(name: &str, args: &CliArgs) -> Result<Strategy, String> {
-    Ok(match name {
-        "afd" => Strategy::AfdNative,
-        "afd-ofu" => Strategy::AfdOfu,
-        "dma" => Strategy::DmaNative,
-        "dma-ofu" => Strategy::DmaOfu,
-        "dma-chen" => Strategy::DmaChen,
-        "dma-sr" => Strategy::DmaSr,
-        "dma-multi-sr" => Strategy::DmaMultiSr,
-        "ga" => Strategy::Ga(GaConfig::paper()),
-        "rw" => Strategy::RandomWalk(RandomWalkConfig::paper()),
-        "sa" => {
-            let mut cfg = SaConfig::new(parse_budget(args)?);
-            if let Some(seed) = args.get_parsed("seed")? {
-                cfg = cfg.with_seed(seed);
-            }
-            Strategy::Sa(cfg)
-        }
-        "tabu" => {
-            let mut cfg = TabuConfig::new(parse_budget(args)?);
-            if let Some(seed) = args.get_parsed("seed")? {
-                cfg = cfg.with_seed(seed);
-            }
-            Strategy::Tabu(cfg)
-        }
-        "portfolio" => {
-            let mut cfg = PortfolioConfig::new(parse_budget(args)?);
-            if let Some(seed) = args.get_parsed("seed")? {
-                cfg = cfg.with_seed(seed);
-            }
-            if let Some(lanes) = args.get("lanes") {
-                cfg.lanes = parse_lanes(lanes)?;
-            }
-            Strategy::Portfolio(cfg)
-        }
-        other => return Err(format!("unknown strategy `{other}` (see `rtm strategies`)")),
-    })
-}
-
-/// Builds the [`Budget`] implied by `--budget-evals` / `--budget-ms` /
-/// `--budget-stall` (default: 50 000 evaluations).
-fn parse_budget(args: &CliArgs) -> Result<Budget, String> {
-    let evals: Option<u64> = args.get_parsed("budget-evals")?;
-    let ms: Option<u64> = args.get_parsed("budget-ms")?;
-    let stall: Option<u64> = args.get_parsed("budget-stall")?;
-    let mut budget = match (evals, ms) {
-        (Some(n), _) => Budget::evals(n),
-        (None, Some(m)) => Budget::wall_clock_ms(m),
-        (None, None) => Budget::evals(50_000),
-    };
-    if let (Some(_), Some(m)) = (evals, ms) {
-        budget = budget.and_wall_clock_ms(m);
-    }
-    if let Some(s) = stall {
-        budget = budget.and_stall(s);
-    }
-    Ok(budget)
-}
-
-/// Parses the `--lanes` list (`sa,tabu,ga,rw`).
-fn parse_lanes(list: &str) -> Result<Vec<LaneSpec>, String> {
-    let lanes: Vec<LaneSpec> = list
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| LaneSpec::parse(s).ok_or_else(|| format!("unknown lane `{s}` (sa|tabu|ga|rw)")))
-        .collect::<Result<_, _>>()?;
-    if lanes.is_empty() {
-        return Err("--lanes needs at least one of sa,tabu,ga,rw".into());
-    }
-    Ok(lanes)
+/// Resolves `--strategy` (`default` when absent) through the library's
+/// registry, with the search options `--budget-evals`, `--budget-ms`,
+/// `--budget-stall`, `--seed` and `--lanes`.
+fn parse_strategy(args: &CliArgs, default: StrategyKind) -> Result<Strategy, Box<dyn Error>> {
+    let budget = Budget::from_limits(
+        args.get_parsed("budget-evals")?,
+        args.get_parsed("budget-ms")?,
+        args.get_parsed("budget-stall")?,
+    );
+    let name = args.get("strategy").unwrap_or(default.cli_name());
+    Ok(Strategy::from_cli(
+        name,
+        budget,
+        args.get_parsed("seed")?,
+        args.get("lanes"),
+    )?)
 }
 
 /// The resolved problem of a `place`/`simulate` invocation: the placement
@@ -240,7 +178,7 @@ fn parse_lanes(list: &str) -> Result<Vec<LaneSpec>, String> {
 /// from (so the two can never drift apart).
 pub(crate) struct ProblemSpec {
     pub(crate) problem: PlacementProblem,
-    pub(crate) array: rtm_arch::ArrayGeometry,
+    pub(crate) array: ArrayGeometry,
 }
 
 impl ProblemSpec {
@@ -263,16 +201,14 @@ impl ProblemSpec {
     }
 }
 
-/// Builds the placement problem implied by the options.
+/// Resolves `--dbcs`, `--subarrays`, `--capacity` and `--ports` to the
+/// array a trace of `vars` variables is placed on.
 ///
-/// Without `--subarrays` this is the historical flat problem (default
+/// Without `--subarrays` this is the historical flat array (default
 /// capacity grows to fit the trace). With `--subarrays N` the capacity
 /// defaults to the paper-faithful 4 KiB subarray track length — tracks are
 /// never grown; workloads must fit the `N`-subarray array.
-fn build_problem(
-    args: &CliArgs,
-    seq: &AccessSequence,
-) -> Result<ProblemSpec, Box<dyn std::error::Error>> {
+fn build_array(args: &CliArgs, vars: usize) -> Result<ArrayGeometry, Box<dyn Error>> {
     let dbcs: usize = args.get_parsed("dbcs")?.unwrap_or(4);
     if dbcs == 0 {
         return Err("--dbcs must be at least 1".into());
@@ -283,9 +219,13 @@ fn build_problem(
     }
     // A multi-subarray array keeps the paper's tracks; a flat one grows
     // them to fit the trace.
-    let fit_vars = if subarrays > 1 { 0 } else { seq.vars().len() };
-    let default_cap = default_capacity(dbcs, fit_vars);
-    let capacity: usize = args.get_parsed("capacity")?.unwrap_or(default_cap);
+    let fit_vars = if subarrays > 1 { 0 } else { vars };
+    let capacity: usize = args
+        .get_parsed("capacity")?
+        .unwrap_or_else(|| default_capacity(dbcs, fit_vars));
+    if capacity == 0 {
+        return Err("--capacity must be at least 1".into());
+    }
     let ports: usize = args.get_parsed("ports")?.unwrap_or(1);
     if ports == 0 {
         return Err("--ports must be at least 1".into());
@@ -293,15 +233,14 @@ fn build_problem(
     if ports > capacity {
         return Err(format!("--ports {ports} exceeds the track length {capacity}").into());
     }
-    let threads: usize = args.get_parsed("threads")?.unwrap_or(0);
     let subarray = rtm_arch::RtmGeometry::new(dbcs, 32, capacity, ports)?;
-    let array = rtm_arch::ArrayGeometry::new(subarrays, subarray)?;
-    let problem = PlacementProblem::for_array(seq.clone(), &array).with_threads(threads);
-    Ok(ProblemSpec { problem, array })
+    Ok(ArrayGeometry::new(subarrays, subarray)?)
 }
 
-/// Builds a simulator matching the problem geometry (per-operation
-/// constants from Table I for the per-subarray DBC count).
-fn build_simulator(spec: &ProblemSpec) -> Simulator {
-    Simulator::for_array(&spec.array)
+/// Builds the placement problem implied by the options.
+fn build_problem(args: &CliArgs, seq: &AccessSequence) -> Result<ProblemSpec, Box<dyn Error>> {
+    let array = build_array(args, seq.vars().len())?;
+    let threads: usize = args.get_parsed("threads")?.unwrap_or(0);
+    let problem = PlacementProblem::for_array(seq.clone(), &array).with_threads(threads);
+    Ok(ProblemSpec { problem, array })
 }

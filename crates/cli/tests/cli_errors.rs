@@ -98,6 +98,17 @@ fn bad_flag_values_are_structured_errors() {
         let out = rtm(&["place", "--trace", trace.to_str().unwrap(), "--dbcs", dbcs]);
         assert_structured_failure(&out, "exceed the maximum");
     }
+    // A zero capacity is reported as such, not blamed on the ports, on
+    // the materialized and the streamed path alike.
+    let path = trace.to_str().unwrap();
+    for source in [
+        &["--trace", path][..],
+        &["--profile", "expected-dsp", "--stream"],
+    ] {
+        let mut args = vec!["place", "--dbcs", "2", "--capacity", "0"];
+        args.extend_from_slice(source);
+        assert_structured_failure(&rtm(&args), "capacity");
+    }
     // A retired option and a typo are rejected, not silently ignored.
     for option in ["--shards", "--budget-eval"] {
         let out = rtm(&["place", "--trace", trace.to_str().unwrap(), option, "8"]);

@@ -74,7 +74,7 @@ fn single_shot_payload(trace: &str, extra: &[&str]) -> String {
 fn daemon_matches_single_shot_cli_under_concurrency() {
     let (mut child, addr) = start_daemon();
     // (trace, serve options, equivalent CLI options)
-    let queries: [(&str, &str, &[&str]); 3] = [
+    let queries: [(&str, &str, &[&str]); 4] = [
         (
             "a b a b c a c a d d a d",
             "strategy=dma-sr dbcs=2",
@@ -106,6 +106,24 @@ fn daemon_matches_single_shot_cli_under_concurrency() {
                 "250",
                 "--dbcs",
                 "4",
+            ],
+        ),
+        (
+            "p q r p q r s s p s q p",
+            "strategy=portfolio lanes=sa,rw seed=7 budget-evals=200 budget-stall=80 dbcs=2",
+            &[
+                "--strategy",
+                "portfolio",
+                "--lanes",
+                "sa,rw",
+                "--seed",
+                "7",
+                "--budget-evals",
+                "200",
+                "--budget-stall",
+                "80",
+                "--dbcs",
+                "2",
             ],
         ),
     ];

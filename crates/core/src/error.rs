@@ -37,6 +37,11 @@ pub enum PlacementError {
     EmptyGeometry,
     /// A search portfolio was configured with no lanes.
     EmptyPortfolio,
+    /// No registered strategy has this CLI name
+    /// ([`StrategyKind::cli_name`](crate::StrategyKind::cli_name)).
+    UnknownStrategy(String),
+    /// No portfolio lane has this name ([`LaneSpec::name`](crate::LaneSpec::name)).
+    UnknownLane(String),
     /// The trace text could not be parsed (position-carrying).
     Parse(ParseTraceError),
     /// The memory geometry is invalid (stringified
@@ -93,6 +98,17 @@ impl fmt::Display for PlacementError {
             }
             PlacementError::EmptyPortfolio => {
                 write!(f, "search portfolio needs at least one lane")
+            }
+            PlacementError::UnknownStrategy(name) => {
+                let names: Vec<&str> = crate::StrategyKind::ALL
+                    .iter()
+                    .map(|k| k.cli_name())
+                    .collect();
+                write!(f, "unknown strategy `{name}` (one of {})", names.join(", "))
+            }
+            PlacementError::UnknownLane(name) => {
+                let names: Vec<&str> = crate::LaneSpec::ALL.iter().map(|l| l.name()).collect();
+                write!(f, "unknown lane `{name}` (one of {})", names.join(", "))
             }
             PlacementError::Parse(e) => write!(f, "trace parse error: {e}"),
             PlacementError::Geometry(msg) => write!(f, "invalid geometry: {msg}"),

@@ -1336,8 +1336,8 @@ impl<'a> FitnessEngine<'a> {
     /// exactly once and writes only its own slot, and each per-DBC cost is
     /// a pure function of the list's content, so the result is independent
     /// of worker count and claim order — identical to a sequential
-    /// pass. Each worker costs through a private memo overlay (see
-    /// [`BatchCtx`]), so the per-DBC hot loop takes zero contended locks;
+    /// pass. Each worker costs through a private memo overlay (a
+    /// `BatchCtx`), so the per-DBC hot loop takes zero contended locks;
     /// overlays merge into the shared memo when the batch ends.
     pub fn evaluate_batch(&self, jobs: &mut [EvalJob]) {
         self.evaluations

@@ -101,7 +101,7 @@ pub fn solve(
 /// The flat enumeration over `S·q` uniform global DBCs ranges over exactly
 /// those splits (a global DBC `d` belongs to subarray `d / q`), so solving
 /// the flat instance *is* the hierarchical decomposition — and the per-DBC
-/// [`PruneBound`] sums per-DBC (hence per-subarray) lower bounds, making
+/// `PruneBound` sums per-DBC (hence per-subarray) lower bounds, making
 /// the pruning sound for the hierarchical form as-is. The decomposition
 /// equality is pinned by `subarray_decomposition_equals_flat_optimum`.
 ///

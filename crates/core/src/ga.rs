@@ -21,7 +21,7 @@ use crate::error::PlacementError;
 use crate::eval::{DirtyMask, EvalJob, FitnessEngine};
 use crate::inter::{check_fit, Dma, InterHeuristic};
 use crate::placement::Placement;
-use crate::search::{Budget, RaceControl, StopCause};
+use crate::search::{Budget, RaceControl, SearchOutcome, StopCause};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -129,6 +129,22 @@ pub struct GaOutcome {
     /// Why the run stopped (fixed-generation runs report
     /// [`StopCause::Finished`]).
     pub stop: StopCause,
+}
+
+/// A GA run as the anytime solvers report theirs (the `history` is
+/// dropped): how a portfolio GA lane and a standalone GA solve report.
+impl From<GaOutcome> for SearchOutcome {
+    fn from(out: GaOutcome) -> Self {
+        Self {
+            placement: out.best,
+            cost: out.best_cost,
+            evals: out.evaluations as u64,
+            evals_at_best: out.evals_at_best as u64,
+            time_to_best: out.time_to_best,
+            elapsed: out.elapsed,
+            stop: out.stop,
+        }
+    }
 }
 
 /// One individual: per-DBC ordered variable lists plus cached per-DBC and

@@ -47,7 +47,7 @@
 //! (`DESIGN.md` §9).
 //!
 //! [`WorkerPool::run_with_cancel`] additionally polls a
-//! [`CancelToken`](crate::CancelToken) before claiming each item: on
+//! [`CancelToken`] before claiming each item: on
 //! cancellation — an explicit `cancel()` or the token's deadline passing —
 //! the workers stop claiming, finish only their in-flight items, and
 //! return, leaving the unclaimed slots untouched. This is how a portfolio

@@ -25,6 +25,10 @@ use std::time::{Duration, Instant};
 /// the paper's random-walk budget of 60 000 evaluations.
 const DEFAULT_HORIZON_EVALS: u64 = 60_000;
 
+/// Evaluation bound of [`Budget::from_limits`] when neither an evaluation
+/// nor a wall-clock limit is given.
+const DEFAULT_LIMIT_EVALS: u64 = 50_000;
+
 /// A search budget: evaluations, wall-clock time, stall, or any
 /// combination. Exhaustion of **any** configured axis stops the search.
 ///
@@ -73,6 +77,18 @@ impl Budget {
     /// [`wall_clock`](Self::wall_clock) in milliseconds.
     pub fn wall_clock_ms(ms: u64) -> Self {
         Self::wall_clock(Duration::from_millis(ms))
+    }
+
+    /// The budget of the optional evaluation, millisecond and stall limits
+    /// that `rtm place --budget-evals/--budget-ms/--budget-stall` and the
+    /// daemon's `budget-*` keys carry: every given limit applies, and with
+    /// neither `evals` nor `ms` the search gets 50 000 evaluations.
+    pub fn from_limits(evals: Option<u64>, ms: Option<u64>, stall: Option<u64>) -> Self {
+        Self {
+            max_evals: evals.or(ms.is_none().then_some(DEFAULT_LIMIT_EVALS)),
+            deadline: ms.map(Duration::from_millis),
+            stall_evals: stall,
+        }
     }
 
     /// A stall budget: stop after `n` evaluations without an improvement
@@ -372,6 +388,21 @@ mod tests {
         m.charge(1);
         assert!(m.exhausted());
         assert_eq!(m.remaining_evals(), 0);
+    }
+
+    #[test]
+    fn limits_default_to_fifty_thousand_evals_and_combine() {
+        let ms = Some(Duration::from_millis(20));
+        for (evals, limit_ms, stall, want) in [
+            (None, None, None, (Some(50_000), None, None)),
+            (None, None, Some(9), (Some(50_000), None, Some(9))),
+            (Some(7), None, None, (Some(7), None, None)),
+            (None, Some(20), None, (None, ms, None)),
+            (Some(7), Some(20), Some(9), (Some(7), ms, Some(9))),
+        ] {
+            let b = Budget::from_limits(evals, limit_ms, stall);
+            assert_eq!((b.max_evals(), b.deadline(), b.stall_evals()), want);
+        }
     }
 
     #[test]

@@ -46,9 +46,12 @@ pub use sa::{SaConfig, SimulatedAnnealing};
 pub use tabu::{TabuConfig, TabuSearch};
 
 use crate::cancel::CancelToken;
+use crate::error::PlacementError;
 use crate::eval::{EvalScratch, FitnessEngine};
-use crate::ga::random_assignment;
+use crate::ga::{random_assignment, GeneticPlacer};
 use crate::placement::Placement;
+use crate::random_walk;
+use crate::strategy::Strategy;
 use rand::Rng;
 use rtm_trace::VarId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,6 +77,79 @@ pub struct SearchOutcome {
     pub elapsed: Duration,
     /// Why the run stopped.
     pub stop: StopCause,
+}
+
+/// Runs the search `strategy` (GA, random walk, SA, tabu or the portfolio)
+/// on `engine` over `dbcs` DBCs of `capacity` locations in `subarrays`
+/// subarrays: the one place a [`Strategy`] becomes a running solver, for a
+/// [`Session`](crate::Session) and a streamed CLI solve alike. `seeds`
+/// yields the start placements and is called only by the strategies that
+/// start from them (not the random walk).
+///
+/// Returns the outcome and the per-lane reports (empty unless the
+/// strategy is the portfolio). A portfolio reports its winning lane's
+/// outcome with `evals` summed over its lanes and `elapsed` timing the
+/// whole race.
+///
+/// # Errors
+///
+/// [`PlacementError::SearchConfig`] for a deterministic heuristic, which
+/// runs on the materialized trace instead of an engine; otherwise the
+/// solver's own errors.
+pub fn run<'s>(
+    strategy: &Strategy,
+    engine: &FitnessEngine<'_>,
+    dbcs: usize,
+    capacity: usize,
+    subarrays: usize,
+    seeds: impl FnOnce() -> &'s [Placement],
+) -> Result<(SearchOutcome, Vec<LaneReport>), PlacementError> {
+    let outcome = match strategy {
+        Strategy::Ga(cfg) => GeneticPlacer::new(*cfg)
+            .with_subarrays(subarrays)
+            .run_with_engine(engine, dbcs, capacity, seeds())?
+            .into(),
+        // The walk's batch path never reads the engine caches, so a warm
+        // engine walks exactly as a fresh one.
+        Strategy::RandomWalk(cfg) => random_walk::run_budgeted(
+            engine,
+            dbcs,
+            capacity,
+            cfg.seed,
+            Budget::evals(cfg.iterations as u64),
+            None,
+        )?,
+        Strategy::Sa(cfg) => SimulatedAnnealing::new(*cfg)
+            .with_subarrays(subarrays)
+            .run_with_engine(engine, dbcs, capacity, seeds())?,
+        Strategy::Tabu(cfg) => TabuSearch::new(*cfg)
+            .with_subarrays(subarrays)
+            .run_with_engine(engine, dbcs, capacity, seeds())?,
+        Strategy::Portfolio(cfg) => {
+            let race = Portfolio::new(cfg.clone())
+                .with_subarrays(subarrays)
+                .run_with_engine(engine, dbcs, capacity, seeds())?;
+            let lanes = race.lane_reports();
+            let outcome = SearchOutcome {
+                evals: race.total_evals,
+                elapsed: race.elapsed,
+                ..race.best
+            };
+            return Ok((outcome, lanes));
+        }
+        Strategy::AfdNative
+        | Strategy::AfdOfu
+        | Strategy::DmaNative
+        | Strategy::DmaOfu
+        | Strategy::DmaChen
+        | Strategy::DmaSr
+        | Strategy::DmaMultiSr => {
+            return Err(PlacementError::SearchConfig(format!(
+                "{strategy} is a heuristic and needs the materialized trace"
+            )))
+        }
+    };
+    Ok((outcome, Vec::new()))
 }
 
 /// One improvement event of a [`Portfolio`] race — the raw material of the
@@ -164,9 +240,9 @@ impl RaceControl {
         self.cancel.is_cancelled()
     }
 
-    /// The race's cancellation token — what [`request_stop`]
-    /// (Self::request_stop) cancels, what the race deadline expires, and
-    /// what lane meters and pool jobs poll.
+    /// The race's cancellation token — what
+    /// [`request_stop`](Self::request_stop) cancels, what the race deadline
+    /// expires, and what lane meters and pool jobs poll.
     pub fn cancel_token(&self) -> &CancelToken {
         &self.cancel
     }

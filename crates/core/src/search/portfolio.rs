@@ -6,8 +6,8 @@
 //! the pool, racing against the **same per-lane budget** with a
 //! deterministic per-lane seed derived from the portfolio seed
 //! ([`PortfolioConfig::lane_seed`]). Lanes publish improvements to the
-//! shared [`RaceControl`](super::RaceControl) incumbent — never reading it
-//! back — and the winner is selected from the finished lane outcomes by
+//! shared [`RaceControl`] incumbent — never reading it back — and the
+//! winner is selected from the finished lane outcomes by
 //! `(cost, lane index)`. Under a deterministic budget the whole race is
 //! therefore **bit-identical** for any thread count; under a wall-clock
 //! budget the incumbent makes the race *anytime* (see the determinism
@@ -60,6 +60,14 @@ pub enum LaneSpec {
 }
 
 impl LaneSpec {
+    /// Every lane kind, in the default race order.
+    pub const ALL: [LaneSpec; 4] = [
+        LaneSpec::Sa,
+        LaneSpec::Tabu,
+        LaneSpec::Ga,
+        LaneSpec::RandomWalk,
+    ];
+
     /// Stable lane name used in tables, traces and the CLI `--lanes`
     /// option.
     pub fn name(self) -> &'static str {
@@ -73,13 +81,27 @@ impl LaneSpec {
 
     /// Parses a lane name (`sa` | `tabu` | `ga` | `rw`).
     pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "sa" => Some(LaneSpec::Sa),
-            "tabu" => Some(LaneSpec::Tabu),
-            "ga" => Some(LaneSpec::Ga),
-            "rw" => Some(LaneSpec::RandomWalk),
-            _ => None,
+        Self::ALL.into_iter().find(|lane| lane.name() == name)
+    }
+
+    /// Parses a comma-separated lane list such as `sa,tabu` (blank entries
+    /// skipped): the CLI's `--lanes` option and the daemon's `lanes=` key.
+    ///
+    /// # Errors
+    ///
+    /// [`PlacementError::UnknownLane`] for a name no lane has, and
+    /// [`PlacementError::EmptyPortfolio`] for a list that names no lane.
+    pub fn parse_list(list: &str) -> Result<Vec<Self>, PlacementError> {
+        let lanes: Vec<Self> = list
+            .split(',')
+            .map(str::trim)
+            .filter(|s| !s.is_empty())
+            .map(|s| Self::parse(s).ok_or_else(|| PlacementError::UnknownLane(s.to_string())))
+            .collect::<Result<_, _>>()?;
+        if lanes.is_empty() {
+            return Err(PlacementError::EmptyPortfolio);
         }
+        Ok(lanes)
     }
 }
 
@@ -112,12 +134,7 @@ impl PortfolioConfig {
     /// given per-lane budget, seed `0xF0_2020`, 250 ms grace.
     pub fn new(budget: Budget) -> Self {
         Self {
-            lanes: vec![
-                LaneSpec::Sa,
-                LaneSpec::Tabu,
-                LaneSpec::Ga,
-                LaneSpec::RandomWalk,
-            ],
+            lanes: LaneSpec::ALL.to_vec(),
             budget,
             seed: 0xF0_2020,
             grace: Duration::from_millis(250),
@@ -506,21 +523,10 @@ impl Portfolio {
             LaneSpec::Tabu => TabuSearch::new(TabuConfig::new(budget).with_seed(seed))
                 .with_subarrays(self.subarrays)
                 .run_in_race(engine, dbcs, capacity, seeds, race),
-            LaneSpec::Ga => {
-                let cfg = GaConfig::paper().with_seed(seed);
-                let out = GeneticPlacer::new(cfg)
-                    .with_subarrays(self.subarrays)
-                    .run_budgeted(engine, dbcs, capacity, seeds, budget, race)?;
-                Ok(SearchOutcome {
-                    placement: out.best,
-                    cost: out.best_cost,
-                    evals: out.evaluations as u64,
-                    evals_at_best: out.evals_at_best as u64,
-                    time_to_best: out.time_to_best,
-                    elapsed: out.elapsed,
-                    stop: out.stop,
-                })
-            }
+            LaneSpec::Ga => GeneticPlacer::new(GaConfig::paper().with_seed(seed))
+                .with_subarrays(self.subarrays)
+                .run_budgeted(engine, dbcs, capacity, seeds, budget, race)
+                .map(SearchOutcome::from),
             LaneSpec::RandomWalk => {
                 random_walk::run_budgeted(engine, dbcs, capacity, seed, budget, race)
             }
@@ -574,6 +580,18 @@ mod tests {
             assert_eq!(spec.to_string(), spec.name());
         }
         assert_eq!(LaneSpec::parse("bogus"), None);
+        assert_eq!(
+            LaneSpec::parse_list(" sa, rw ,"),
+            Ok(vec![LaneSpec::Sa, LaneSpec::RandomWalk])
+        );
+        assert_eq!(
+            LaneSpec::parse_list("sa,bogus"),
+            Err(PlacementError::UnknownLane("bogus".into()))
+        );
+        assert_eq!(
+            LaneSpec::parse_list(","),
+            Err(PlacementError::EmptyPortfolio)
+        );
     }
 
     #[test]

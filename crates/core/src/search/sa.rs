@@ -32,7 +32,7 @@
 //!   vary across platforms;
 //! * the Metropolis acceptance probability `exp(−Δ/T)` is computed by a
 //!   local polynomial approximation built only from IEEE-exact arithmetic
-//!   ([`exp_neg`]), not the platform `exp`.
+//!   (`exp_neg`), not the platform `exp`.
 
 use super::{
     choose_start, meter_for, race_publish, race_stopped, Budget, Move, Neighborhood, Race,

@@ -2,14 +2,14 @@
 //! [`FitnessEngine`].
 //!
 //! Each iteration samples a fixed number of candidate moves from the
-//! [neighborhood](super::Neighborhood) shared with simulated annealing,
-//! costs each incrementally (apply → re-cost the one or two touched DBCs →
-//! undo), and commits the best *admissible* candidate: not on the tabu
-//! list, or better than the global best (aspiration). Committing a move
-//! marks its **reversal** tabu for `tenure` iterations — relocations may
-//! not send the variable back to its source DBC, transpositions may not
-//! re-swap the same pair — which drives the walk out of local minima that
-//! plain hill climbing would orbit.
+//! neighborhood shared with simulated annealing, costs each incrementally
+//! (apply → re-cost the one or two touched DBCs → undo), and commits the
+//! best *admissible* candidate: not on the tabu list, or better than the
+//! global best (aspiration). Committing a move marks its **reversal** tabu
+//! for `tenure` iterations — relocations may not send the variable back to
+//! its source DBC, transpositions may not re-swap the same pair — which
+//! drives the walk out of local minima that plain hill climbing would
+//! orbit.
 //!
 //! Unlike annealing, tabu search accepts the best sampled candidate even
 //! when it worsens the cost (that is the escape mechanism), so the

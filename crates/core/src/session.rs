@@ -1,61 +1,52 @@
 //! Reusable engine sessions: solve many queries against one warm
-//! [`FitnessEngine`].
-//!
-//! Before this module, `PlacementProblem::solve` constructed a fresh
-//! [`FitnessEngine`] on **every call** — the `O(|S|)` position-index build,
-//! the per-DBC cost memo and the membership-keyed subsequence
-//! summaries were all thrown away between queries, even when the next query
-//! asked about the exact same trace. A single offline experiment never
-//! noticed; a server answering repeat queries paid the whole warm-up again
-//! and again.
-//!
-//! A [`Session`] owns the trace (shared via [`Arc`]), builds the engine
-//! **once** (lazily — pure-heuristic solves never pay for it), and keeps it
-//! warm across any number of [`solve`](Session::solve) calls. The
-//! heuristic-seed placements every search strategy starts from are likewise
-//! computed once and cached. `PlacementProblem::solve` itself now routes
-//! through a transient one-shot `Session`, so there is exactly one solve
-//! path in the crate — the warm path *is* the cold path, just with caches
-//! already populated.
-//!
-//! # Warm ≡ cold bit-identity
-//!
-//! A warm solve returns **bit-identical** results to a cold solve of the
-//! same query: every cached per-DBC cost is a pure function of the list's
-//! content (`DESIGN.md` §7), the cached heuristic seeds are deterministic
-//! functions of the trace, and no search trajectory ever reads engine
-//! telemetry. What changes is only *work*: the second solve of an identical
-//! query performs strictly fewer `dbc_recomputations` (pinned by a
-//! regression test). [`Solution::engine_stats`] reports **per-solve**
-//! deltas ([`EngineStats::since`]), so callers still see each query's own
-//! cache behavior even though the underlying counters accumulate.
-//!
-//! # Sharing and concurrency
-//!
-//! `Session` is `Send + Sync`: each engine cache is one mutex and
-//! its counters are atomics, so concurrent `solve` calls on one shared
-//! session are safe — and, because caches can change only *when* a value is
-//! computed, never *what*, each concurrent solve is bit-identical to the
-//! same solve run alone. A server front end caches `Arc<Session>` per
-//! (trace fingerprint, geometry) and lets requests race freely; with
-//! [`with_worker_pool`](Session::with_worker_pool) every session draws
-//! threads from one global [`WorkerPool`] so concurrent requests cannot
-//! oversubscribe the host.
+//! [`FitnessEngine`]; see [`Session`].
 
 use crate::error::PlacementError;
 use crate::eval::{EngineStats, FitnessEngine};
-use crate::ga::GeneticPlacer;
 use crate::placement::Placement;
 use crate::pool::WorkerPool;
-use crate::random_walk;
-use crate::search::{Portfolio, SimulatedAnnealing, StopCause, TabuSearch};
+use crate::search::{self, StopCause};
 use crate::strategy::{PlacementProblem, Solution, Strategy};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// A reusable solve handle: one problem, one lazily built warm engine, any
-/// number of queries. See the [module docs](self) for the contract.
+/// number of queries.
+///
+/// A session owns the trace (shared via [`Arc`]), builds the engine
+/// **once** (lazily — pure-heuristic solves never pay for it), and keeps it
+/// warm across any number of [`solve`](Session::solve) calls. The
+/// heuristic-seed placements the seeded searches start from are likewise
+/// computed once and cached. A search strategy runs through
+/// [`search::run`](crate::search::run), the dispatch a streamed CLI solve
+/// uses too, and `PlacementProblem::solve` routes through a transient
+/// one-shot session, so there is exactly one solve path in the crate — the
+/// warm path *is* the cold path, just with caches already populated.
+///
+/// # Warm ≡ cold bit-identity
+///
+/// A warm solve returns **bit-identical** results to a cold solve of the
+/// same query: every cached per-DBC cost is a pure function of the list's
+/// content (`DESIGN.md` §7), the cached heuristic seeds are deterministic
+/// functions of the trace, and no search trajectory ever reads engine
+/// telemetry. What changes is only *work*: the second solve of an identical
+/// query performs strictly fewer `dbc_recomputations` (pinned by a
+/// regression test). [`Solution::engine_stats`] reports **per-solve**
+/// deltas ([`EngineStats::since`]), so callers still see each query's own
+/// cache behavior even though the underlying counters accumulate.
+///
+/// # Sharing and concurrency
+///
+/// `Session` is `Send + Sync`: each engine cache is one mutex and
+/// its counters are atomics, so concurrent `solve` calls on one shared
+/// session are safe — and, because caches can change only *when* a value is
+/// computed, never *what*, each concurrent solve is bit-identical to the
+/// same solve run alone. A server front end caches `Arc<Session>` per
+/// (trace fingerprint, geometry) and lets requests race freely; with
+/// [`with_worker_pool`](Session::with_worker_pool) every session draws
+/// threads from one global [`WorkerPool`] so concurrent requests cannot
+/// oversubscribe the host.
 #[derive(Debug)]
 pub struct Session {
     problem: PlacementProblem,
@@ -147,128 +138,63 @@ impl Session {
     ///
     /// Bit-identical to a cold `PlacementProblem::solve` of the same
     /// query; repeat queries do strictly less evaluation work (see the
-    /// [module docs](self)).
+    /// [type docs](Session)).
     ///
     /// # Errors
     ///
     /// Returns [`PlacementError`] when the variables cannot fit the
     /// geometry (`vars > q × N`).
     pub fn solve(&self, strategy: &Strategy) -> Result<Solution, PlacementError> {
-        let mut evals_consumed = 0u64;
-        let mut time_to_best = Duration::ZERO;
-        let mut elapsed = Duration::ZERO;
-        let mut stop = StopCause::Finished;
-        let mut lanes = Vec::new();
-        let mut engine_stats = EngineStats::default();
         let problem = &self.problem;
-        let placement = match strategy {
+        let solution = match problem.solve_heuristic(strategy)? {
             // The deterministic heuristics never evaluate fitness: they run
             // straight off the trace and must not force an engine build.
-            Strategy::AfdNative
-            | Strategy::AfdOfu
-            | Strategy::DmaNative
-            | Strategy::DmaOfu
-            | Strategy::DmaChen
-            | Strategy::DmaSr
-            | Strategy::DmaMultiSr => problem.solve_heuristic(strategy)?,
-            Strategy::Ga(cfg) => {
-                let seeds = self.heuristic_seeds();
+            Some(placement) => self.costed(placement),
+            None => {
                 let engine = self.engine();
                 let before = engine.stats();
-                let out = GeneticPlacer::new(*cfg)
-                    .with_subarrays(problem.subarrays())
-                    .run_with_engine(engine, problem.dbcs(), problem.capacity(), seeds)?;
-                evals_consumed = out.evaluations as u64;
-                time_to_best = out.time_to_best;
-                elapsed = out.elapsed;
-                stop = out.stop;
-                engine_stats = engine.stats().since(&before);
-                out.best
-            }
-            Strategy::RandomWalk(cfg) => {
-                // The random walk's batch path never consults the caches,
-                // so running it on the shared warm engine (memo enabled)
-                // is bit-identical to the historical memo-less engine.
-                let engine = self.engine();
-                let before = engine.stats();
-                let out = random_walk::run_budgeted(
+                let (search, lanes) = search::run(
+                    strategy,
                     engine,
                     problem.dbcs(),
                     problem.capacity(),
-                    cfg.seed,
-                    crate::search::Budget::evals(cfg.iterations as u64),
-                    None,
+                    problem.subarrays(),
+                    || self.heuristic_seeds(),
                 )?;
-                evals_consumed = out.evals;
-                time_to_best = out.time_to_best;
-                elapsed = out.elapsed;
-                stop = out.stop;
-                engine_stats = engine.stats().since(&before);
-                out.placement
-            }
-            Strategy::Sa(cfg) => {
-                let seeds = self.heuristic_seeds();
-                let engine = self.engine();
-                let before = engine.stats();
-                let out = SimulatedAnnealing::new(*cfg)
-                    .with_subarrays(problem.subarrays())
-                    .run_with_engine(engine, problem.dbcs(), problem.capacity(), seeds)?;
-                evals_consumed = out.evals;
-                time_to_best = out.time_to_best;
-                elapsed = out.elapsed;
-                stop = out.stop;
-                engine_stats = engine.stats().since(&before);
-                out.placement
-            }
-            Strategy::Tabu(cfg) => {
-                let seeds = self.heuristic_seeds();
-                let engine = self.engine();
-                let before = engine.stats();
-                let out = TabuSearch::new(*cfg)
-                    .with_subarrays(problem.subarrays())
-                    .run_with_engine(engine, problem.dbcs(), problem.capacity(), seeds)?;
-                evals_consumed = out.evals;
-                time_to_best = out.time_to_best;
-                elapsed = out.elapsed;
-                stop = out.stop;
-                engine_stats = engine.stats().since(&before);
-                out.placement
-            }
-            Strategy::Portfolio(cfg) => {
-                let seeds = self.heuristic_seeds();
-                let engine = self.engine();
-                let before = engine.stats();
-                let out = Portfolio::new(cfg.clone())
-                    .with_subarrays(problem.subarrays())
-                    .run_with_engine(engine, problem.dbcs(), problem.capacity(), seeds)?;
-                evals_consumed = out.total_evals;
-                time_to_best = out.best().time_to_best;
-                elapsed = out.elapsed;
-                stop = out.best().stop;
-                lanes = out.lane_reports();
-                engine_stats = engine.stats().since(&before);
-                out.best().placement.clone()
+                Solution {
+                    evals_consumed: search.evals,
+                    time_to_best: search.time_to_best,
+                    elapsed: search.elapsed,
+                    stop: search.stop,
+                    lanes,
+                    engine_stats: engine.stats().since(&before),
+                    ..self.costed(search.placement)
+                }
             }
         };
-        // One-shot final costing: the direct cost-model pass costs the same
-        // as one engine evaluation without forcing an engine build on the
-        // heuristic-only path.
-        let per_dbc_shifts = problem
-            .cost_model()
-            .per_dbc_costs(&placement, problem.seq().accesses());
-        let shifts = per_dbc_shifts.iter().sum();
         self.solves.fetch_add(1, Ordering::Relaxed);
-        Ok(Solution {
+        Ok(solution)
+    }
+
+    /// `placement` costed on the trace, with a heuristic's zero search
+    /// telemetry. The direct cost-model pass costs the same as one engine
+    /// evaluation without forcing an engine build on the heuristic path.
+    fn costed(&self, placement: Placement) -> Solution {
+        let per_dbc_shifts = self
+            .problem
+            .cost_model()
+            .per_dbc_costs(&placement, self.problem.seq().accesses());
+        Solution {
+            shifts: per_dbc_shifts.iter().sum(),
             placement,
-            shifts,
             per_dbc_shifts,
-            evals_consumed,
-            time_to_best,
-            elapsed,
-            stop,
-            lanes,
-            engine_stats,
-        })
+            evals_consumed: 0,
+            time_to_best: Duration::ZERO,
+            elapsed: Duration::ZERO,
+            stop: StopCause::Finished,
+            lanes: Vec::new(),
+            engine_stats: EngineStats::default(),
+        }
     }
 }
 

@@ -6,7 +6,9 @@ use crate::inter::{Afd, Dma, InterHeuristic};
 use crate::intra::{Chen, IntraHeuristic, Ofu, ShiftsReduce};
 use crate::placement::Placement;
 use crate::random_walk::RandomWalkConfig;
-use crate::search::{LaneReport, PortfolioConfig, SaConfig, StopCause, TabuConfig};
+use crate::search::{
+    Budget, LaneReport, LaneSpec, PortfolioConfig, SaConfig, StopCause, TabuConfig,
+};
 use rtm_arch::ArrayGeometry;
 use rtm_trace::{AccessSequence, VarId};
 use std::fmt;
@@ -22,7 +24,10 @@ use std::time::Duration;
 /// `match` (adding a [`Strategy`] variant without a kind is a compile
 /// error), and [`Strategy::evaluation_set`] / the CLI listing derive from
 /// [`StrategyKind::ALL`] (a kind cannot be silently missing from an
-/// experiment row).
+/// experiment row). It is also the only table of strategy names:
+/// [`Strategy::from_cli`] looks a name up in [`StrategyKind::ALL`] for the
+/// CLI and the daemon alike, and its exhaustive `match` makes a kind
+/// without a constructor a compile error.
 macro_rules! strategy_registry {
     ($( $kind:ident { name: $name:literal, cli: $cli:literal,
          evaluated: $evaluated:literal, desc: $desc:literal } ),+ $(,)?) => {
@@ -41,7 +46,8 @@ macro_rules! strategy_registry {
                 match self { $( StrategyKind::$kind => $name, )+ }
             }
 
-            /// The `rtm place --strategy` spelling.
+            /// The name `rtm place --strategy` and the daemon's `strategy=`
+            /// key take ([`Strategy::from_cli`]).
             pub fn cli_name(self) -> &'static str {
                 match self { $( StrategyKind::$kind => $cli, )+ }
             }
@@ -220,6 +226,60 @@ impl Strategy {
     /// Short, stable name used in experiment tables.
     pub fn name(&self) -> &'static str {
         self.kind().name()
+    }
+
+    /// Resolves a [`StrategyKind::cli_name`], the name that both
+    /// `rtm place --strategy` and the daemon's `strategy=` key take.
+    ///
+    /// SA, tabu and the portfolio search under `budget`, with `seed` in
+    /// place of their default seed when given; `lanes`, a
+    /// [`LaneSpec::parse_list`] list, replaces the portfolio's four default
+    /// lanes. Every other strategy ignores all three: the heuristics are
+    /// deterministic and GA/RW keep the paper's fixed budgets.
+    ///
+    /// # Errors
+    ///
+    /// [`PlacementError::UnknownStrategy`], listing every registered name,
+    /// and the errors of [`LaneSpec::parse_list`].
+    pub fn from_cli(
+        name: &str,
+        budget: Budget,
+        seed: Option<u64>,
+        lanes: Option<&str>,
+    ) -> Result<Strategy, PlacementError> {
+        let kind = StrategyKind::ALL
+            .iter()
+            .find(|k| k.cli_name() == name)
+            .ok_or_else(|| PlacementError::UnknownStrategy(name.to_string()))?;
+        Ok(match kind {
+            StrategyKind::AfdNative => Strategy::AfdNative,
+            StrategyKind::AfdOfu => Strategy::AfdOfu,
+            StrategyKind::DmaNative => Strategy::DmaNative,
+            StrategyKind::DmaOfu => Strategy::DmaOfu,
+            StrategyKind::DmaChen => Strategy::DmaChen,
+            StrategyKind::DmaSr => Strategy::DmaSr,
+            StrategyKind::DmaMultiSr => Strategy::DmaMultiSr,
+            StrategyKind::Ga => Strategy::Ga(GaConfig::paper()),
+            StrategyKind::RandomWalk => Strategy::RandomWalk(RandomWalkConfig::paper()),
+            StrategyKind::Sa => {
+                let cfg = SaConfig::new(budget);
+                Strategy::Sa(seed.map_or(cfg, |s| cfg.with_seed(s)))
+            }
+            StrategyKind::Tabu => {
+                let cfg = TabuConfig::new(budget);
+                Strategy::Tabu(seed.map_or(cfg, |s| cfg.with_seed(s)))
+            }
+            StrategyKind::Portfolio => {
+                let mut cfg = PortfolioConfig::new(budget);
+                if let Some(seed) = seed {
+                    cfg = cfg.with_seed(seed);
+                }
+                if let Some(lanes) = lanes {
+                    cfg.lanes = LaneSpec::parse_list(lanes)?;
+                }
+                Strategy::Portfolio(cfg)
+            }
+        })
     }
 }
 
@@ -461,37 +521,33 @@ impl PlacementProblem {
         crate::session::Session::new(self.clone()).solve(strategy)
     }
 
-    /// Solves one of the deterministic heuristic strategies — the arms of
-    /// the solve match that never evaluate fitness and so must not force a
-    /// [`Session`](crate::Session) to build its engine.
-    ///
-    /// Calling it with a search strategy is a caller bug (the session's
-    /// solve match is the only caller and routes those to the engine path).
-    pub(crate) fn solve_heuristic(&self, strategy: &Strategy) -> Result<Placement, PlacementError> {
-        match strategy {
-            Strategy::AfdNative => Ok(Placement::from_dbc_lists(Afd.distribute(
-                &self.seq,
-                self.dbcs,
-                self.capacity,
-            )?)),
-            Strategy::AfdOfu => self.afd_with_intra(&Ofu),
-            Strategy::DmaNative => Ok(Placement::from_dbc_lists(Dma.distribute(
-                &self.seq,
-                self.dbcs,
-                self.capacity,
-            )?)),
-            Strategy::DmaOfu => self.dma_with_intra(&Ofu),
-            Strategy::DmaChen => self.dma_with_intra(&Chen),
-            Strategy::DmaSr => self.dma_with_intra(&ShiftsReduce::new()),
-            Strategy::DmaMultiSr => self.dma_multi_with_intra(&ShiftsReduce::new()),
+    /// Solves `strategy` if it is one of the deterministic heuristics,
+    /// which never evaluate fitness and so must not force a
+    /// [`Session`](crate::Session) to build its engine; `None` for a
+    /// search strategy.
+    pub(crate) fn solve_heuristic(
+        &self,
+        strategy: &Strategy,
+    ) -> Result<Option<Placement>, PlacementError> {
+        let placement = match strategy {
+            Strategy::AfdNative => {
+                Placement::from_dbc_lists(Afd.distribute(&self.seq, self.dbcs, self.capacity)?)
+            }
+            Strategy::AfdOfu => self.afd_with_intra(&Ofu)?,
+            Strategy::DmaNative => {
+                Placement::from_dbc_lists(Dma.distribute(&self.seq, self.dbcs, self.capacity)?)
+            }
+            Strategy::DmaOfu => self.dma_with_intra(&Ofu)?,
+            Strategy::DmaChen => self.dma_with_intra(&Chen)?,
+            Strategy::DmaSr => self.dma_with_intra(&ShiftsReduce::new())?,
+            Strategy::DmaMultiSr => self.dma_multi_with_intra(&ShiftsReduce::new())?,
             Strategy::Ga(_)
             | Strategy::RandomWalk(_)
             | Strategy::Sa(_)
             | Strategy::Tabu(_)
-            | Strategy::Portfolio(_) => {
-                unreachable!("{strategy} is a search strategy, not a heuristic")
-            }
-        }
+            | Strategy::Portfolio(_) => return Ok(None),
+        };
+        Ok(Some(placement))
     }
 
     /// The four composite-heuristic solutions, used to seed every search
@@ -721,6 +777,24 @@ mod tests {
         assert_eq!(names.len(), StrategyKind::ALL.len(), "duplicate name");
         assert_eq!(clis.len(), StrategyKind::ALL.len(), "duplicate cli name");
         assert!(StrategyKind::ALL.len() >= 12);
+        // Every CLI name resolves to its own kind, and an unknown name's
+        // error lists them all.
+        let budget = crate::search::Budget::evals(10);
+        for &kind in StrategyKind::ALL {
+            let s = Strategy::from_cli(kind.cli_name(), budget, None, None).unwrap();
+            assert_eq!(s.kind(), kind);
+        }
+        let err = Strategy::from_cli("quantum", budget, None, None).unwrap_err();
+        assert_eq!(err, PlacementError::UnknownStrategy("quantum".into()));
+        let msg = err.to_string();
+        assert!(msg.contains("`quantum`"), "{msg}");
+        for &kind in StrategyKind::ALL {
+            assert!(
+                msg.contains(kind.cli_name()),
+                "{msg} lacks {}",
+                kind.cli_name()
+            );
+        }
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! place profile=NAME [scale=S] [key=value …]
 //! ```
 //!
-//! `place` keys mirror the CLI options exactly (`strategy`, `dbcs`,
-//! `capacity`, `ports`, `budget-evals`, `budget-ms`,
-//! `budget-stall`, `seed`, `lanes`) plus the serve-only `deadline-ms` —
-//! same names, same defaults, so a serve query and an `rtm place`
-//! invocation describe the same problem (pinned by the bit-identity
-//! integration tests, which compare the two end to end). Inline trace text
+//! `place` keys mirror the CLI options (`strategy`, `dbcs`, `capacity`,
+//! `ports`, `budget-evals`, `budget-ms`, `budget-stall`, `seed`, `lanes`)
+//! plus the serve-only `deadline-ms`, and resolve through the library code
+//! the CLI calls: `Strategy::from_cli` for the strategy name, seed and
+//! lanes, `Budget::from_limits` for the budget and its 50 000-eval
+//! default, `inter::default_capacity` for the capacity. A serve query and
+//! an `rtm place` invocation therefore describe the same problem, which the
+//! bit-identity integration tests check end to end. Inline trace text
 //! follows a literal ` :: ` separator; a two-character `\n` escape embeds
 //! line breaks so multi-line traces survive the one-line framing (and
 //! parse errors report real line/column positions).
@@ -27,11 +29,7 @@
 //! without reading it.
 
 use rtm_placement::inter::default_capacity;
-use rtm_placement::{
-    Budget, GaConfig, LaneSpec, PlacementError, PlacementProblem, RandomWalkConfig, SaConfig,
-    Solution, Strategy, TabuConfig,
-};
-use rtm_placement::{PortfolioConfig, StrategyKind};
+use rtm_placement::{Budget, PlacementError, PlacementProblem, Solution, Strategy, StrategyKind};
 use rtm_trace::{AccessSequence, ParseTraceError};
 use std::fmt;
 
@@ -208,7 +206,7 @@ impl PlaceRequest {
         };
         let mut req = PlaceRequest {
             source: QuerySource::Inline(String::new()),
-            strategy: "dma-sr".to_string(),
+            strategy: StrategyKind::DmaSr.cli_name().to_string(),
             dbcs: 4,
             capacity: None,
             ports: 1,
@@ -342,23 +340,13 @@ impl PlaceRequest {
         })
     }
 
-    /// The search budget implied by the request's `budget-*` keys (the
-    /// CLI's rules verbatim), with the effective deadline — the request's
-    /// `deadline-ms`, or `default_deadline_ms` — layered on as a
-    /// wall-clock bound. A tighter explicit `budget-ms` survives; the
-    /// deadline only ever shortens.
+    /// The search budget of the request's `budget-*` keys
+    /// ([`Budget::from_limits`], as for the CLI's `--budget-*` options),
+    /// with the effective deadline — the request's `deadline-ms`, or
+    /// `default_deadline_ms` — layered on as a wall-clock bound. A tighter
+    /// explicit `budget-ms` survives; the deadline only ever shortens.
     pub fn budget(&self, default_deadline_ms: u64) -> Budget {
-        let mut budget = match (self.budget_evals, self.budget_ms) {
-            (Some(n), _) => Budget::evals(n),
-            (None, Some(m)) => Budget::wall_clock_ms(m),
-            (None, None) => Budget::evals(50_000),
-        };
-        if let (Some(_), Some(m)) = (self.budget_evals, self.budget_ms) {
-            budget = budget.and_wall_clock_ms(m);
-        }
-        if let Some(s) = self.budget_stall {
-            budget = budget.and_stall(s);
-        }
+        let budget = Budget::from_limits(self.budget_evals, self.budget_ms, self.budget_stall);
         let deadline = self.deadline_ms.unwrap_or(default_deadline_ms);
         let effective = match budget.deadline() {
             Some(d) => u64::try_from(d.as_millis())
@@ -369,9 +357,9 @@ impl PlaceRequest {
         budget.and_wall_clock_ms(effective)
     }
 
-    /// Resolves the [`Strategy`], mirroring the CLI's name table and
-    /// search defaults. Search strategies carry [`budget`](Self::budget)
-    /// (deadline included); the deterministic heuristics and the paper's
+    /// Resolves the [`Strategy`] through [`Strategy::from_cli`], as the CLI
+    /// does. Search strategies carry [`budget`](Self::budget) (deadline
+    /// included); the deterministic heuristics and the paper's
     /// fixed-iteration GA/RW ignore the budget by construction.
     ///
     /// # Errors
@@ -379,65 +367,8 @@ impl PlaceRequest {
     /// [`RequestError::Malformed`] for unknown strategy or lane names.
     pub fn resolve_strategy(&self, default_deadline_ms: u64) -> Result<Strategy, RequestError> {
         let budget = self.budget(default_deadline_ms);
-        Ok(match self.strategy.as_str() {
-            "afd" => Strategy::AfdNative,
-            "afd-ofu" => Strategy::AfdOfu,
-            "dma" => Strategy::DmaNative,
-            "dma-ofu" => Strategy::DmaOfu,
-            "dma-chen" => Strategy::DmaChen,
-            "dma-sr" => Strategy::DmaSr,
-            "dma-multi-sr" => Strategy::DmaMultiSr,
-            "ga" => Strategy::Ga(GaConfig::paper()),
-            "rw" => Strategy::RandomWalk(RandomWalkConfig::paper()),
-            "sa" => {
-                let mut cfg = SaConfig::new(budget);
-                if let Some(seed) = self.seed {
-                    cfg = cfg.with_seed(seed);
-                }
-                Strategy::Sa(cfg)
-            }
-            "tabu" => {
-                let mut cfg = TabuConfig::new(budget);
-                if let Some(seed) = self.seed {
-                    cfg = cfg.with_seed(seed);
-                }
-                Strategy::Tabu(cfg)
-            }
-            "portfolio" => {
-                let mut cfg = PortfolioConfig::new(budget);
-                if let Some(seed) = self.seed {
-                    cfg = cfg.with_seed(seed);
-                }
-                if let Some(lanes) = &self.lanes {
-                    let parsed: Vec<LaneSpec> = lanes
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(|s| {
-                            LaneSpec::parse(s).ok_or_else(|| {
-                                RequestError::Malformed(format!(
-                                    "unknown lane `{s}` (sa|tabu|ga|rw)"
-                                ))
-                            })
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if parsed.is_empty() {
-                        return Err(RequestError::Malformed(
-                            "lanes needs at least one of sa,tabu,ga,rw".into(),
-                        ));
-                    }
-                    cfg.lanes = parsed;
-                }
-                Strategy::Portfolio(cfg)
-            }
-            other => {
-                let known: Vec<&str> = StrategyKind::ALL.iter().map(|k| k.cli_name()).collect();
-                return Err(RequestError::Malformed(format!(
-                    "unknown strategy `{other}` (one of {})",
-                    known.join(", ")
-                )));
-            }
-        })
+        Strategy::from_cli(&self.strategy, budget, self.seed, self.lanes.as_deref())
+            .map_err(|e| RequestError::Malformed(e.to_string()))
     }
 
     /// The cold single-shot reference for this query: a fresh

@@ -19,7 +19,7 @@ use crate::protocol::{parse_request, PlaceRequest, Request, RequestError, MAX_RE
 use crate::report::{write_solution, Geometry};
 use rtm_placement::WorkerPool;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -65,6 +65,44 @@ struct Counters {
     accept_errors: AtomicU64,
 }
 
+/// How a daemon is told to stop: a flag every loop checks, and the address
+/// whose connection wakes the accept loop out of its blocking `accept` to
+/// check it.
+#[derive(Debug)]
+struct Stop {
+    requested: AtomicBool,
+    wake: SocketAddr,
+}
+
+impl Stop {
+    /// A stop signal for a listener bound to `addr`; an unspecified bind
+    /// address is woken through loopback.
+    fn new(addr: SocketAddr) -> Self {
+        let mut wake = addr;
+        match wake.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => wake.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => wake.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
+        }
+        Self {
+            requested: AtomicBool::new(false),
+            wake,
+        }
+    }
+
+    /// Raises the flag and wakes the accept loop. A failed connect means
+    /// the loop has already exited, or is cycling through accept errors
+    /// and sees the flag within one back-off.
+    fn request(&self) {
+        self.requested.store(true, Ordering::Release);
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
+
+    fn requested(&self) -> bool {
+        self.requested.load(Ordering::Acquire)
+    }
+}
+
 /// A bound, not-yet-running daemon. [`run`](Server::run) serves on the
 /// calling thread; [`spawn`](Server::spawn) serves on a background thread
 /// and returns a [`ServerHandle`].
@@ -73,7 +111,7 @@ pub struct Server {
     listener: TcpListener,
     config: ServeConfig,
     cache: Arc<SessionCache>,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     inflight: Arc<AtomicUsize>,
     counters: Arc<Counters>,
 }
@@ -96,14 +134,14 @@ impl Server {
     /// I/O errors from binding `config.addr`.
     pub fn bind(config: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
+        let stop = Arc::new(Stop::new(listener.local_addr()?));
         let pool = Arc::new(WorkerPool::new(config.threads));
         let cache = Arc::new(SessionCache::new(pool, config.max_cached_traces));
         Ok(Self {
             listener,
             config,
             cache,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            stop,
             inflight: Arc::new(AtomicUsize::new(0)),
             counters: Arc::new(Counters::default()),
         })
@@ -125,27 +163,31 @@ impl Server {
 
     /// Serves until a `shutdown` request arrives. Each connection gets its
     /// own thread; panics and errors in one connection never reach
-    /// another. A failed `accept` — `EMFILE` when the descriptor limit is
-    /// reached, `ECONNABORTED`, … — is counted and retried after the same
-    /// 5 ms back-off as an idle poll, so it can never end the daemon.
+    /// another. The loop blocks in `accept` until a client connects or a
+    /// stop request wakes it. A failed `accept` — `EMFILE` when the
+    /// descriptor limit is reached, `ECONNABORTED`, … — is counted and
+    /// retried after a 5 ms back-off, so it can neither spin nor end the
+    /// daemon.
     pub fn run(self) {
         let mut workers = Vec::new();
-        while !self.shutdown.load(Ordering::Acquire) {
-            match self.listener.accept() {
+        loop {
+            let accepted = self.listener.accept();
+            if self.stop.requested() {
+                break;
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     let conn = Connection {
                         cache: Arc::clone(&self.cache),
                         config: self.config.clone(),
-                        shutdown: Arc::clone(&self.shutdown),
+                        stop: Arc::clone(&self.stop),
                         inflight: Arc::clone(&self.inflight),
                         counters: Arc::clone(&self.counters),
                     };
                     workers.push(std::thread::spawn(move || conn.serve(stream)));
                 }
-                Err(e) => {
-                    if e.kind() != ErrorKind::WouldBlock {
-                        self.counters.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    }
+                Err(_) => {
+                    self.counters.accept_errors.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(Duration::from_millis(5));
                 }
             }
@@ -159,12 +201,12 @@ impl Server {
     /// Runs the daemon on a background thread.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
-        let shutdown = Arc::clone(&self.shutdown);
+        let stop = Arc::clone(&self.stop);
         let cache = Arc::clone(&self.cache);
         let thread = std::thread::spawn(move || self.run());
         Ok(ServerHandle {
             addr,
-            shutdown,
+            stop,
             cache,
             thread: Some(thread),
         })
@@ -176,7 +218,7 @@ impl Server {
 #[derive(Debug)]
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     cache: Arc<SessionCache>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
@@ -198,8 +240,8 @@ impl ServerHandle {
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
         if let Some(t) = self.thread.take() {
+            self.stop.request();
             let _ = t.join();
         }
     }
@@ -215,7 +257,7 @@ impl Drop for ServerHandle {
 struct Connection {
     cache: Arc<SessionCache>,
     config: ServeConfig,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     inflight: Arc<AtomicUsize>,
     counters: Arc<Counters>,
 }
@@ -258,7 +300,7 @@ impl Connection {
                 }
                 // Idle poll: keep any partial line and re-check shutdown.
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if self.shutdown.load(Ordering::Acquire) {
+                    if self.stop.requested() {
                         break;
                     }
                 }
@@ -299,7 +341,7 @@ impl Connection {
             }
             Ok(Request::Shutdown) => {
                 self.counters.ok.fetch_add(1, Ordering::Relaxed);
-                self.shutdown.store(true, Ordering::Release);
+                self.stop.request();
                 (ack("shutdown"), true)
             }
             Ok(Request::Place(req)) => match self.handle_place(&req) {
@@ -438,6 +480,18 @@ mod tests {
         let mut resp = String::new();
         reader.read_line(&mut resp).unwrap();
         resp.trim_end().to_string()
+    }
+
+    #[test]
+    fn stop_wakes_an_unspecified_bind_address_through_loopback() {
+        for (bound, wake) in [
+            ("0.0.0.0:7", "127.0.0.1:7"),
+            ("[::]:7", "[::1]:7"),
+            ("10.1.2.3:7", "10.1.2.3:7"),
+        ] {
+            let wake: SocketAddr = wake.parse().unwrap();
+            assert_eq!(Stop::new(bound.parse().unwrap()).wake, wake, "{bound}");
+        }
     }
 
     #[test]
