@@ -111,8 +111,10 @@ SERVE OPTIONS (see README `Serving` for the line protocol):
     --addr HOST:PORT  bind address (default 127.0.0.1:0; the resolved
                       address is printed as `listening on ADDR`)
     --max-inflight N  admission-control bound on concurrent place solves
-                      (default 32; beyond it requests get `error: overloaded`)
-    --max-traces N    cross-request cache capacity in traces (default 64, LRU)
+                      (default 32, at least 1; beyond it requests get
+                      `error: overloaded`)
+    --max-traces N    cross-request cache capacity in traces (default 64,
+                      at least 1, LRU)
     --deadline-ms N   default wall-clock deadline per request (default 10000;
                       requests may tighten it with deadline-ms=N)";
 
@@ -209,7 +211,9 @@ impl ProblemSpec {
 /// defaults to the paper-faithful 4 KiB subarray track length — tracks are
 /// never grown; workloads must fit the `N`-subarray array.
 fn build_array(args: &CliArgs, vars: usize) -> Result<ArrayGeometry, Box<dyn Error>> {
-    let dbcs: usize = args.get_parsed("dbcs")?.unwrap_or(4);
+    let dbcs: usize = args
+        .get_parsed("dbcs")?
+        .unwrap_or(PlacementProblem::DEFAULT_DBCS);
     if dbcs == 0 {
         return Err("--dbcs must be at least 1".into());
     }
@@ -226,7 +230,9 @@ fn build_array(args: &CliArgs, vars: usize) -> Result<ArrayGeometry, Box<dyn Err
     if capacity == 0 {
         return Err("--capacity must be at least 1".into());
     }
-    let ports: usize = args.get_parsed("ports")?.unwrap_or(1);
+    let ports: usize = args
+        .get_parsed("ports")?
+        .unwrap_or(PlacementProblem::DEFAULT_PORTS);
     if ports == 0 {
         return Err("--ports must be at least 1".into());
     }

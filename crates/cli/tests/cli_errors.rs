@@ -3,7 +3,8 @@
 //! stderr — never a panic backtrace.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn rtm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_rtm"))
@@ -31,6 +32,37 @@ fn assert_structured_failure(out: &Output, expect: &str) {
         !stderr.contains("panicked") && !stderr.contains("RUST_BACKTRACE"),
         "panic leaked to the user: {stderr}"
     );
+}
+
+#[test]
+fn a_serve_config_that_cannot_serve_is_refused_before_binding() {
+    for (flag, field) in [
+        ("--max-inflight", "max_inflight"),
+        ("--max-traces", "max_cached_traces"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_rtm"))
+            .args(["serve", "--addr", "127.0.0.1:0", flag, "0"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn rtm serve");
+        // A daemon that starts anyway would serve forever: stop it and fail.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while child.try_wait().expect("poll rtm serve").is_none() {
+            if Instant::now() > deadline {
+                child.kill().ok();
+                child.wait().ok();
+                panic!("`rtm serve {flag} 0` started a daemon");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let out = child.wait_with_output().expect("collect rtm serve");
+        assert_structured_failure(&out, field);
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(out.stdout.is_empty(), "listened anyway: {out:?}");
+    }
 }
 
 #[test]

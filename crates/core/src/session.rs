@@ -6,44 +6,124 @@ use crate::eval::{EngineStats, FitnessEngine};
 use crate::placement::Placement;
 use crate::pool::WorkerPool;
 use crate::search::{self, StopCause};
-use crate::strategy::{PlacementProblem, Solution, Strategy};
+use crate::strategy::{DmaSplit, PlacementProblem, Solution, Strategy, StrategyKind};
+use rtm_trace::VarId;
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+
+/// The composite heuristics every search starts from, in the order they
+/// enter the stable best-first sort of [`Session::heuristic_seeds`].
+const SEED_KINDS: [StrategyKind; 4] = [
+    StrategyKind::AfdOfu,
+    StrategyKind::DmaOfu,
+    StrategyKind::DmaChen,
+    StrategyKind::DmaSr,
+];
+
+/// A heuristic's answer as a session keeps it: its DBC lists laid end to
+/// end, and its per-DBC shifts. A [`Placement`] built from the lists adds
+/// a location table of 24 bytes per variable, so the store holds neither
+/// it nor one allocation per list: two exact-size blocks per answer. On
+/// `serve-hot` that keeps peak RSS at the level of recomputing every
+/// answer, where one vector per list raised it by 17%.
+#[derive(Debug)]
+struct Answer {
+    /// Every DBC's variables, DBC after DBC.
+    vars: Box<[VarId]>,
+    /// Per DBC: where its list ends in `vars`, and its shifts.
+    dbcs: Box<[(usize, u64)]>,
+}
+
+impl Answer {
+    fn new(placement: &Placement, per_dbc_shifts: &[u64]) -> Self {
+        let lists = placement.dbc_lists();
+        let mut vars = Vec::with_capacity(placement.var_count());
+        let mut dbcs = Vec::with_capacity(lists.len());
+        for (list, &shifts) in lists.iter().zip(per_dbc_shifts) {
+            vars.extend_from_slice(list);
+            dbcs.push((vars.len(), shifts));
+        }
+        Self {
+            vars: vars.into_boxed_slice(),
+            dbcs: dbcs.into_boxed_slice(),
+        }
+    }
+
+    fn placement(&self) -> Placement {
+        let mut start = 0;
+        Placement::from_dbc_lists(
+            self.dbcs
+                .iter()
+                .map(|&(end, _)| {
+                    let list = self.vars[start..end].to_vec();
+                    start = end;
+                    list
+                })
+                .collect(),
+        )
+    }
+
+    fn per_dbc_shifts(&self) -> Vec<u64> {
+        self.dbcs.iter().map(|&(_, shifts)| shifts).collect()
+    }
+
+    fn shifts(&self) -> u64 {
+        self.dbcs.iter().map(|&(_, shifts)| shifts).sum()
+    }
+}
 
 /// A reusable solve handle: one problem, one lazily built warm engine, any
 /// number of queries.
 ///
 /// A session owns the trace (shared via [`Arc`]), builds the engine
 /// **once** (lazily — pure-heuristic solves never pay for it), and keeps it
-/// warm across any number of [`solve`](Session::solve) calls. The
-/// heuristic-seed placements the seeded searches start from are likewise
-/// computed once and cached. A search strategy runs through
-/// [`search::run`](crate::search::run), the dispatch a streamed CLI solve
-/// uses too, and `PlacementProblem::solve` routes through a transient
-/// one-shot session, so there is exactly one solve path in the crate — the
-/// warm path *is* the cold path, just with caches already populated.
+/// warm across any number of [`solve`](Session::solve) calls. A search
+/// strategy runs through [`search::run`](crate::search::run), the dispatch
+/// a streamed CLI solve uses too, and `PlacementProblem::solve` routes
+/// through a transient one-shot session, so there is exactly one solve
+/// path in the crate — the warm path *is* the cold path, just with caches
+/// already populated.
+///
+/// # Heuristic answers
+///
+/// The deterministic heuristics are pure functions of the trace and the
+/// geometry, so a session answers each heuristic kind at most once. The
+/// first request for a kind computes and costs it and keeps its DBC lists
+/// and per-DBC shifts (not the whole [`Solution`]); every later request
+/// rebuilds the `Solution` from them. A capacity error is kept the same
+/// way and returned again. The search seeds
+/// ([`heuristic_seeds`](Session::heuristic_seeds)) are four of these
+/// answers (AFD-OFU, DMA-OFU, DMA-Chen, DMA-SR), drawn from the same
+/// store and computed together on one DMA distribution and split, so a
+/// heuristic request and a search's seeds never compute the same
+/// heuristic twice, whichever comes first. The store holds at most one
+/// answer per heuristic kind: a few `VarId` lists and shift counts per
+/// session.
 ///
 /// # Warm ≡ cold bit-identity
 ///
 /// A warm solve returns **bit-identical** results to a cold solve of the
 /// same query: every cached per-DBC cost is a pure function of the list's
-/// content (`DESIGN.md` §7), the cached heuristic seeds are deterministic
-/// functions of the trace, and no search trajectory ever reads engine
-/// telemetry. What changes is only *work*: the second solve of an identical
-/// query performs strictly fewer `dbc_recomputations` (pinned by a
-/// regression test). [`Solution::engine_stats`] reports **per-solve**
-/// deltas ([`EngineStats::since`]), so callers still see each query's own
-/// cache behavior even though the underlying counters accumulate.
+/// content (`DESIGN.md` §7), the kept heuristic answers and seeds are
+/// deterministic functions of the trace, and no search trajectory ever
+/// reads engine telemetry. What changes is only *work*: the second solve
+/// of an identical query performs strictly fewer `dbc_recomputations`
+/// (pinned by a regression test). [`Solution::engine_stats`] reports
+/// **per-solve** deltas ([`EngineStats::since`]), so callers still see
+/// each query's own cache behavior even though the underlying counters
+/// accumulate.
 ///
 /// # Sharing and concurrency
 ///
-/// `Session` is `Send + Sync`: each engine cache is one mutex and
-/// its counters are atomics, so concurrent `solve` calls on one shared
-/// session are safe — and, because caches can change only *when* a value is
-/// computed, never *what*, each concurrent solve is bit-identical to the
-/// same solve run alone. A server front end caches `Arc<Session>` per
-/// (trace fingerprint, geometry) and lets requests race freely; with
+/// `Session` is `Send + Sync`: each engine cache is one mutex, its
+/// counters are atomics and each kept answer is written once, so
+/// concurrent `solve` calls on one shared session are safe — and, because
+/// caches can change only *when* a value is computed, never *what*, each
+/// concurrent solve is bit-identical to the same solve run alone. A server
+/// front end caches `Arc<Session>` per (trace fingerprint, geometry) and
+/// lets requests race freely; with
 /// [`with_worker_pool`](Session::with_worker_pool) every session draws
 /// threads from one global [`WorkerPool`] so concurrent requests cannot
 /// oversubscribe the host.
@@ -55,7 +135,11 @@ pub struct Session {
     shared_pool: Option<Arc<WorkerPool>>,
     /// The warm engine, built on the first solve that needs one.
     engine: OnceLock<FitnessEngine<'static>>,
-    /// The heuristic seed placements, computed once per session.
+    /// The heuristic answers, indexed by `StrategyKind as usize` and
+    /// written the first time a kind is asked for; a search kind's slot
+    /// holds `None`.
+    answers: [OnceLock<Option<Result<Answer, PlacementError>>>; StrategyKind::ALL.len()],
+    /// The seed placements, built from `answers` on first use.
     seeds: OnceLock<Vec<Placement>>,
     solves: AtomicU64,
 }
@@ -69,6 +153,7 @@ impl Session {
             problem,
             shared_pool: None,
             engine: OnceLock::new(),
+            answers: std::array::from_fn(|_| OnceLock::new()),
             seeds: OnceLock::new(),
             solves: AtomicU64::new(0),
         }
@@ -116,11 +201,43 @@ impl Session {
             .unwrap_or_default()
     }
 
-    /// The four composite-heuristic seed placements, best-first — computed
-    /// on first use and reused by every subsequent search-strategy solve
-    /// (they are a deterministic function of the trace and geometry).
+    /// The four composite-heuristic seed placements, best-first (stably,
+    /// by shift cost), as [`PlacementProblem::heuristic_seeds`] defines
+    /// them. Built on first use from the session's heuristic answers —
+    /// the DMA-based ones computed together on one DMA distribution and
+    /// split — and reused by every later search-strategy solve.
     pub fn heuristic_seeds(&self) -> &[Placement] {
-        self.seeds.get_or_init(|| self.problem.heuristic_seeds())
+        self.seeds.get_or_init(|| {
+            let dma = OnceCell::new();
+            let mut scored: Vec<(u64, Placement)> = SEED_KINDS
+                .iter()
+                .filter_map(|&kind| match self.answer(kind, &dma) {
+                    Some(Ok(answer)) => Some((answer.shifts(), answer.placement())),
+                    _ => None,
+                })
+                .collect();
+            scored.sort_by_key(|(shifts, _)| *shifts);
+            scored.into_iter().map(|(_, p)| p).collect()
+        })
+    }
+
+    /// The kept answer of heuristic `kind`, computing and costing it on
+    /// the first request (sharing `dma` with the other DMA orders asked
+    /// for alongside it); `None` for a search kind.
+    fn answer(
+        &self,
+        kind: StrategyKind,
+        dma: &OnceCell<Result<DmaSplit, PlacementError>>,
+    ) -> Option<&Result<Answer, PlacementError>> {
+        self.answers[kind as usize]
+            .get_or_init(|| {
+                let placement = self.problem.heuristic(kind, dma)?;
+                Some(
+                    placement
+                        .map(|placement| Answer::new(&placement, &self.per_dbc_shifts(&placement))),
+                )
+            })
+            .as_ref()
     }
 
     /// Deliberately poisons the warm engine's cache locks (fault
@@ -138,19 +255,22 @@ impl Session {
     ///
     /// Bit-identical to a cold `PlacementProblem::solve` of the same
     /// query; repeat queries do strictly less evaluation work (see the
-    /// [type docs](Session)).
+    /// [type docs](Session)), and a repeated heuristic is not recomputed.
     ///
     /// # Errors
     ///
     /// Returns [`PlacementError`] when the variables cannot fit the
     /// geometry (`vars > q × N`).
     pub fn solve(&self, strategy: &Strategy) -> Result<Solution, PlacementError> {
-        let problem = &self.problem;
-        let solution = match problem.solve_heuristic(strategy)? {
+        let solution = match self.answer(strategy.kind(), &OnceCell::new()) {
             // The deterministic heuristics never evaluate fitness: they run
             // straight off the trace and must not force an engine build.
-            Some(placement) => self.costed(placement),
+            Some(answer) => {
+                let answer = answer.as_ref().map_err(Clone::clone)?;
+                unsearched(answer.placement(), answer.per_dbc_shifts())
+            }
             None => {
+                let problem = &self.problem;
                 let engine = self.engine();
                 let before = engine.stats();
                 let (search, lanes) = search::run(
@@ -161,6 +281,7 @@ impl Session {
                     problem.subarrays(),
                     || self.heuristic_seeds(),
                 )?;
+                let per_dbc_shifts = self.per_dbc_shifts(&search.placement);
                 Solution {
                     evals_consumed: search.evals,
                     time_to_best: search.time_to_best,
@@ -168,7 +289,7 @@ impl Session {
                     stop: search.stop,
                     lanes,
                     engine_stats: engine.stats().since(&before),
-                    ..self.costed(search.placement)
+                    ..unsearched(search.placement, per_dbc_shifts)
                 }
             }
         };
@@ -176,25 +297,29 @@ impl Session {
         Ok(solution)
     }
 
-    /// `placement` costed on the trace, with a heuristic's zero search
-    /// telemetry. The direct cost-model pass costs the same as one engine
-    /// evaluation without forcing an engine build on the heuristic path.
-    fn costed(&self, placement: Placement) -> Solution {
-        let per_dbc_shifts = self
-            .problem
+    /// `placement`'s shifts per DBC on the trace. The direct cost-model
+    /// pass costs the same as one engine evaluation without forcing an
+    /// engine build on the heuristic path.
+    fn per_dbc_shifts(&self, placement: &Placement) -> Vec<u64> {
+        self.problem
             .cost_model()
-            .per_dbc_costs(&placement, self.problem.seq().accesses());
-        Solution {
-            shifts: per_dbc_shifts.iter().sum(),
-            placement,
-            per_dbc_shifts,
-            evals_consumed: 0,
-            time_to_best: Duration::ZERO,
-            elapsed: Duration::ZERO,
-            stop: StopCause::Finished,
-            lanes: Vec::new(),
-            engine_stats: EngineStats::default(),
-        }
+            .per_dbc_costs(placement, self.problem.seq().accesses())
+    }
+}
+
+/// `placement` with its per-DBC shifts and a heuristic's zero search
+/// telemetry.
+fn unsearched(placement: Placement, per_dbc_shifts: Vec<u64>) -> Solution {
+    Solution {
+        shifts: per_dbc_shifts.iter().sum(),
+        placement,
+        per_dbc_shifts,
+        evals_consumed: 0,
+        time_to_best: Duration::ZERO,
+        elapsed: Duration::ZERO,
+        stop: StopCause::Finished,
+        lanes: Vec::new(),
+        engine_stats: EngineStats::default(),
     }
 }
 
@@ -265,6 +390,103 @@ mod tests {
             assert_eq!(warm.placement, cold.placement, "{s}");
             assert_eq!(warm.shifts, cold.shifts, "{s}");
             assert_eq!(warm.per_dbc_shifts, cold.per_dbc_shifts, "{s}");
+        }
+    }
+
+    const HEURISTICS: [Strategy; 7] = [
+        Strategy::AfdNative,
+        Strategy::AfdOfu,
+        Strategy::DmaNative,
+        Strategy::DmaOfu,
+        Strategy::DmaChen,
+        Strategy::DmaSr,
+        Strategy::DmaMultiSr,
+    ];
+
+    /// The paper trace and a small expected-tier workload, each at every
+    /// geometry of DBCs {1, 2, 4} × ports {1, 2} with the front ends'
+    /// default capacity.
+    fn problems() -> Vec<PlacementProblem> {
+        let tier = rtm_offsetstone::TierWorkload::by_name("expected-dsp", 0.05)
+            .unwrap()
+            .generate();
+        let mut problems = Vec::new();
+        for seq in [AccessSequence::parse(PAPER_SEQ).unwrap(), tier] {
+            let seq = Arc::new(seq);
+            for dbcs in [1, 2, 4] {
+                let capacity = crate::inter::default_capacity(dbcs, seq.vars().len());
+                for ports in [1, 2] {
+                    problems.push(
+                        PlacementProblem::shared(seq.clone(), dbcs, capacity).with_ports(ports),
+                    );
+                }
+            }
+        }
+        problems
+    }
+
+    /// The first solve of a heuristic computes and keeps its answer, the
+    /// second rebuilds it from the store, and both equal a cold one-shot
+    /// solve — also when the search seeds filled the store first.
+    #[test]
+    fn kept_heuristic_answers_equal_cold_solves() {
+        for problem in problems() {
+            let session = Session::new(problem.clone());
+            let seeded = Session::new(problem.clone());
+            let seeds = seeded.heuristic_seeds().to_vec();
+            let at = (problem.dbcs(), problem.cost_model());
+            for s in &HEURISTICS {
+                let cold = problem.solve(s).unwrap();
+                for round in ["first", "second"] {
+                    assert_eq!(session.solve(s).unwrap(), cold, "{s} {round} {at:?}");
+                    assert_eq!(seeded.solve(s).unwrap(), cold, "{s} {round} {at:?}");
+                }
+                assert!(session.answers[s.kind() as usize].get().is_some(), "{s}");
+            }
+            assert_eq!(seeded.heuristic_seeds(), &seeds[..]);
+            assert_eq!(session.heuristic_seeds(), &seeds[..]);
+            assert!(session.engine.get().is_none() && seeded.engine.get().is_none());
+        }
+    }
+
+    #[test]
+    fn a_kept_capacity_error_comes_back_on_every_call() {
+        // Nine variables cannot fit one DBC of two locations.
+        let p = PlacementProblem::new(AccessSequence::parse(PAPER_SEQ).unwrap(), 1, 2);
+        let session = Session::new(p.clone());
+        for s in &HEURISTICS {
+            let cold = p.solve(s).unwrap_err();
+            for _ in 0..3 {
+                assert_eq!(session.solve(s).unwrap_err(), cold, "{s}");
+            }
+        }
+        assert!(session.heuristic_seeds().is_empty());
+        assert_eq!(session.solves(), 0);
+    }
+
+    #[test]
+    fn a_search_after_heuristic_requests_equals_a_fresh_one() {
+        let searches = [
+            Strategy::Ga(GaConfig::quick()),
+            Strategy::Sa(SaConfig::new(Budget::evals(300))),
+            Strategy::Tabu(TabuConfig::new(Budget::evals(300))),
+            Strategy::Portfolio(PortfolioConfig::new(Budget::evals(200))),
+        ];
+        // Every third geometry: both traces, 1 and 2 DBCs, 1 and 2 ports.
+        for problem in problems().into_iter().step_by(3) {
+            let session = Session::new(problem.clone());
+            for s in &HEURISTICS {
+                session.solve(s).unwrap();
+            }
+            for s in &searches {
+                let warm = session.solve(s).unwrap();
+                let fresh = Session::new(problem.clone()).solve(s).unwrap();
+                assert_eq!(warm.placement, fresh.placement, "{s}");
+                assert_eq!(warm.shifts, fresh.shifts, "{s}");
+                assert_eq!(warm.per_dbc_shifts, fresh.per_dbc_shifts, "{s}");
+                assert_eq!(warm.evals_consumed, fresh.evals_consumed, "{s}");
+            }
+            assert_eq!(session.heuristic_seeds(), problem.heuristic_seeds());
         }
     }
 

@@ -11,6 +11,7 @@ use crate::search::{
 };
 use rtm_arch::ArrayGeometry;
 use rtm_trace::{AccessSequence, VarId};
+use std::cell::OnceCell;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -369,6 +370,14 @@ pub struct PlacementProblem {
 }
 
 impl PlacementProblem {
+    /// The DBC count of a query that names none: `rtm place --dbcs` and
+    /// the daemon's `dbcs=` key both default to it.
+    pub const DEFAULT_DBCS: usize = 4;
+
+    /// The access ports per track of a query that names none (`--ports`,
+    /// `ports=`): one, the paper's single-port track.
+    pub const DEFAULT_PORTS: usize = 1;
+
     /// Creates a problem over `dbcs` DBCs of `capacity` locations with the
     /// default single-port cost model.
     pub fn new(seq: AccessSequence, dbcs: usize, capacity: usize) -> Self {
@@ -521,33 +530,42 @@ impl PlacementProblem {
         crate::session::Session::new(self.clone()).solve(strategy)
     }
 
-    /// Solves `strategy` if it is one of the deterministic heuristics,
-    /// which never evaluate fitness and so must not force a
-    /// [`Session`](crate::Session) to build its engine; `None` for a
-    /// search strategy.
-    pub(crate) fn solve_heuristic(
+    /// Runs the deterministic heuristic `kind`, or returns `None` for a
+    /// search kind. The heuristics never evaluate fitness, so they must
+    /// not force a [`Session`](crate::Session) to build its engine.
+    ///
+    /// DMA-OFU, DMA-Chen and DMA-SR order one DMA distribution over one
+    /// split of the trace. `dma` holds that [`DmaSplit`], computed on first
+    /// use, so a caller that runs several of them computes it once.
+    pub(crate) fn heuristic(
         &self,
-        strategy: &Strategy,
-    ) -> Result<Option<Placement>, PlacementError> {
-        let placement = match strategy {
-            Strategy::AfdNative => {
-                Placement::from_dbc_lists(Afd.distribute(&self.seq, self.dbcs, self.capacity)?)
-            }
-            Strategy::AfdOfu => self.afd_with_intra(&Ofu)?,
-            Strategy::DmaNative => {
-                Placement::from_dbc_lists(Dma.distribute(&self.seq, self.dbcs, self.capacity)?)
-            }
-            Strategy::DmaOfu => self.dma_with_intra(&Ofu)?,
-            Strategy::DmaChen => self.dma_with_intra(&Chen)?,
-            Strategy::DmaSr => self.dma_with_intra(&ShiftsReduce::new())?,
-            Strategy::DmaMultiSr => self.dma_multi_with_intra(&ShiftsReduce::new())?,
-            Strategy::Ga(_)
-            | Strategy::RandomWalk(_)
-            | Strategy::Sa(_)
-            | Strategy::Tabu(_)
-            | Strategy::Portfolio(_) => return Ok(None),
+        kind: StrategyKind,
+        dma: &OnceCell<Result<DmaSplit, PlacementError>>,
+    ) -> Option<Result<Placement, PlacementError>> {
+        let dma_with = |intra: &dyn IntraHeuristic| {
+            dma.get_or_init(|| self.dma_split())
+                .as_ref()
+                .map(|split| split.order(intra))
+                .map_err(Clone::clone)
         };
-        Ok(Some(placement))
+        Some(match kind {
+            StrategyKind::AfdNative => Afd
+                .distribute(&self.seq, self.dbcs, self.capacity)
+                .map(Placement::from_dbc_lists),
+            StrategyKind::AfdOfu => self.afd_with_intra(&Ofu),
+            StrategyKind::DmaNative => Dma
+                .distribute(&self.seq, self.dbcs, self.capacity)
+                .map(Placement::from_dbc_lists),
+            StrategyKind::DmaOfu => dma_with(&Ofu),
+            StrategyKind::DmaChen => dma_with(&Chen),
+            StrategyKind::DmaSr => dma_with(&ShiftsReduce::new()),
+            StrategyKind::DmaMultiSr => self.dma_multi_with_intra(&ShiftsReduce::new()),
+            StrategyKind::Ga
+            | StrategyKind::RandomWalk
+            | StrategyKind::Sa
+            | StrategyKind::Tabu
+            | StrategyKind::Portfolio => return None,
+        })
     }
 
     /// The four composite-heuristic solutions, used to seed every search
@@ -558,34 +576,26 @@ impl PlacementProblem {
     /// Ordered best-first (stably, by shift cost): a budgeted solver that
     /// can only afford to cost a single seed still starts from the best
     /// heuristic, which is what makes the never-loses guarantee hold at
-    /// any budget ≥ 1 evaluation.
+    /// any budget ≥ 1 evaluation. Computed by a transient
+    /// [`Session`](crate::Session), as [`solve`](Self::solve) is.
     pub fn heuristic_seeds(&self) -> Vec<Placement> {
-        // AFD-OFU, then DMA-OFU, DMA-Chen and DMA-SR — the three DMA seeds
-        // share one distribution and one split of the trace.
-        let mut seeds: Vec<Placement> = self.afd_with_intra(&Ofu).into_iter().collect();
-        if let Ok((dist, keep)) = Dma.distribute_counted(&self.seq, self.dbcs, self.capacity) {
-            let subs = self.split(&dist, keep);
-            for intra in [&Ofu as &dyn IntraHeuristic, &Chen, &ShiftsReduce::new()] {
-                seeds.push(reorder(dist.clone(), intra, keep, &subs));
-            }
-        }
-        let mut scored: Vec<(u64, Placement)> =
-            seeds.into_iter().map(|p| (self.evaluate(&p), p)).collect();
-        scored.sort_by_key(|(shifts, _)| *shifts);
-        scored.into_iter().map(|(_, p)| p).collect()
+        crate::session::Session::new(self.clone())
+            .heuristic_seeds()
+            .to_vec()
+    }
+
+    /// The DMA distribution with its disjoint-DBC count, and the trace
+    /// split over the DBCs after those.
+    fn dma_split(&self) -> Result<DmaSplit, PlacementError> {
+        let (dist, keep) = Dma.distribute_counted(&self.seq, self.dbcs, self.capacity)?;
+        let subs = self.split(&dist, keep);
+        Ok(DmaSplit { dist, keep, subs })
     }
 
     /// AFD distribution, then an intra heuristic on every DBC.
     fn afd_with_intra(&self, intra: &dyn IntraHeuristic) -> Result<Placement, PlacementError> {
         let dist = Afd.distribute(&self.seq, self.dbcs, self.capacity)?;
         Ok(self.apply_intra(dist, intra, 0))
-    }
-
-    /// DMA distribution; intra heuristic on the non-disjoint DBCs only
-    /// (lines 22–23 of Algorithm 1 — disjoint DBCs keep access order).
-    fn dma_with_intra(&self, intra: &dyn IntraHeuristic) -> Result<Placement, PlacementError> {
-        let (dist, keep) = Dma.distribute_counted(&self.seq, self.dbcs, self.capacity)?;
-        Ok(self.apply_intra(dist, intra, keep))
     }
 
     /// Multi-chain DMA distribution; intra heuristic on the leftover DBCs
@@ -632,6 +642,24 @@ impl PlacementProblem {
             }
         }
         subs
+    }
+}
+
+/// What DMA-OFU, DMA-Chen and DMA-SR share: the DMA distribution, the
+/// number `keep` of its leading disjoint DBCs, and the trace split over
+/// the DBCs after them ([`PlacementProblem::split`]).
+#[derive(Debug)]
+pub(crate) struct DmaSplit {
+    dist: Vec<Vec<VarId>>,
+    keep: usize,
+    subs: Vec<Vec<VarId>>,
+}
+
+impl DmaSplit {
+    /// The distribution with `intra` run on its non-disjoint DBCs only
+    /// (lines 22–23 of Algorithm 1 — disjoint DBCs keep access order).
+    fn order(&self, intra: &dyn IntraHeuristic) -> Placement {
+        reorder(self.dist.clone(), intra, self.keep, &self.subs)
     }
 }
 

@@ -12,6 +12,13 @@
 //! anything. A mismatched trace therefore *cannot* hit, even against an
 //! adversarially colliding digest (pinned by the collision-behavior test
 //! in `cache.rs`).
+//!
+//! Every request is fingerprinted, so [`Fingerprint::of_text`] reads its
+//! text once: the four lanes are independent serial chains, interleaved in
+//! one byte loop that also counts tokens. Its value is that of the
+//! definition — each lane over the whole text in turn, tokens by
+//! `split_whitespace` — which the tests keep as a reference and compare
+//! on a seeded corpus of ASCII and Unicode whitespace.
 
 use std::fmt;
 
@@ -46,21 +53,36 @@ fn avalanche(mut x: u64) -> u64 {
 }
 
 impl Fingerprint {
-    /// Fingerprints a canonical query text.
+    /// Fingerprints a canonical query text in one pass over its bytes.
+    ///
+    /// Each digest lane is its own serial rotate-xor-multiply chain, so
+    /// the four chains run interleaved in one loop, and the token count
+    /// rides along: the six ASCII bytes `char::is_whitespace` accepts
+    /// separate tokens, and a text with any non-ASCII byte is recounted
+    /// with `split_whitespace`, whose Unicode whitespace the byte loop
+    /// does not know.
     pub fn of_text(text: &str) -> Self {
-        let mut digest = [0u64; 4];
-        for (lane, &(mul, offset)) in LANES.iter().enumerate() {
-            let mut h = offset ^ (text.len() as u64).wrapping_mul(mul);
-            for &b in text.as_bytes() {
-                h = h.rotate_left(13) ^ u64::from(b);
-                h = h.wrapping_mul(mul);
+        let len = text.len() as u64;
+        let mut lanes = LANES.map(|(mul, offset)| offset ^ len.wrapping_mul(mul));
+        let mut tokens = 0u64;
+        let mut after_space = true;
+        let mut high_bits = 0u8;
+        for &b in text.as_bytes() {
+            for (h, &(mul, _)) in lanes.iter_mut().zip(&LANES) {
+                *h = (h.rotate_left(13) ^ u64::from(b)).wrapping_mul(mul);
             }
-            digest[lane] = avalanche(h);
+            let space = matches!(b, b'\t'..=b'\r' | b' ');
+            tokens += u64::from(after_space & !space);
+            after_space = space;
+            high_bits |= b;
+        }
+        if !high_bits.is_ascii() {
+            tokens = text.split_whitespace().count() as u64;
         }
         Self {
-            len: text.len() as u64,
-            tokens: text.split_whitespace().count() as u64,
-            digest,
+            len,
+            tokens,
+            digest: lanes.map(avalanche),
         }
     }
 }
@@ -79,6 +101,64 @@ impl fmt::Display for Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The four-pass definition the one-pass loop must reproduce: each
+    /// lane over the whole text in turn, and `split_whitespace` for the
+    /// token count.
+    fn four_pass(text: &str) -> Fingerprint {
+        let mut digest = [0u64; 4];
+        for (lane, &(mul, offset)) in LANES.iter().enumerate() {
+            let mut h = offset ^ (text.len() as u64).wrapping_mul(mul);
+            for &b in text.as_bytes() {
+                h = h.rotate_left(13) ^ u64::from(b);
+                h = h.wrapping_mul(mul);
+            }
+            digest[lane] = avalanche(h);
+        }
+        Fingerprint {
+            len: text.len() as u64,
+            tokens: text.split_whitespace().count() as u64,
+            digest,
+        }
+    }
+
+    #[test]
+    fn one_pass_equals_the_four_pass_definition() {
+        // Every ASCII whitespace byte (`\x0B` and `\x0C` included), the
+        // Unicode whitespace `split_whitespace` knows and the byte loop
+        // does not (U+0085, U+00A0, U+3000), non-whitespace multi-byte
+        // characters, and ASCII bytes that only look like separators.
+        const ALPHABET: &[&str] = &[
+            "a", "b", "x1", ":r", ":w", "_", " ", "\t", "\n", "\x0B", "\x0C", "\r", "\u{85}",
+            "\u{A0}", "\u{3000}", "\u{2028}", "é", "λ", "字", "🦀", "\0", "\x1C", "\x7F",
+        ];
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            avalanche(state)
+        };
+        let mut corpus = vec![String::new(), " ".into(), "a".into()];
+        corpus.extend(ALPHABET.iter().map(|s| s.to_string()));
+        for _ in 0..2000 {
+            let len = next() % 40;
+            let text: String = (0..len)
+                .map(|_| ALPHABET[(next() % ALPHABET.len() as u64) as usize])
+                .collect();
+            corpus.push(text);
+        }
+        // A 12 KiB trace like the inline ones the daemon serves.
+        let mut trace = String::new();
+        while trace.len() < 12 * 1024 {
+            trace.push_str(&format!("v{} ", next() % 300));
+            if next() % 16 == 0 {
+                trace.push('\n');
+            }
+        }
+        corpus.push(trace);
+        for text in &corpus {
+            assert_eq!(Fingerprint::of_text(text), four_pass(text), "{text:?}");
+        }
+    }
 
     #[test]
     fn equal_text_equal_fingerprint() {

@@ -13,7 +13,8 @@
 //! plus the serve-only `deadline-ms`, and resolve through the library code
 //! the CLI calls: `Strategy::from_cli` for the strategy name, seed and
 //! lanes, `Budget::from_limits` for the budget and its 50 000-eval
-//! default, `inter::default_capacity` for the capacity. A serve query and
+//! default, `PlacementProblem::DEFAULT_DBCS` and `DEFAULT_PORTS` for the
+//! geometry, `inter::default_capacity` for the capacity. A serve query and
 //! an `rtm place` invocation therefore describe the same problem, which the
 //! bit-identity integration tests check end to end. Inline trace text
 //! follows a literal ` :: ` separator; a two-character `\n` escape embeds
@@ -84,11 +85,12 @@ pub struct PlaceRequest {
     pub source: QuerySource,
     /// Strategy CLI name (default `dma-sr`).
     pub strategy: String,
-    /// DBC count (default 4).
+    /// DBC count (default [`PlacementProblem::DEFAULT_DBCS`]).
     pub dbcs: usize,
     /// Locations per DBC (default: the paper's 4 KiB track, grown to fit).
     pub capacity: Option<usize>,
-    /// Access ports per track (default 1).
+    /// Access ports per track (default
+    /// [`PlacementProblem::DEFAULT_PORTS`]).
     pub ports: usize,
     /// `--budget-evals` equivalent.
     pub budget_evals: Option<u64>,
@@ -171,25 +173,31 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
 }
 
 /// Replaces the two-character `\n` escape with a real newline (and `\\`
-/// with a backslash, so a literal `\n` stays expressible).
+/// with a backslash, so a literal `\n` stays expressible). The text
+/// between backslashes is copied a run at a time; a backslash before any
+/// other character, or at the end, is kept as it is.
 fn unescape_trace(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('\\') => out.push('\\'),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
+    let mut rest = text;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let escaped = &rest[at + 1..];
+        rest = match escaped.as_bytes().first() {
+            Some(b'n') => {
+                out.push('\n');
+                &escaped[1..]
             }
-        } else {
-            out.push(c);
-        }
+            Some(b'\\') => {
+                out.push('\\');
+                &escaped[1..]
+            }
+            _ => {
+                out.push('\\');
+                escaped
+            }
+        };
     }
+    out.push_str(rest);
     out
 }
 
@@ -207,9 +215,9 @@ impl PlaceRequest {
         let mut req = PlaceRequest {
             source: QuerySource::Inline(String::new()),
             strategy: StrategyKind::DmaSr.cli_name().to_string(),
-            dbcs: 4,
+            dbcs: PlacementProblem::DEFAULT_DBCS,
             capacity: None,
-            ports: 1,
+            ports: PlacementProblem::DEFAULT_PORTS,
             budget_evals: None,
             budget_ms: None,
             budget_stall: None,
@@ -412,6 +420,45 @@ mod tests {
         assert_eq!(parse_request("shutdown"), Ok(Request::Shutdown));
         assert!(parse_request("nope").is_err());
         assert!(parse_request("placebo x").is_err());
+    }
+
+    /// The char-at-a-time definition `unescape_trace` must reproduce.
+    fn unescape_by_char(text: &str) -> String {
+        let mut out = String::with_capacity(text.len());
+        let mut chars = text.chars();
+        while let Some(c) = chars.next() {
+            if c == '\\' {
+                match chars.next() {
+                    Some('n') => out.push('\n'),
+                    Some('\\') => out.push('\\'),
+                    Some(other) => {
+                        out.push('\\');
+                        out.push(other);
+                    }
+                    None => out.push('\\'),
+                }
+            } else {
+                out.push(c);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn unescape_copies_runs_like_the_char_loop() {
+        for text in [
+            "a b\\na b",
+            "a \\\\ b",
+            "a b\\",
+            "\\",
+            "a\\é b",
+            "\\\\n\\n\\\\\\",
+            "a b a b c",
+            "",
+        ] {
+            assert_eq!(unescape_trace(text), unescape_by_char(text), "{text:?}");
+        }
+        assert_eq!(unescape_trace("a\\nb\\\\c\\"), "a\nb\\c\\");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::json::{Fixed, Writer};
 use crate::protocol::{parse_request, PlaceRequest, Request, RequestError, MAX_REQUEST_BYTES};
 use crate::report::{write_solution, Geometry};
 use rtm_placement::WorkerPool;
+use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -51,6 +52,58 @@ impl Default for ServeConfig {
             max_cached_traces: 64,
             default_deadline_ms: 10_000,
         }
+    }
+}
+
+impl ServeConfig {
+    /// Checks the fields a daemon cannot serve with. [`Server::bind`]
+    /// calls it before anything else.
+    ///
+    /// # Errors
+    ///
+    /// The [`ConfigError`] of the first refused field.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.max_inflight == 0 {
+            return Err(ConfigError::ZeroMaxInflight);
+        }
+        if self.max_cached_traces == 0 {
+            return Err(ConfigError::ZeroMaxCachedTraces);
+        }
+        Ok(())
+    }
+}
+
+/// A [`ServeConfig`] field [`ServeConfig::validate`] refuses; the message
+/// names the field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `max_inflight` is 0: admission control would refuse every `place`
+    /// request.
+    ZeroMaxInflight,
+    /// `max_cached_traces` is 0: the cache could keep no trace.
+    ZeroMaxCachedTraces,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::ZeroMaxInflight => {
+                f.write_str("max_inflight must be at least 1 (0 would refuse every place request)")
+            }
+            ConfigError::ZeroMaxCachedTraces => f.write_str(
+                "max_cached_traces must be at least 1 (0 would leave no room for a trace)",
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// A refused configuration is an invalid argument to [`Server::bind`];
+/// the [`ConfigError`] stays reachable through `get_ref`.
+impl From<ConfigError> for std::io::Error {
+    fn from(e: ConfigError) -> Self {
+        std::io::Error::new(ErrorKind::InvalidInput, e)
     }
 }
 
@@ -127,12 +180,16 @@ impl Drop for InflightGuard {
 }
 
 impl Server {
-    /// Binds the listener and builds the shared cache + pool.
+    /// Validates `config`, then binds the listener and builds the shared
+    /// cache + pool.
     ///
     /// # Errors
     ///
-    /// I/O errors from binding `config.addr`.
+    /// An [`ErrorKind::InvalidInput`] error carrying the [`ConfigError`]
+    /// when [`ServeConfig::validate`] refuses `config`; I/O errors from
+    /// binding `config.addr`.
     pub fn bind(config: ServeConfig) -> std::io::Result<Self> {
+        config.validate()?;
         let listener = TcpListener::bind(&config.addr)?;
         let stop = Arc::new(Stop::new(listener.local_addr()?));
         let pool = Arc::new(WorkerPool::new(config.threads));
@@ -670,14 +727,16 @@ mod tests {
 
     #[test]
     fn admission_control_rejects_beyond_max_inflight() {
-        // max_inflight = 0 makes every place an overload rejection while
-        // ping/stats still pass — the bound gates solves, not the socket.
+        // With the one admission slot already taken, every place is an
+        // overload rejection while ping/stats still pass — the bound gates
+        // solves, not the socket.
         let server = Server::bind(ServeConfig {
             threads: 1,
-            max_inflight: 0,
+            max_inflight: 1,
             ..ServeConfig::default()
         })
         .unwrap();
+        server.inflight.store(1, Ordering::Release);
         let handle = server.spawn().unwrap();
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         let resp = roundtrip(&mut stream, "place dbcs=2 :: a b a b");
@@ -687,5 +746,33 @@ mod tests {
         let stats = roundtrip(&mut stream, "stats");
         assert_eq!(json::find_u64(&stats, "overloaded"), Some(1));
         handle.shutdown();
+    }
+
+    #[test]
+    fn bind_refuses_a_config_that_cannot_serve() {
+        for (config, want) in [
+            (
+                ServeConfig {
+                    max_inflight: 0,
+                    ..ServeConfig::default()
+                },
+                ConfigError::ZeroMaxInflight,
+            ),
+            (
+                ServeConfig {
+                    max_cached_traces: 0,
+                    ..ServeConfig::default()
+                },
+                ConfigError::ZeroMaxCachedTraces,
+            ),
+        ] {
+            assert_eq!(config.validate(), Err(want));
+            let err = Server::bind(config).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidInput);
+            let typed = err.get_ref().and_then(|e| e.downcast_ref::<ConfigError>());
+            assert_eq!(typed, Some(&want));
+            assert_eq!(err.to_string(), want.to_string());
+        }
+        assert_eq!(ServeConfig::default().validate(), Ok(()));
     }
 }
