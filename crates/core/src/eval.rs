@@ -21,7 +21,10 @@
 //! 2^16 positions at a time, into reusable per-worker scratch (`O(A)` in
 //! the DBC's *own* access count `A`, plus, per window it touches, its
 //! member count and one bitmap word per 64 spanned positions;
-//! allocation-free after warm-up). It memoizes per-DBC costs under a
+//! allocation-free after warm-up). A placement whose DBCs are all new
+//! (nothing to inherit, lists that seldom recur) is instead costed in one
+//! linear replay of the dedup stream, when the engine was built from a
+//! sequence and so holds it. It memoizes per-DBC costs under a
 //! content key so recurring lists across generations are free, and fans
 //! batches of evaluations out over its [`WorkerPool`] in a way that is
 //! **bit-identical** to the sequential order: every job's slot is written
@@ -297,8 +300,9 @@ impl std::ops::Deref for SeqRef<'_> {
 
 /// What only an engine built from an [`AccessSequence`] holds: the
 /// sequence itself (naive replays, GA heuristic seeding) and its dedup
-/// stream as one array, which the linear replay behind
-/// [`FitnessEngine::batch_costs`] walks.
+/// stream as one array, which the linear replay of whole placements walks
+/// ([`FitnessEngine::per_dbc_costs`], [`FitnessEngine::batch_costs`] and
+/// fully dirty batch jobs).
 #[derive(Debug)]
 struct Materialized<'a> {
     seq: SeqRef<'a>,
@@ -325,8 +329,8 @@ enum EvalMode {
 pub struct EngineStats {
     /// Individuals (whole placements) evaluated.
     pub evaluations: u64,
-    /// Per-DBC costs computed from scratch (subsequence merges or, in naive
-    /// mode, full-trace replays).
+    /// Per-DBC costs computed from scratch (subsequence merges, one per DBC
+    /// of a linear replay, or, in naive mode, full-trace replays).
     pub dbc_recomputations: u64,
     /// Per-DBC costs answered by the content-keyed memo cache.
     pub dbc_cache_hits: u64,
@@ -417,12 +421,13 @@ pub struct EvalScratch {
     /// Variable -> DBC table for full-placement replays, parallel to
     /// `offsets`.
     dbc_of: Vec<u32>,
-    /// Per-DBC displacement state for full-placement replays.
-    disp: Vec<Option<i64>>,
-    /// Per-DBC displacement for the specialized single-port replay
-    /// (`i64::MIN` = port not yet aligned) — a flat array instead of
-    /// `Option<i64>` keeps that inner loop branch-light.
-    disp1: Vec<i64>,
+    /// Per-DBC state of a full-placement replay: the port displacement and
+    /// the shifts so far, side by side so an access touches one slot.
+    disp: Vec<(Option<i64>, u64)>,
+    /// The same for the specialized single-port replay (`i64::MIN` = port
+    /// not yet aligned) — a flat `i64` instead of `Option<i64>` keeps that
+    /// inner loop branch-light.
+    disp1: Vec<(i64, u64)>,
 }
 
 /// One member's progress through its position run during a windowed merge.
@@ -523,6 +528,7 @@ impl<'s> Window<'s> {
 #[derive(Debug, Clone, Default)]
 pub struct DirtyMask {
     all: bool,
+    /// The marked DBCs, each once.
     dbcs: Vec<u32>,
 }
 
@@ -540,10 +546,11 @@ impl DirtyMask {
         Self::default()
     }
 
-    /// Marks DBC `d` as changed.
+    /// Marks DBC `d` as changed (marking it again is a no-op).
     pub fn mark(&mut self, d: usize) {
-        if !self.all {
-            self.dbcs.push(d as u32);
+        let d = d as u32;
+        if !self.all && !self.dbcs.contains(&d) {
+            self.dbcs.push(d);
         }
     }
 
@@ -571,6 +578,12 @@ impl DirtyMask {
     /// Whether DBC `d` is dirty.
     pub fn is_dirty(&self, d: usize) -> bool {
         self.all || self.dbcs.contains(&(d as u32))
+    }
+
+    /// Whether every DBC of an `n`-DBC placement is dirty, so no per-DBC
+    /// cost can be inherited. `O(n)`: each DBC is marked once.
+    fn covers(&self, n: usize) -> bool {
+        self.all || self.dbcs.iter().filter(|&&d| (d as usize) < n).count() == n
     }
 }
 
@@ -688,8 +701,8 @@ impl<'a> FitnessEngine<'a> {
     /// caches. [`seq`](Self::seq) returns `None` for a streaming engine,
     /// so what only a sequence gives is unavailable: naive mode and
     /// heuristic seeding (the search loops degrade gracefully), and the
-    /// linear replay behind [`batch_costs`](Self::batch_costs), which sums
-    /// per-DBC merges instead.
+    /// linear replay of whole placements, which costs one merge per DBC
+    /// instead.
     pub fn streaming(src: &dyn AccessStream, cost: CostModel) -> Self {
         Self::from_compact_index(PositionIndex::from_stream(src), cost)
     }
@@ -905,10 +918,12 @@ impl<'a> FitnessEngine<'a> {
     /// private memo ([`BatchCtx`]): when present, the shared memo is only
     /// ever try-locked (contention = recompute, never block) and all
     /// writes go to the overlay — the hot loop takes **zero** contended
-    /// locks. The direct path (`overlay == None`: SA/tabu re-costing,
-    /// [`per_dbc_costs`](Self::per_dbc_costs)) blocks on the memo lock,
-    /// counting contended acquisitions. Either way the returned
-    /// cost is the same pure function of the list's content.
+    /// locks. The direct path (`overlay == None`: [`dbc_cost`](Self::dbc_cost)
+    /// and [`dbc_cost_with`](Self::dbc_cost_with), which SA/tabu re-costing
+    /// uses, and a streaming engine's [`per_dbc_costs`](Self::per_dbc_costs);
+    /// a sequence-built engine replays whole placements instead) blocks on
+    /// the memo lock, counting contended acquisitions. Either way the
+    /// returned cost is the same pure function of the list's content.
     fn dbc_cost_cached(
         &self,
         list: &[VarId],
@@ -1207,16 +1222,21 @@ impl<'a> FitnessEngine<'a> {
     }
 
     /// Allocation-free full replay of a complete placement: one pass over
-    /// the deduplicated access stream with scratch lookup tables — naive
-    /// semantics without the naive path's clone and `Placement` build. Used
-    /// for fresh candidates (random walk) where no per-DBC structure can be
-    /// reused.
+    /// the deduplicated access stream with scratch lookup tables, writing
+    /// each DBC's cost to its slot of `costs` (`costs.len() ==
+    /// lists.len()`) — naive semantics without the naive path's clone and
+    /// `Placement` build. Equal to one per-DBC merge per list by
+    /// separability, and cheaper when every DBC of a placement is new
+    /// (fresh candidates, fully dirty jobs, start states): one linear pass
+    /// instead of `q` merges, and no cache traffic for lists that would
+    /// almost never recur.
     fn replay_lists(
         &self,
         dedup: &[VarId],
         lists: &[Vec<VarId>],
         scratch: &mut EvalScratch,
-    ) -> u64 {
+        costs: &mut [u64],
+    ) {
         self.dbc_recomputations
             .fetch_add(lists.len() as u64, Ordering::Relaxed);
         let table_len = self.index.var_count();
@@ -1235,45 +1255,47 @@ impl<'a> FitnessEngine<'a> {
                 }
             }
         }
-        let mut total = 0u64;
+        // An unplaced variable's DBC is `u32::MAX`, past the last state
+        // slot, so one `get_mut` both bounds-checks and skips it.
         if self.coster.homes() == [0] {
             // Single-port specialization: the only port is homed at 0, so
             // the target *is* the offset — the walk reduces to
             // `Σ |disp − off|` over the deduplicated stream, with a flat
-            // i64 displacement array (`i64::MIN` = not yet aligned; offsets
-            // are non-negative, so the sentinel can never be a real value).
+            // i64 displacement (`i64::MIN` = not yet aligned; offsets are
+            // non-negative, so the sentinel can never be a real value).
             let track_head = self.cost.initial() == InitialAlignment::TrackHead;
             scratch.disp1.clear();
-            scratch.disp1.resize(lists.len(), i64::MIN);
+            scratch.disp1.resize(lists.len(), (i64::MIN, 0));
             for &v in dedup {
                 let i = v.index();
-                let d = scratch.dbc_of[i];
-                if d == u32::MAX {
-                    continue; // unplaced variable
-                }
+                let Some((last, shifts)) = scratch.disp1.get_mut(scratch.dbc_of[i] as usize) else {
+                    continue;
+                };
                 let off = scratch.offsets[i] as i64;
-                let last = scratch.disp1[d as usize];
-                if last != i64::MIN {
-                    total += (last - off).unsigned_abs();
+                if *last != i64::MIN {
+                    *shifts += (*last - off).unsigned_abs();
                 } else if track_head {
-                    total += off.unsigned_abs();
+                    *shifts += off.unsigned_abs();
                 }
-                scratch.disp1[d as usize] = off;
+                *last = off;
+            }
+            for (c, &(_, shifts)) in costs.iter_mut().zip(&scratch.disp1) {
+                *c = shifts;
             }
         } else {
             scratch.disp.clear();
-            scratch.disp.resize(lists.len(), None);
+            scratch.disp.resize(lists.len(), (None, 0));
             for &v in dedup {
                 let i = v.index();
-                let d = scratch.dbc_of[i];
-                if d == u32::MAX {
-                    continue; // unplaced variable
-                }
-                let (c, nd) = self
-                    .coster
-                    .access_cost(scratch.disp[d as usize], scratch.offsets[i] as usize);
-                total += c;
-                scratch.disp[d as usize] = Some(nd);
+                let Some((disp, shifts)) = scratch.disp.get_mut(scratch.dbc_of[i] as usize) else {
+                    continue;
+                };
+                let (c, nd) = self.coster.access_cost(*disp, scratch.offsets[i] as usize);
+                *shifts += c;
+                *disp = Some(nd);
+            }
+            for (c, &(_, shifts)) in costs.iter_mut().zip(&scratch.disp) {
+                *c = shifts;
             }
         }
         for list in lists {
@@ -1285,22 +1307,29 @@ impl<'a> FitnessEngine<'a> {
                 }
             }
         }
-        total
     }
 
     // ---- Whole-placement costing ------------------------------------------
 
-    /// Per-DBC costs of a full set of lists (one fitness evaluation).
+    /// Per-DBC costs of a full set of lists (one fitness evaluation): the
+    /// linear replay on an engine built from a sequence, one cached merge
+    /// per list on a streaming one. Like [`dbc_cost`](Self::dbc_cost), it
+    /// needs each variable placed at most once.
     pub fn per_dbc_costs(&self, lists: &[Vec<VarId>]) -> Vec<u64> {
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
         let mut scratch = self.scratch();
-        let costs = match self.mode {
-            EvalMode::Incremental => lists
+        let costs = match (self.mode, &self.trace) {
+            (EvalMode::Incremental, Some(trace)) => {
+                let mut costs = vec![0; lists.len()];
+                self.replay_lists(&trace.dedup, lists, &mut scratch, &mut costs);
+                costs
+            }
+            (EvalMode::Incremental, None) => lists
                 .iter()
                 .map(|l| self.dbc_cost_with(l, &mut scratch))
                 .collect(),
-            EvalMode::Naive => self.naive_per_dbc_costs(lists),
+            (EvalMode::Naive, _) => self.naive_per_dbc_costs(lists),
         };
         self.add_eval_time(start);
         costs
@@ -1378,9 +1407,21 @@ impl<'a> FitnessEngine<'a> {
         self.memo_merged.fetch_add(merged, Ordering::Relaxed);
     }
 
+    /// Refreshes a job's dirty costs: one linear replay when every DBC is
+    /// dirty and the engine holds the dedup stream (nothing to inherit, and
+    /// lists that new seldom recur), otherwise a cached merge per dirty
+    /// DBC.
     fn finish_job(&self, job: &mut EvalJob, ctx: &mut BatchCtx<'_, 'a>) {
-        match self.mode {
-            EvalMode::Incremental => {
+        match (self.mode, &self.trace) {
+            (EvalMode::Incremental, Some(trace)) if job.dirty.covers(job.lists.len()) => {
+                self.replay_lists(
+                    &trace.dedup,
+                    &job.lists,
+                    &mut ctx.scratch,
+                    &mut job.dbc_costs,
+                );
+            }
+            (EvalMode::Incremental, _) => {
                 let mut inherited = 0u64;
                 for d in 0..job.lists.len() {
                     if job.dirty.is_dirty(d) {
@@ -1395,7 +1436,7 @@ impl<'a> FitnessEngine<'a> {
                 }
                 self.dbc_inherited.fetch_add(inherited, Ordering::Relaxed);
             }
-            EvalMode::Naive => job.dbc_costs = self.naive_per_dbc_costs(&job.lists),
+            (EvalMode::Naive, _) => job.dbc_costs = self.naive_per_dbc_costs(&job.lists),
         }
     }
 
@@ -1408,8 +1449,10 @@ impl<'a> FitnessEngine<'a> {
         let mut out = vec![0u64; candidates.len()];
         self.pool.run(
             &mut out,
-            || self.scratch(),
-            |scratch, i, slot| *slot = self.total_cost_uncached(&candidates[i], scratch),
+            || (self.scratch(), Vec::new()),
+            |(scratch, costs), i, slot| {
+                *slot = self.total_cost_uncached(&candidates[i], scratch, costs);
+            },
         );
         self.add_eval_time(start);
         out
@@ -1420,9 +1463,20 @@ impl<'a> FitnessEngine<'a> {
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
-    fn total_cost_uncached(&self, lists: &[Vec<VarId>], scratch: &mut EvalScratch) -> u64 {
+    /// Total cost of one candidate; `costs` is the worker's per-DBC buffer
+    /// for the replay.
+    fn total_cost_uncached(
+        &self,
+        lists: &[Vec<VarId>],
+        scratch: &mut EvalScratch,
+        costs: &mut Vec<u64>,
+    ) -> u64 {
         match (self.mode, &self.trace) {
-            (EvalMode::Incremental, Some(trace)) => self.replay_lists(&trace.dedup, lists, scratch),
+            (EvalMode::Incremental, Some(trace)) => {
+                costs.resize(lists.len(), 0);
+                self.replay_lists(&trace.dedup, lists, scratch, costs);
+                costs.iter().sum()
+            }
             // A streaming engine has no dedup copy to replay; per-DBC
             // separability makes the sum of per-DBC merges the same total
             // (and the same recomputation count).
@@ -1511,14 +1565,17 @@ mod tests {
             engine.memo.as_ref().unwrap(),
             engine.subseq.as_ref().unwrap(),
         );
-        let want = engine.per_dbc_costs(&lists);
+        // Single-DBC costing goes through both caches (whole placements
+        // are replayed and touch neither).
+        let costs = || -> Vec<u64> { lists.iter().map(|l| engine.dbc_cost(l)).collect() };
+        let want = costs();
         for _ in 0..2 {
             poison(memo);
             poison(subseq);
             // Costs are pure functions of the lists: recovery rebuilds
             // each cache and every result is bit-identical.
-            assert_eq!(engine.per_dbc_costs(&lists), want);
-            assert_eq!(engine.per_dbc_costs(&lists), want);
+            assert_eq!(costs(), want);
+            assert_eq!(costs(), want);
         }
         // Recovery is lazy: each cache clears its poison on its next
         // acquisition.
@@ -1532,13 +1589,25 @@ mod tests {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let base = paper_placement(&seq);
         let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(1);
-        // The same lists recur within one batch: the worker's private
-        // filter promotes them on second touch, and the batch-boundary
-        // merge lands them in the shared memo.
-        let mut jobs: Vec<EvalJob> = (0..4).map(|_| EvalJob::fresh(base.clone())).collect();
-        engine.evaluate_batch(&mut jobs);
         let reference = FitnessEngine::new(&seq, CostModel::single_port());
         let want = reference.per_dbc_costs(&base);
+        // Fully dirty jobs are replayed whole and never reach the memo.
+        let mut fresh: Vec<EvalJob> = (0..4).map(|_| EvalJob::fresh(base.clone())).collect();
+        engine.evaluate_batch(&mut fresh);
+        assert!(fresh.iter().all(|job| job.dbc_costs == want));
+        let stats = engine.stats();
+        assert_eq!((stats.memo_merged, stats.dbc_cache_hits), (0, 0));
+        // The same dirty list recurs within one batch: the worker's private
+        // filter promotes it on second touch, and the batch-boundary merge
+        // lands it in the shared memo.
+        let mut jobs: Vec<EvalJob> = (0..4)
+            .map(|_| {
+                let mut job = EvalJob::derived(base.clone(), vec![want[0], 0]);
+                job.dirty.mark(1);
+                job
+            })
+            .collect();
+        engine.evaluate_batch(&mut jobs);
         for job in &jobs {
             assert_eq!(job.dbc_costs, want);
         }
@@ -1546,7 +1615,7 @@ mod tests {
         assert!(stats.memo_merged > 0, "overlay never merged: {stats:?}");
         // A later *direct* costing is served from the merged shared memo.
         let before = stats.dbc_cache_hits;
-        assert_eq!(engine.per_dbc_costs(&base), want);
+        assert_eq!(engine.dbc_cost(&base[1]), want[1]);
         assert!(engine.stats().dbc_cache_hits > before);
     }
 
@@ -1555,15 +1624,88 @@ mod tests {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
         let engine = FitnessEngine::new(&seq, CostModel::single_port());
-        engine.per_dbc_costs(&lists);
-        engine.per_dbc_costs(&lists);
-        engine.per_dbc_costs(&lists);
+        for _ in 0..3 {
+            for list in &lists {
+                engine.dbc_cost(list);
+            }
+        }
         let stats = engine.stats();
-        assert_eq!(stats.evaluations, 3);
         // Second-touch promotion: pass 1 arms the filter, pass 2 recomputes
         // and memoizes, pass 3 is fully cached.
         assert_eq!(stats.dbc_recomputations, 4);
         assert_eq!(stats.dbc_cache_hits, 2);
+        // A whole placement is replayed: every DBC recomputed, memo unread.
+        engine.per_dbc_costs(&lists);
+        let stats = engine.stats();
+        assert_eq!(stats.evaluations, 1);
+        assert_eq!((stats.dbc_recomputations, stats.dbc_cache_hits), (6, 2));
+    }
+
+    /// The mask as it was before `mark` deduplicated: every mark pushed.
+    #[derive(Default)]
+    struct PushMask {
+        all: bool,
+        dbcs: Vec<u32>,
+    }
+
+    impl PushMask {
+        fn mark(&mut self, d: usize) {
+            if !self.all {
+                self.dbcs.push(d as u32);
+            }
+        }
+
+        fn is_dirty(&self, d: usize) -> bool {
+            self.all || self.dbcs.contains(&(d as u32))
+        }
+    }
+
+    #[test]
+    fn dirty_mask_keeps_each_dbc_once_and_answers_as_before() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        for case in 0..300 {
+            let n = 1 + case % 12;
+            let mut mask = DirtyMask::clean();
+            let mut reference = PushMask::default();
+            for _ in 0..rng.gen_range(0..40usize) {
+                match rng.gen_range(0..64u32) {
+                    0 => {
+                        mask.mark_all();
+                        reference.all = true;
+                        reference.dbcs.clear();
+                    }
+                    1..=15 => {
+                        let q = rng.gen_range(1..5usize);
+                        let s = rng.gen_range(0..=n / q);
+                        mask.mark_subarray(s, q);
+                        for d in s * q..(s + 1) * q {
+                            reference.mark(d);
+                        }
+                    }
+                    _ => {
+                        // Out-of-range marks too: `covers` must ignore them.
+                        let d = rng.gen_range(0..n + 2);
+                        mask.mark(d);
+                        reference.mark(d);
+                    }
+                }
+                for d in 0..n + 6 {
+                    assert_eq!(
+                        mask.is_dirty(d),
+                        reference.is_dirty(d),
+                        "case {case}, DBC {d}"
+                    );
+                }
+                assert_eq!(mask.covers(n), (0..n).all(|d| reference.is_dirty(d)));
+                let mut once = mask.dbcs.clone();
+                once.sort_unstable();
+                once.dedup();
+                assert_eq!(once.len(), mask.dbcs.len(), "a DBC marked twice");
+            }
+        }
+        assert!(DirtyMask::all().covers(3) && !DirtyMask::clean().covers(1));
+        assert!(DirtyMask::clean().covers(0));
     }
 
     #[test]
@@ -1617,13 +1759,26 @@ mod tests {
                 l
             })
             .collect();
-        let jobs = || -> Vec<EvalJob> { candidates.iter().cloned().map(EvalJob::fresh).collect() };
         let serial = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(1);
         let want_batch = serial.batch_costs(&candidates);
         let want_dbc = serial.per_dbc_costs(&base);
+        // Each candidate twice: fresh (replayed whole) and derived with
+        // only DBC1 dirty (merged through the caches).
+        let jobs = || -> Vec<EvalJob> {
+            candidates
+                .iter()
+                .flat_map(|c| {
+                    let mut derived = EvalJob::derived(c.clone(), vec![want_dbc[0], 0]);
+                    derived.dirty.mark(1);
+                    [EvalJob::fresh(c.clone()), derived]
+                })
+                .collect()
+        };
         let mut want_jobs = jobs();
         serial.evaluate_batch(&mut want_jobs);
         let want_totals: Vec<u64> = want_jobs.iter().map(EvalJob::total).collect();
+        let pairs: Vec<u64> = want_batch.iter().flat_map(|&t| [t, t]).collect();
+        assert_eq!(want_totals, pairs);
         for threads in [1usize, 4] {
             let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(threads);
             assert_eq!(engine.batch_costs(&candidates), want_batch);
@@ -1631,9 +1786,11 @@ mod tests {
             engine.evaluate_batch(&mut got_jobs);
             let totals: Vec<u64> = got_jobs.iter().map(EvalJob::total).collect();
             assert_eq!(totals, want_totals);
-            // Repeat to exercise the memo-hit path.
+            // Repeat, through the replay and through the memo-hit path.
             for _ in 0..3 {
                 assert_eq!(engine.per_dbc_costs(&base), want_dbc);
+                let merged: Vec<u64> = base.iter().map(|l| engine.dbc_cost(l)).collect();
+                assert_eq!(merged, want_dbc);
             }
         }
     }
@@ -1787,7 +1944,15 @@ mod tests {
                 let want = cost.per_dbc_costs(&placement, seq.accesses());
                 for engine in &engines {
                     assert_eq!(engine.per_dbc_costs(lists), want);
+                    let merged: Vec<u64> = lists.iter().map(|l| engine.dbc_cost(l)).collect();
+                    assert_eq!(merged, want);
                     let mut job = EvalJob::fresh(lists.clone());
+                    engine.evaluate_batch(std::slice::from_mut(&mut job));
+                    assert_eq!(job.dbc_costs, want);
+                    // Only DBC 0 dirty: merged, not replayed.
+                    let mut job = EvalJob::derived(lists.clone(), want.clone());
+                    job.dbc_costs[0] = 0;
+                    job.dirty.mark(0);
                     engine.evaluate_batch(std::slice::from_mut(&mut job));
                     assert_eq!(job.dbc_costs, want);
                     let total: u64 = want.iter().sum();

@@ -304,7 +304,7 @@ impl GeneticPlacer {
         let mut history = Vec::with_capacity(self.config.generations + 1);
         history.push(best.cost);
         let mut spares: Vec<(Vec<Vec<VarId>>, Vec<u64>)> = Vec::new();
-        let mut tables = (Vec::new(), Vec::new());
+        let mut tables = <[ChildTables; 2]>::default();
 
         // ---- Generations ---------------------------------------------------
         for _ in 0..self.config.generations {
@@ -407,7 +407,7 @@ impl GeneticPlacer {
         let mut history = vec![best.cost];
 
         let mut spares: Vec<(Vec<Vec<VarId>>, Vec<u64>)> = Vec::new();
-        let mut tables = (Vec::new(), Vec::new());
+        let mut tables = <[ChildTables; 2]>::default();
         while best.cost > 0 && !meter.exhausted() && !crate::search::race_stopped(race) {
             let lambda = (self.config.lambda as u64)
                 .min(meter.remaining_evals())
@@ -515,7 +515,7 @@ impl GeneticPlacer {
         lambda: usize,
         rng: &mut ChaCha8Rng,
         spares: &mut Vec<(Vec<Vec<VarId>>, Vec<u64>)>,
-        tables: &mut (Vec<u32>, Vec<u32>),
+        tables: &mut [ChildTables; 2],
     ) -> Vec<EvalJob> {
         let mut jobs: Vec<EvalJob> = Vec::with_capacity(lambda);
         while jobs.len() < lambda {
@@ -645,6 +645,47 @@ pub(crate) fn random_assignment_into(
     }
 }
 
+/// One crossover child's bookkeeping, reused across a run: its var→DBC
+/// table and the running length of each DBC (stale entries excluded).
+#[derive(Debug, Default)]
+struct ChildTables {
+    dbc_of: Vec<u32>,
+    len: Vec<usize>,
+}
+
+impl ChildTables {
+    /// Resets both tables to `child`'s lists.
+    fn fill(&mut self, child: &EvalJob) {
+        dbc_table(&child.lists, &mut self.dbc_of);
+        self.len.clear();
+        self.len.extend(child.lists.iter().map(Vec::len));
+    }
+
+    /// Moves `v` from DBC `from` to the tail of DBC `to` if `to` has room,
+    /// marking both dirty. The stale entry in `from` stays in its list until
+    /// [`drop_stale`](Self::drop_stale).
+    fn relocate(&mut self, child: &mut EvalJob, v: VarId, from: usize, to: usize, capacity: usize) {
+        if self.len[to] < capacity {
+            self.len[from] -= 1;
+            self.len[to] += 1;
+            child.lists[to].push(v);
+            self.dbc_of[v.index()] = to as u32;
+            child.dirty.mark(from);
+            child.dirty.mark(to);
+        }
+    }
+
+    /// Removes every entry the table no longer places in its list — one
+    /// `retain` per DBC that lost a variable.
+    fn drop_stale(&self, child: &mut EvalJob) {
+        for (d, list) in child.lists.iter_mut().enumerate() {
+            if list.len() > self.len[d] {
+                list.retain(|v| self.dbc_of[v.index()] as usize == d);
+            }
+        }
+    }
+}
+
 /// The paper's 2-fold crossover: pick `v_f, v_l` (`f < l`) in
 /// first-appearance order; for every variable in the enclosed range whose
 /// DBC differs between the parents, swap the DBC memberships (the variable
@@ -654,9 +695,10 @@ pub(crate) fn random_assignment_into(
 /// The children start as clones of the parents (inheriting their per-DBC
 /// costs) and every DBC an actual move touches is marked dirty.
 ///
-/// Each child's var→DBC location map is built once up front (O(|V|)) and
-/// maintained as moves land, instead of rescanning every list per crossed
-/// variable (O(range · |V|) — the former orchestration hotspot).
+/// Each child's var→DBC table and DBC lengths are built once up front
+/// (O(|V|)) and kept current as moves land; a moved variable is appended
+/// at once, and its stale entry is dropped by one `retain` per source DBC
+/// at the end, so a child costs O(|V|) whatever the range.
 fn crossover(
     a: &Individual,
     b: &Individual,
@@ -664,7 +706,7 @@ fn crossover(
     capacity: usize,
     rng: &mut impl Rng,
     spares: &mut Vec<(Vec<Vec<VarId>>, Vec<u64>)>,
-    tables: &mut (Vec<u32>, Vec<u32>),
+    tables: &mut [ChildTables; 2],
 ) -> (EvalJob, EvalJob) {
     let n = vars.len();
     let mut j1 = derive_job(a, spares);
@@ -675,34 +717,21 @@ fn crossover(
     let f = rng.gen_range(0..n - 1);
     let l = rng.gen_range(f + 1..n);
 
-    let (t1, t2) = tables;
-    dbc_table(&j1.lists, t1);
-    dbc_table(&j2.lists, t2);
-
+    let [t1, t2] = tables;
+    t1.fill(&j1);
+    t2.fill(&j2);
     for &v in &vars[f..=l] {
-        let (c1, c2) = (&mut j1.lists, &mut j2.lists);
-        let da = t1[v.index()] as usize;
-        let db = t2[v.index()] as usize;
-        if da == db {
-            continue;
-        }
-        // Move v to the other parent's DBC in each child, capacity
-        // permitting (both moves free one slot in the source DBC first).
-        if c1[db].len() < capacity {
-            c1[da].retain(|&x| x != v);
-            c1[db].push(v);
-            t1[v.index()] = db as u32;
-            j1.dirty.mark(da);
-            j1.dirty.mark(db);
-        }
-        if c2[da].len() < capacity {
-            c2[db].retain(|&x| x != v);
-            c2[da].push(v);
-            t2[v.index()] = da as u32;
-            j2.dirty.mark(da);
-            j2.dirty.mark(db);
+        // Each variable is visited once, so its entries still hold the
+        // parents' DBCs.
+        let da = t1.dbc_of[v.index()] as usize;
+        let db = t2.dbc_of[v.index()] as usize;
+        if da != db {
+            t1.relocate(&mut j1, v, da, db, capacity);
+            t2.relocate(&mut j2, v, db, da, capacity);
         }
     }
+    t1.drop_stale(&mut j1);
+    t2.drop_stale(&mut j2);
     (j1, j2)
 }
 
@@ -910,11 +939,123 @@ mod tests {
         let b = indiv(&engine, crate::inter::Afd.distribute(&seq, 3, 4).unwrap());
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mut spares = Vec::new();
-        let mut tables = (Vec::new(), Vec::new());
+        let mut tables = <[ChildTables; 2]>::default();
         for _ in 0..50 {
             let (j1, j2) = crossover(&a, &b, &vars, 4, &mut rng, &mut spares, &mut tables);
             assert_valid(&j1.lists, &seq, 4);
             assert_valid(&j2.lists, &seq, 4);
+        }
+    }
+
+    /// The crossover as it was: each moved variable removed from its old
+    /// DBC by its own `retain`, capacity read off the lists.
+    fn crossover_reference(
+        a: &Individual,
+        b: &Individual,
+        vars: &[VarId],
+        capacity: usize,
+        rng: &mut impl Rng,
+    ) -> (EvalJob, EvalJob) {
+        let n = vars.len();
+        let mut j1 = EvalJob::derived(a.dbcs.clone(), a.dbc_costs.clone());
+        let mut j2 = EvalJob::derived(b.dbcs.clone(), b.dbc_costs.clone());
+        if n < 2 {
+            return (j1, j2);
+        }
+        let f = rng.gen_range(0..n - 1);
+        let l = rng.gen_range(f + 1..n);
+        let (mut t1, mut t2) = (Vec::new(), Vec::new());
+        dbc_table(&j1.lists, &mut t1);
+        dbc_table(&j2.lists, &mut t2);
+        for &v in &vars[f..=l] {
+            let (c1, c2) = (&mut j1.lists, &mut j2.lists);
+            let da = t1[v.index()] as usize;
+            let db = t2[v.index()] as usize;
+            if da == db {
+                continue;
+            }
+            if c1[db].len() < capacity {
+                c1[da].retain(|&x| x != v);
+                c1[db].push(v);
+                t1[v.index()] = db as u32;
+                j1.dirty.mark(da);
+                j1.dirty.mark(db);
+            }
+            if c2[da].len() < capacity {
+                c2[db].retain(|&x| x != v);
+                c2[da].push(v);
+                t2[v.index()] = da as u32;
+                j2.dirty.mark(da);
+                j2.dirty.mark(db);
+            }
+        }
+        (j1, j2)
+    }
+
+    #[test]
+    fn crossover_equals_the_retain_per_move_reference() {
+        use rand::RngCore;
+        // (variables, DBCs, capacity): roomy parents, exactly full ones
+        // (no move can land) and nearly full ones (moves into a full DBC
+        // wait for an earlier move out of it).
+        let shapes = [
+            (9, 2, 512),
+            (9, 3, 3),
+            (9, 4, 3),
+            (60, 4, 15),
+            (60, 4, 16),
+            (200, 8, 25),
+            (200, 8, 27),
+            (300, 3, 512),
+            (2, 2, 1),
+            (1, 1, 1),
+        ];
+        for (nvars, dbcs, capacity) in shapes {
+            let vars: Vec<VarId> = (0..nvars).map(VarId::from_index).collect();
+            let mut rng = ChaCha8Rng::seed_from_u64((nvars * 31 + dbcs) as u64);
+            let parents: Vec<Individual> = (0..6)
+                .map(|_| {
+                    let lists = random_assignment(&vars, dbcs, capacity, &mut rng);
+                    Individual {
+                        dbc_costs: vec![0; lists.len()],
+                        dbcs: lists,
+                        cost: 0,
+                    }
+                })
+                .collect();
+            let dirty = |j: &EvalJob| -> Vec<usize> {
+                (0..dbcs).filter(|&d| j.dirty.is_dirty(d)).collect()
+            };
+            let mut spares = Vec::new();
+            let mut tables = <[ChildTables; 2]>::default();
+            let mut moved = 0usize;
+            for round in 0..60u64 {
+                let a = &parents[round as usize % 6];
+                let b = &parents[(round as usize * 7 + 1) % 6];
+                let mut r1 = ChaCha8Rng::seed_from_u64(round);
+                let mut r2 = ChaCha8Rng::seed_from_u64(round);
+                let got = crossover(a, b, &vars, capacity, &mut r1, &mut spares, &mut tables);
+                let want = crossover_reference(a, b, &vars, capacity, &mut r2);
+                for (g, w) in [(&got.0, &want.0), (&got.1, &want.1)] {
+                    assert_eq!(g.lists, w.lists, "{nvars}/{dbcs}/{capacity} round {round}");
+                    assert_eq!(
+                        dirty(g),
+                        dirty(w),
+                        "{nvars}/{dbcs}/{capacity} round {round}"
+                    );
+                    moved += dirty(g).len();
+                }
+                assert_eq!(r1.next_u64(), r2.next_u64(), "RNG streams diverged");
+                // Recycle the children's buffers, as a generation does.
+                spares.push((got.0.lists, got.0.dbc_costs));
+                spares.push((got.1.lists, got.1.dbc_costs));
+            }
+            let full = nvars == dbcs * capacity;
+            assert_eq!(
+                moved == 0,
+                nvars < 2 || full,
+                "{nvars}/{dbcs}/{capacity}: {moved} dirty DBCs"
+            );
         }
     }
 
@@ -929,7 +1070,7 @@ mod tests {
         let b = indiv(&engine, crate::inter::Afd.distribute(&seq, 3, 4).unwrap());
         let mut rng = ChaCha8Rng::seed_from_u64(17);
         let mut spares = Vec::new();
-        let mut tables = (Vec::new(), Vec::new());
+        let mut tables = <[ChildTables; 2]>::default();
         for _ in 0..100 {
             let (mut j1, mut j2) = crossover(&a, &b, &vars, 4, &mut rng, &mut spares, &mut tables);
             mutate(&mut j1.lists, 4, 3, &mut rng, &mut j1.dirty);

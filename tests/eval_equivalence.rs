@@ -6,6 +6,8 @@
 //! * per-DBC subsequence costing equals `CostModel::per_dbc_costs` on
 //!   arbitrary traces, placements and port counts;
 //! * the batch replay path (random walk) equals per-placement costing;
+//! * the engine's two costing kernels — one linear replay of a whole
+//!   placement, one merge per DBC — agree on every DBC;
 //! * the GA produces identical outcomes (best, history, evaluations) under
 //!   the naive evaluator, the incremental engine, and any thread count;
 //! * golden histories captured from the pre-engine implementation are
@@ -15,6 +17,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use rtm::placement::eval::{EvalJob, FitnessEngine};
 use rtm::placement::random_walk::{self, RandomWalkConfig};
+use rtm::placement::InitialAlignment;
 use rtm::{AccessSequence, Benchmark, CostModel, GaConfig, GeneticPlacer, Placement, VarTable};
 use rtm_trace::{ChunkedSequence, VarId};
 
@@ -77,8 +80,14 @@ proptest! {
         let expect = cost.per_dbc_costs(&placement, seq.accesses());
         let engine = FitnessEngine::new(&seq, cost);
         prop_assert_eq!(engine.per_dbc_costs(&lists), expect.clone());
-        // A second pass answers from the caches — still identical.
+        // A second pass — still identical.
         prop_assert_eq!(engine.per_dbc_costs(&lists), expect.clone());
+        // That was the whole-placement replay, which no cache serves; one
+        // merge per DBC, cold and then through the caches, agrees too.
+        for _ in 0..2 {
+            let merged: Vec<u64> = lists.iter().map(|l| engine.dbc_cost(l)).collect();
+            prop_assert_eq!(&merged, &expect);
+        }
         // The naive reference engine replicates the pre-engine path.
         let naive = FitnessEngine::naive(&seq, cost);
         prop_assert_eq!(naive.per_dbc_costs(&lists), expect);
@@ -112,6 +121,71 @@ proptest! {
         for (lists, got) in candidates.iter().zip(costs) {
             let p = Placement::from_dbc_lists(lists.clone());
             prop_assert_eq!(got, cost.shift_cost(&p, seq.accesses()));
+        }
+    }
+
+    /// The two costing kernels agree per DBC: the linear replay of a whole
+    /// placement (`per_dbc_costs` on a sequence-built engine, fresh and
+    /// fully dirty batch jobs) and one merge per DBC (`dbc_cost`, partially
+    /// dirty jobs), at ports {1,2,4}, in both initial alignments, and with
+    /// variables the placement leaves out.
+    #[test]
+    fn replay_costs_match_per_dbc_merges(
+        seq in arb_trace(16, 120),
+        dbcs in 1usize..6,
+        dbc_of in vec(0usize..7, 16),
+        order in vec(any::<u8>(), 16),
+        place_all in any::<bool>(),
+        ports_sel in 0usize..3,
+        track_head in any::<bool>(),
+        dirty in vec(any::<bool>(), 6),
+    ) {
+        let nvars = seq.vars().len();
+        // Variables whose draw is not a DBC stay unplaced.
+        let lists = if place_all {
+            placement_from(&dbc_of, &order, nvars, dbcs)
+        } else {
+            let mut lists = placement_from(&dbc_of, &order, nvars, 7);
+            lists.truncate(dbcs);
+            lists
+        };
+        let ports = [1usize, 2, 4][ports_sel];
+        let track = lists.iter().map(Vec::len).max().unwrap_or(1).max(ports);
+        let initial = if track_head {
+            InitialAlignment::TrackHead
+        } else {
+            InitialAlignment::FirstAccess
+        };
+        let cost = if ports == 1 {
+            CostModel::single_port()
+        } else {
+            CostModel::multi_port(ports, track)
+        }
+        .with_initial(initial);
+        let want = cost.per_dbc_costs(&Placement::from_dbc_lists(lists.clone()), seq.accesses());
+        let engine = FitnessEngine::new(&seq, cost).with_threads(1);
+        let replayed = engine.per_dbc_costs(&lists);
+        prop_assert_eq!(&replayed, &want);
+        // The merge kernel, twice: cold, then through the caches.
+        for _ in 0..2 {
+            let merged: Vec<u64> = lists.iter().map(|l| engine.dbc_cost(l)).collect();
+            prop_assert_eq!(&merged, &want);
+        }
+        // Batch jobs: fresh, fully dirty (every DBC marked over stale
+        // costs) and partially dirty (stale costs under the marks only).
+        let mut full = EvalJob::derived(lists.clone(), vec![u64::MAX; dbcs]);
+        for d in 0..dbcs {
+            full.dirty.mark(d);
+        }
+        let mut partial = EvalJob::derived(lists.clone(), want.clone());
+        for d in (0..dbcs).filter(|&d| dirty[d]) {
+            partial.dbc_costs[d] = u64::MAX;
+            partial.dirty.mark(d);
+        }
+        let mut jobs = vec![EvalJob::fresh(lists.clone()), full, partial];
+        engine.evaluate_batch(&mut jobs);
+        for job in &jobs {
+            prop_assert_eq!(&job.dbc_costs, &want);
         }
     }
 
@@ -227,6 +301,26 @@ proptest! {
         four.evaluate_batch(&mut jobs_b);
         let totals_a: Vec<u64> = jobs_a.iter().map(EvalJob::total).collect();
         let totals_b: Vec<u64> = jobs_b.iter().map(EvalJob::total).collect();
+        prop_assert_eq!(&totals_a, &a);
+        prop_assert_eq!(totals_a, totals_b);
+        // Fresh jobs are replayed whole; jobs that keep DBC 0 merge the
+        // rest per DBC.
+        let mut derived_a: Vec<EvalJob> = candidates
+            .iter()
+            .map(|c| {
+                let mut job = EvalJob::derived(c.clone(), naive.per_dbc_costs(c));
+                for d in 1..c.len() {
+                    job.dbc_costs[d] = 0;
+                    job.dirty.mark(d);
+                }
+                job
+            })
+            .collect();
+        let mut derived_b = derived_a.clone();
+        one.evaluate_batch(&mut derived_a);
+        four.evaluate_batch(&mut derived_b);
+        let totals_a: Vec<u64> = derived_a.iter().map(EvalJob::total).collect();
+        let totals_b: Vec<u64> = derived_b.iter().map(EvalJob::total).collect();
         prop_assert_eq!(&totals_a, &a);
         prop_assert_eq!(totals_a, totals_b);
     }

@@ -245,6 +245,36 @@ mod cache_poison_storm {
             .collect()
     }
 
+    /// Each variant three times as a derived job with two of its four
+    /// DBCs dirty. A job whose DBCs are all dirty is replayed whole and
+    /// touches neither cache; these go through the per-DBC merge, where
+    /// repeated lists hit the memo and the variants' shared memberships
+    /// the subsequence cache.
+    fn jobs(variants: &[Vec<Vec<VarId>>], costs: &[Vec<u64>]) -> Vec<EvalJob> {
+        (0..3)
+            .flat_map(|_| variants.iter().zip(costs).enumerate())
+            .map(|(r, (lists, costs))| {
+                let mut job = EvalJob::derived(lists.clone(), costs.clone());
+                for d in [r % lists.len(), (r + 1) % lists.len()] {
+                    // Stale until the batch recomputes it.
+                    job.dbc_costs[d] = 0;
+                    job.dirty.mark(d);
+                }
+                job
+            })
+            .collect()
+    }
+
+    fn totals(engine: &FitnessEngine, mut jobs: Vec<EvalJob>) -> Vec<u64> {
+        engine.evaluate_batch(&mut jobs);
+        jobs.iter().map(EvalJob::total).collect()
+    }
+
+    /// The direct path: one blocking-lock merge per DBC of a placement.
+    fn direct(engine: &FitnessEngine, lists: &[Vec<VarId>]) -> Vec<u64> {
+        lists.iter().map(|l| engine.dbc_cost(l)).collect()
+    }
+
     #[test]
     fn poison_storms_recover_both_caches_without_changing_results() {
         let seq = trace();
@@ -254,10 +284,9 @@ mod cache_poison_storm {
 
         // Golden totals from a serial, never-poisoned engine.
         let clean = FitnessEngine::new(&seq, cost).with_threads(1);
-        let mut jobs: Vec<EvalJob> = variants.iter().map(|v| EvalJob::fresh(v.clone())).collect();
-        clean.evaluate_batch(&mut jobs);
-        let want: Vec<u64> = jobs.iter().map(EvalJob::total).collect();
-        let want_direct = clean.per_dbc_costs(&variants[0]);
+        let costs: Vec<Vec<u64>> = variants.iter().map(|v| clean.per_dbc_costs(v)).collect();
+        let want = totals(&clean, jobs(&variants, &costs));
+        let want_direct = direct(&clean, &variants[0]);
 
         let engine = FitnessEngine::new(&seq, cost).with_threads(4);
 
@@ -266,17 +295,22 @@ mod cache_poison_storm {
         // (blocking lock recovery) must both come back bit-identical.
         for round in 0..20 {
             engine.poison_caches();
-            let mut jobs: Vec<EvalJob> =
-                variants.iter().map(|v| EvalJob::fresh(v.clone())).collect();
-            engine.evaluate_batch(&mut jobs);
-            let got: Vec<u64> = jobs.iter().map(EvalJob::total).collect();
+            let got = totals(&engine, jobs(&variants, &costs));
             assert_eq!(got, want, "batch diverged after storm round {round}");
             assert_eq!(
-                engine.per_dbc_costs(&variants[0]),
+                direct(&engine, &variants[0]),
                 want_direct,
                 "direct path diverged after storm round {round}"
             );
         }
+        // Every job merged its two dirty DBCs, and both caches answered
+        // again after their poisoned locks were recovered.
+        let phase1 = engine.stats();
+        assert_eq!(phase1.dbc_inherited, 20 * 24 * 2, "{phase1:?}");
+        assert!(
+            phase1.dbc_cache_hits > 0 && phase1.subseq_cache_hits > 0,
+            "the storm never reached a cache: {phase1:?}"
+        );
 
         // Phase 2: storm *concurrent* with the batches — a poisoner thread
         // hammers both cache locks while the pool evaluates; recovery then
@@ -290,21 +324,18 @@ mod cache_poison_storm {
                 }
             });
             for round in 0..20 {
-                let mut jobs: Vec<EvalJob> =
-                    variants.iter().map(|v| EvalJob::fresh(v.clone())).collect();
-                engine.evaluate_batch(&mut jobs);
-                let got: Vec<u64> = jobs.iter().map(EvalJob::total).collect();
+                let got = totals(&engine, jobs(&variants, &costs));
                 assert_eq!(got, want, "batch diverged under live storm round {round}");
             }
             stop.store(true, Ordering::Relaxed);
         });
+        // Every job kept its two clean DBCs and merged its two dirty ones.
+        let phase2 = engine.stats().since(&phase1);
+        assert_eq!(phase2.dbc_inherited, 20 * 24 * 2, "{phase2:?}");
 
         // The storm must leave nothing durably broken: a final quiet pass
         // over both paths still matches the golden outputs.
-        assert_eq!(engine.per_dbc_costs(&variants[0]), want_direct);
-        let mut jobs: Vec<EvalJob> = variants.iter().map(|v| EvalJob::fresh(v.clone())).collect();
-        engine.evaluate_batch(&mut jobs);
-        let got: Vec<u64> = jobs.iter().map(EvalJob::total).collect();
-        assert_eq!(got, want);
+        assert_eq!(direct(&engine, &variants[0]), want_direct);
+        assert_eq!(totals(&engine, jobs(&variants, &costs)), want);
     }
 }

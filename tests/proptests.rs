@@ -270,28 +270,50 @@ proptest! {
         variants.push(rotated);
 
         // Serial baseline: direct costs (cold + cached repeat) and batch.
+        // A sequence-built engine replays a whole placement (`per_dbc_costs`,
+        // fresh jobs) without touching a cache, so the direct path is one
+        // `dbc_cost` per DBC, and beside each fresh job the batch holds a
+        // derived one that keeps DBC 0 and merges the rest.
+        let merged = |engine: &FitnessEngine, v: &[Vec<rtm::VarId>]| -> Vec<u64> {
+            v.iter().map(|l| engine.dbc_cost(l)).collect()
+        };
         let baseline = FitnessEngine::new(&seq, cost).with_threads(1);
-        let want: Vec<Vec<u64>> = variants.iter().map(|v| baseline.per_dbc_costs(v)).collect();
-        let again: Vec<Vec<u64>> = variants.iter().map(|v| baseline.per_dbc_costs(v)).collect();
+        let want: Vec<Vec<u64>> = variants.iter().map(|v| merged(&baseline, v)).collect();
+        let again: Vec<Vec<u64>> = variants.iter().map(|v| merged(&baseline, v)).collect();
         prop_assert_eq!(&want, &again, "baseline cache changed a cost");
-        let mut jobs: Vec<EvalJob> =
-            variants.iter().map(|v| EvalJob::fresh(v.clone())).collect();
-        baseline.evaluate_batch(&mut jobs);
-        let want_totals: Vec<u64> = jobs.iter().map(EvalJob::total).collect();
+        let replayed: Vec<Vec<u64>> = variants.iter().map(|v| baseline.per_dbc_costs(v)).collect();
+        prop_assert_eq!(&want, &replayed, "replay diverged from the merges");
+        let jobs = || -> Vec<EvalJob> {
+            variants
+                .iter()
+                .zip(&want)
+                .flat_map(|(v, w)| {
+                    let mut derived = EvalJob::derived(v.clone(), w.clone());
+                    for d in 1..v.len() {
+                        derived.dbc_costs[d] = 0;
+                        derived.dirty.mark(d);
+                    }
+                    [EvalJob::fresh(v.clone()), derived]
+                })
+                .collect()
+        };
+        let mut batch = jobs();
+        baseline.evaluate_batch(&mut batch);
+        let want_totals: Vec<u64> = batch.iter().map(EvalJob::total).collect();
 
         for &workers in &[1usize, 2, 8] {
             let engine = FitnessEngine::new(&seq, cost).with_threads(workers);
-            let mut jobs: Vec<EvalJob> =
-                variants.iter().map(|v| EvalJob::fresh(v.clone())).collect();
-            engine.evaluate_batch(&mut jobs);
-            let totals: Vec<u64> = jobs.iter().map(EvalJob::total).collect();
+            let mut batch = jobs();
+            engine.evaluate_batch(&mut batch);
+            let totals: Vec<u64> = batch.iter().map(EvalJob::total).collect();
             prop_assert_eq!(
                 &totals, &want_totals,
                 "batch diverged at workers={}", workers
             );
             for (v, w) in variants.iter().zip(&want) {
                 // Twice: the second pass reads the now-warm caches.
-                prop_assert_eq!(&engine.per_dbc_costs(v), w);
+                prop_assert_eq!(&merged(&engine, v), w);
+                prop_assert_eq!(&merged(&engine, v), w);
                 prop_assert_eq!(&engine.per_dbc_costs(v), w);
             }
         }
