@@ -227,6 +227,174 @@ fn fixed_seed_goldens_on_the_paper_trace() {
     assert_eq!(again.placement, sa.placement);
 }
 
+/// FNV-1a over a placement's DBC lists (one separator after each list),
+/// so one number pins the exact layout.
+fn placement_digest(p: &Placement) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for list in p.dbc_lists() {
+        for v in list.iter().map(|v| v.index() as u64).chain([u64::MAX]) {
+            h = (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// One trajectory golden: trace, DBCs, ports, eval budget, run (`sa`,
+/// `tabu`, or a lane of the two-lane `folio/…` race), then shifts,
+/// placement digest, `evals_at_best`, and the engine's
+/// `dbc_recomputations` and `dbc_cache_hits` over the run (the race's
+/// totals for both of its lanes).
+type TierGolden = (
+    &'static str,
+    usize,
+    usize,
+    u64,
+    &'static str,
+    u64,
+    u64,
+    u64,
+    u64,
+    u64,
+);
+
+#[rustfmt::skip]
+const TIER_GOLDENS: &[TierGolden] = &[
+    ("expected-dsp", 4, 1, 200, "sa", 3925, 18306925200884332981, 1, 342, 0),
+    ("expected-dsp", 4, 1, 200, "tabu", 3822, 1561587752982805613, 196, 354, 4),
+    ("expected-dsp", 4, 1, 200, "folio/sa", 3925, 18306925200884332981, 1, 685, 2),
+    ("expected-dsp", 4, 1, 200, "folio/tabu", 3925, 18306925200884332981, 1, 685, 2),
+    ("expected-dsp", 4, 1, 2000, "sa", 3856, 9418166929503072861, 1732, 3246, 1),
+    ("expected-dsp", 4, 1, 2000, "tabu", 3822, 1561587752982805613, 196, 3407, 11),
+    ("expected-dsp", 4, 1, 2000, "folio/sa", 3915, 3941301220952957911, 812, 6655, 9),
+    ("expected-dsp", 4, 1, 2000, "folio/tabu", 3925, 18306925200884332981, 1, 6655, 9),
+    ("expected-dsp", 4, 2, 200, "sa", 3925, 18306925200884332981, 1, 345, 0),
+    ("expected-dsp", 4, 2, 200, "tabu", 3840, 10187853423959964133, 20, 355, 4),
+    ("expected-dsp", 4, 2, 200, "folio/sa", 3925, 18306925200884332981, 1, 686, 2),
+    ("expected-dsp", 4, 2, 200, "folio/tabu", 3789, 8351645367001667115, 200, 686, 2),
+    ("expected-dsp", 4, 2, 2000, "sa", 3785, 7296144609123413077, 1844, 3246, 2),
+    ("expected-dsp", 4, 2, 2000, "tabu", 3793, 14917506854625674941, 436, 3422, 12),
+    ("expected-dsp", 4, 2, 2000, "folio/sa", 3915, 3941301220952957911, 809, 6660, 11),
+    ("expected-dsp", 4, 2, 2000, "folio/tabu", 3763, 1530916580205665117, 260, 6660, 11),
+    ("expected-dsp", 8, 1, 200, "sa", 1850, 1619651893498708131, 1, 360, 0),
+    ("expected-dsp", 8, 1, 200, "tabu", 1756, 12766916084539387181, 196, 372, 2),
+    ("expected-dsp", 8, 1, 200, "folio/sa", 1850, 1619651893498708131, 1, 720, 0),
+    ("expected-dsp", 8, 1, 200, "folio/tabu", 1835, 12933700990669493813, 68, 720, 0),
+    ("expected-dsp", 8, 1, 2000, "sa", 1836, 3180917237021817035, 1627, 3284, 2),
+    ("expected-dsp", 8, 1, 2000, "tabu", 1706, 18238359546881029581, 580, 3419, 25),
+    ("expected-dsp", 8, 1, 2000, "folio/sa", 1792, 3892424095081726961, 1724, 6661, 19),
+    ("expected-dsp", 8, 1, 2000, "folio/tabu", 1759, 6669313332289202499, 1604, 6661, 19),
+    ("expected-dsp", 8, 2, 200, "sa", 1850, 1619651893498708131, 1, 359, 0),
+    ("expected-dsp", 8, 2, 200, "tabu", 1799, 11999353511376640009, 132, 374, 2),
+    ("expected-dsp", 8, 2, 200, "folio/sa", 1850, 1619651893498708131, 1, 725, 0),
+    ("expected-dsp", 8, 2, 200, "folio/tabu", 1818, 17848640896498416905, 132, 725, 0),
+    ("expected-dsp", 8, 2, 2000, "sa", 1807, 4775628136588734825, 1646, 3276, 2),
+    ("expected-dsp", 8, 2, 2000, "tabu", 1645, 15244074026162757361, 1412, 3419, 27),
+    ("expected-dsp", 8, 2, 2000, "folio/sa", 1837, 16389600277698972715, 1722, 6686, 19),
+    ("expected-dsp", 8, 2, 2000, "folio/tabu", 1653, 12708722911693539825, 932, 6686, 19),
+    ("expected-ctl", 4, 1, 200, "sa", 7001, 16989116825300073689, 1, 356, 0),
+    ("expected-ctl", 4, 1, 200, "tabu", 6975, 1692745244863396059, 36, 359, 1),
+    ("expected-ctl", 4, 1, 200, "folio/sa", 7001, 16989116825300073689, 1, 696, 0),
+    ("expected-ctl", 4, 1, 200, "folio/tabu", 7001, 16989116825300073689, 1, 696, 0),
+    ("expected-ctl", 4, 1, 2000, "sa", 7001, 16989116825300073689, 1, 3282, 0),
+    ("expected-ctl", 4, 1, 2000, "tabu", 6975, 1692745244863396059, 36, 3426, 3),
+    ("expected-ctl", 4, 1, 2000, "folio/sa", 7001, 16989116825300073689, 1, 6661, 5),
+    ("expected-ctl", 4, 1, 2000, "folio/tabu", 7001, 16989116825300073689, 1, 6661, 5),
+    ("expected-ctl", 4, 2, 200, "sa", 7001, 16989116825300073689, 1, 343, 0),
+    ("expected-ctl", 4, 2, 200, "tabu", 6924, 9241730944515712197, 148, 359, 1),
+    ("expected-ctl", 4, 2, 200, "folio/sa", 7001, 16989116825300073689, 1, 696, 0),
+    ("expected-ctl", 4, 2, 200, "folio/tabu", 7001, 16989116825300073689, 1, 696, 0),
+    ("expected-ctl", 4, 2, 2000, "sa", 6975, 12909263767050002631, 1607, 3265, 0),
+    ("expected-ctl", 4, 2, 2000, "tabu", 6924, 9241730944515712197, 148, 3425, 2),
+    ("expected-ctl", 4, 2, 2000, "folio/sa", 6963, 11469958205381187325, 809, 6704, 5),
+    ("expected-ctl", 4, 2, 2000, "folio/tabu", 7001, 16989116825300073689, 1, 6704, 5),
+    ("expected-ctl", 8, 1, 200, "sa", 3595, 2025026535896686959, 1, 355, 0),
+    ("expected-ctl", 8, 1, 200, "tabu", 3575, 5798799017830456961, 164, 374, 1),
+    ("expected-ctl", 8, 1, 200, "folio/sa", 3595, 2025026535896686959, 1, 714, 2),
+    ("expected-ctl", 8, 1, 200, "folio/tabu", 3519, 12400768987306694759, 180, 714, 2),
+    ("expected-ctl", 8, 1, 2000, "sa", 3595, 2025026535896686959, 1, 3264, 1),
+    ("expected-ctl", 8, 1, 2000, "tabu", 3427, 11111334700062956467, 1876, 3430, 6),
+    ("expected-ctl", 8, 1, 2000, "folio/sa", 3595, 2025026535896686959, 1, 6704, 17),
+    ("expected-ctl", 8, 1, 2000, "folio/tabu", 3263, 12615805124260702195, 1076, 6704, 17),
+    ("expected-ctl", 8, 2, 200, "sa", 3595, 2025026535896686959, 1, 355, 0),
+    ("expected-ctl", 8, 2, 200, "tabu", 3521, 9285019646938607393, 180, 377, 0),
+    ("expected-ctl", 8, 2, 200, "folio/sa", 3595, 2025026535896686959, 1, 713, 0),
+    ("expected-ctl", 8, 2, 200, "folio/tabu", 3461, 8305549902904174575, 180, 713, 0),
+    ("expected-ctl", 8, 2, 2000, "sa", 3595, 2025026535896686959, 1, 3248, 0),
+    ("expected-ctl", 8, 2, 2000, "tabu", 3176, 5353086390454808803, 1796, 3433, 16),
+    ("expected-ctl", 8, 2, 2000, "folio/sa", 3595, 2025026535896686959, 1, 6673, 32),
+    ("expected-ctl", 8, 2, 2000, "folio/tabu", 3104, 11721245537117040211, 1364, 6673, 32),
+];
+
+/// Seed-fixed SA and tabu trajectory goldens on the expected-tier traces,
+/// standalone and as portfolio lanes, at 4/8 DBCs, 1/2 ports and budgets
+/// of 200/2 000 evals. Each run gets a fresh one-worker engine, so the
+/// cache counters are those of the run alone and the race runs its lanes
+/// in order. Any drift in a trajectory (a different move, a different
+/// acceptance) or in how the engine answers a re-cost (memo hit or
+/// recomputation) changes a row.
+#[test]
+fn sa_and_tabu_trajectory_goldens_on_tier_traces() {
+    let mut got: Vec<TierGolden> = Vec::new();
+    for trace in ["expected-dsp", "expected-ctl"] {
+        let seq = rtm::offsetstone::TierWorkload::by_name(trace, 1.0)
+            .unwrap()
+            .generate();
+        for dbcs in [4usize, 8] {
+            for ports in [1usize, 2] {
+                let problem = array_problem(&seq, dbcs, ports, 1);
+                let seeds = problem.heuristic_seeds();
+                let (capacity, cost) = (problem.capacity(), problem.cost_model());
+                let fresh = || FitnessEngine::new(&seq, cost).with_threads(1);
+                for evals in [200u64, 2_000] {
+                    let budget = Budget::evals(evals);
+                    let mut row = |run, out: &rtm::SearchOutcome, engine: &FitnessEngine| {
+                        let stats = engine.stats();
+                        got.push((
+                            trace,
+                            dbcs,
+                            ports,
+                            evals,
+                            run,
+                            out.cost,
+                            placement_digest(&out.placement),
+                            out.evals_at_best,
+                            stats.dbc_recomputations,
+                            stats.dbc_cache_hits,
+                        ));
+                    };
+                    let engine = fresh();
+                    let sa = SimulatedAnnealing::new(SaConfig::new(budget))
+                        .run_with_engine(&engine, dbcs, capacity, &seeds)
+                        .unwrap();
+                    row("sa", &sa, &engine);
+                    let engine = fresh();
+                    let tabu = TabuSearch::new(TabuConfig::new(budget))
+                        .run_with_engine(&engine, dbcs, capacity, &seeds)
+                        .unwrap();
+                    row("tabu", &tabu, &engine);
+                    let engine = fresh();
+                    let race = Portfolio::new(
+                        PortfolioConfig::new(budget).with_lanes(vec![LaneSpec::Sa, LaneSpec::Tabu]),
+                    )
+                    .run_with_engine(&engine, dbcs, capacity, &seeds)
+                    .unwrap();
+                    for lane in &race.lanes {
+                        let run = match lane.spec {
+                            LaneSpec::Sa => "folio/sa",
+                            _ => "folio/tabu",
+                        };
+                        row(run, lane.outcome.as_ref().unwrap(), &engine);
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(got.len(), TIER_GOLDENS.len(), "one golden per run");
+    for (g, want) in got.iter().zip(TIER_GOLDENS) {
+        assert_eq!(g, want, "trajectory golden drifted");
+    }
+}
+
 /// Budget semantics through the `Strategy` layer: eval budgets are hard
 /// caps (per lane for the portfolio), stall and deadline budgets
 /// terminate with valid solutions.
