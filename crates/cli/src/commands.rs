@@ -1,7 +1,7 @@
 //! The five subcommands.
 
 use crate::args::CliArgs;
-use crate::{build_array, build_problem, parse_strategy, read_trace, ProblemSpec};
+use crate::{build_array, build_problem, parse_strategy, print_report, read_trace, ProblemSpec};
 use rtm_arch::ArrayGeometry;
 use rtm_offsetstone::{suite as bench_suite, Benchmark, Tier, TierWorkload};
 use rtm_placement::eval::FitnessEngine;
@@ -18,15 +18,13 @@ type CmdResult = Result<(), Box<dyn std::error::Error>>;
 /// `rtm place` — solve the placement and print the layout (or, with
 /// `--json`, the machine-readable report).
 pub fn place(args: &CliArgs) -> CmdResult {
-    println!("{}", place_report(args)?);
-    Ok(())
+    Ok(print_report(&place_report(args)?)?)
 }
 
 /// `rtm simulate` — place and replay, printing latency/energy (or, with
 /// `--json`, the machine-readable report).
 pub fn simulate(args: &CliArgs) -> CmdResult {
-    println!("{}", simulate_report(args)?);
-    Ok(())
+    Ok(print_report(&simulate_report(args)?)?)
 }
 
 /// Builds the full `rtm place` output.
@@ -140,8 +138,7 @@ pub fn place_stream(args: &CliArgs) -> CmdResult {
         let names: Vec<String> = list.iter().map(|v| format!("v{}", v.index())).collect();
         write!(out, "\nDBC{d} ({} shifts): {}", per_dbc[d], names.join(" "))?;
     }
-    println!("{out}");
-    Ok(())
+    Ok(print_report(&out)?)
 }
 
 /// `rtm simulate --stream` — solve as [`place_stream`], then replay the
@@ -150,12 +147,11 @@ pub fn simulate_stream(args: &CliArgs) -> CmdResult {
     let run = stream_solve(args)?;
     let stats =
         Simulator::for_array(&run.array).run_stream(&run.workload, &run.outcome.placement)?;
-    println!(
+    Ok(print_report(&format!(
         "strategy {} [streamed]: {stats}\nruntime {:.1} (incl. compute gaps)",
         run.strategy.name(),
         stats.runtime()
-    );
-    Ok(())
+    ))?)
 }
 
 /// A solved `--stream` invocation: the generated workload, the array it
@@ -255,75 +251,87 @@ fn json_report(
 pub fn stats(args: &CliArgs) -> CmdResult {
     let seq = read_trace(args)?;
     let st = seq.stats();
-    println!("accesses:            {}", st.length);
-    println!("variables:           {}", st.variables);
-    println!("distinct edges:      {}", st.distinct_transitions);
-    println!("self transitions:    {}", st.self_transitions);
-    println!("mean frequency:      {:.2}", st.mean_frequency);
-    println!("max frequency:       {}", st.max_frequency);
-    println!("mean lifespan:       {:.1}", st.mean_lifespan);
-    println!(
-        "disjoint pairs:      {:.1}%  (DMA's raw material)",
+    Ok(print_report(&format!(
+        "accesses:            {}\n\
+         variables:           {}\n\
+         distinct edges:      {}\n\
+         self transitions:    {}\n\
+         mean frequency:      {:.2}\n\
+         max frequency:       {}\n\
+         mean lifespan:       {:.1}\n\
+         disjoint pairs:      {:.1}%  (DMA's raw material)",
+        st.length,
+        st.variables,
+        st.distinct_transitions,
+        st.self_transitions,
+        st.mean_frequency,
+        st.max_frequency,
+        st.mean_lifespan,
         st.disjoint_pair_fraction * 100.0
-    );
-    Ok(())
+    ))?)
 }
 
 /// `rtm suite` — list the synthetic OffsetStone suite and the workload
 /// tiers, or show one entry (a benchmark or a tier profile).
 pub fn suite(args: &CliArgs) -> CmdResult {
+    let mut out = String::new();
     match args.get("benchmark") {
         Some(name) => {
             if let Some(b) = Benchmark::by_name(name) {
                 let p = b.profile();
                 let trace = b.trace();
-                println!("{} ({}):", b.name(), p.class);
-                println!("  variables {} / length {}", p.variables, p.length);
-                println!("  phases {} / zipf {:.1}", p.phases, p.zipf_exponent);
-                println!("  generated: {}", trace.stats());
+                writeln!(out, "{} ({}):", b.name(), p.class)?;
+                writeln!(out, "  variables {} / length {}", p.variables, p.length)?;
+                writeln!(out, "  phases {} / zipf {:.1}", p.phases, p.zipf_exponent)?;
+                writeln!(out, "  generated: {}", trace.stats())?;
             } else if let Some(w) = TierWorkload::by_name(name, 1.0) {
                 let (vars, len) = (w.var_count(), w.access_count());
-                println!("{} (tier {}):", w.name(), w.tier());
-                println!("  variables {vars} / length {len}  (at --scale 1)");
-                println!("  seed {:#018x}", w.seed());
-                println!("  generated: {}", w.generate().stats());
+                writeln!(out, "{} (tier {}):", w.name(), w.tier())?;
+                writeln!(out, "  variables {vars} / length {len}  (at --scale 1)")?;
+                writeln!(out, "  seed {:#018x}", w.seed())?;
+                writeln!(out, "  generated: {}", w.generate().stats())?;
             } else {
                 return Err(format!("unknown benchmark or profile `{name}`").into());
             }
         }
         None => {
-            println!("{:10} {:>6} {:>7}  class", "name", "vars", "length");
+            writeln!(out, "{:10} {:>6} {:>7}  class", "name", "vars", "length")?;
             for b in bench_suite() {
                 let p = b.profile();
-                println!(
+                writeln!(
+                    out,
                     "{:10} {:>6} {:>7}  {}",
                     b.name(),
                     p.variables,
                     p.length,
                     p.class
-                );
+                )?;
             }
-            println!("\nworkload tiers (usable as --profile NAME [--scale S]):");
-            println!("{:13} {:>6} {:>7}  tier", "name", "vars", "length");
+            writeln!(
+                out,
+                "\nworkload tiers (usable as --profile NAME [--scale S]):"
+            )?;
+            writeln!(out, "{:13} {:>6} {:>7}  tier", "name", "vars", "length")?;
             for tier in Tier::ALL {
                 for w in tier.workloads() {
                     let (vars, len) = (w.var_count(), w.access_count());
-                    println!("{:13} {:>6} {:>7}  {}", w.name(), vars, len, tier);
+                    writeln!(out, "{:13} {:>6} {:>7}  {}", w.name(), vars, len, tier)?;
                 }
             }
         }
     }
-    Ok(())
+    Ok(print_report(out.trim_end_matches('\n'))?)
 }
 
 /// `rtm strategies` — list strategy names with one-line descriptions,
 /// straight from the library's exhaustive [`StrategyKind`] registry (a new
 /// strategy appears here without touching the CLI).
 pub fn strategies() -> CmdResult {
-    for kind in StrategyKind::ALL {
-        println!("{:14} {}", kind.cli_name(), kind.description());
-    }
-    Ok(())
+    let lines: Vec<String> = StrategyKind::ALL
+        .iter()
+        .map(|kind| format!("{:14} {}", kind.cli_name(), kind.description()))
+        .collect();
+    Ok(print_report(&lines.join("\n"))?)
 }
 
 /// `rtm serve` — run the placement daemon until a `shutdown` request.
@@ -347,10 +355,9 @@ pub fn serve(args: &CliArgs) -> CmdResult {
             .unwrap_or(defaults.default_deadline_ms),
     };
     let server = Server::bind(config)?;
-    println!("listening on {}", server.local_addr()?);
-    // The address line must reach a pipe-connected parent before the
-    // accept loop blocks.
-    std::io::Write::flush(&mut std::io::stdout())?;
+    // The address line is flushed, so it reaches a pipe-connected parent
+    // before the accept loop blocks.
+    print_report(&format!("listening on {}", server.local_addr()?))?;
     server.run();
     Ok(())
 }

@@ -21,7 +21,7 @@ use rtm_placement::inter::default_capacity;
 use rtm_placement::{Budget, PlacementProblem, Strategy, StrategyKind};
 use rtm_trace::AccessSequence;
 use std::error::Error;
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
 use std::process::ExitCode;
 
 mod args;
@@ -51,19 +51,34 @@ fn main() -> ExitCode {
         "suite" => commands::suite(&args),
         "strategies" => commands::strategies(),
         "serve" => commands::serve(&args),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => print_report(USAGE).map_err(Into::into),
         other => Err(format!("unknown command `{other}`").into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that closed its end early (`rtm place … | head -5`)
+        // already has what it wanted: stop quietly, as a Unix filter does.
+        Err(e) if is_broken_pipe(&*e) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Writes a command's report and a newline to stdout and flushes: the one
+/// way the CLI prints. A failed write is returned, never a panic, and
+/// `main` turns a closed pipe into a quiet exit.
+pub(crate) fn print_report(text: &str) -> std::io::Result<()> {
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{text}")?;
+    out.flush()
+}
+
+/// Whether a command failed only because stdout's reader went away.
+fn is_broken_pipe(e: &(dyn Error + 'static)) -> bool {
+    e.downcast_ref::<std::io::Error>()
+        .is_some_and(|e| e.kind() == ErrorKind::BrokenPipe)
 }
 
 const USAGE: &str = "rtm — racetrack-memory data placement

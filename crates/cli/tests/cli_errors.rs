@@ -172,3 +172,43 @@ fn happy_path_still_exits_zero() {
         "missing shifts in: {stdout}"
     );
 }
+
+/// `rtm place … | head -5` after `head` has exited: the report's write
+/// fails on a closed pipe, and the CLI stops quietly with status 0
+/// instead of panicking inside a print.
+#[test]
+fn a_closed_stdout_is_a_quiet_exit() {
+    let trace = write_trace(
+        "closed",
+        "a b a b c a c a d d a i e f e f g e g h g i h i\n",
+    );
+    for args in [
+        &[
+            "place",
+            "--dbcs",
+            "2",
+            "--strategy",
+            "portfolio",
+            "--budget-evals",
+            "50",
+        ][..],
+        &["stats"][..],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("create pipe");
+        // No reader at all: the first write gets EPIPE.
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_rtm"))
+            .args(args)
+            .args(["--trace", trace.to_str().unwrap()])
+            .env("RUST_BACKTRACE", "1")
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn rtm");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?} failed: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(stderr.is_empty(), "{args:?} was not quiet: {stderr}");
+    }
+    std::fs::remove_file(&trace).ok();
+}

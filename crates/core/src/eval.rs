@@ -188,6 +188,23 @@ impl std::fmt::Debug for Memo {
     }
 }
 
+impl Memo {
+    /// Records a freshly computed cost under second-touch promotion: the
+    /// first sighting of `key` only arms its filter slot, the second
+    /// memoizes the list (wiping the map first when it is full).
+    fn record(&mut self, list: &[VarId], key: u64, cost: u64) {
+        let slot = (key as usize) & (FILTER_SLOTS - 1);
+        if self.filter[slot] == key {
+            if self.map.len() >= MEMO_CAPACITY {
+                self.map.clear();
+            }
+            self.map.insert(list.into(), cost);
+        } else {
+            self.filter[slot] = key;
+        }
+    }
+}
+
 /// A cached per-DBC subsequence summary, keyed by *membership* (the sorted
 /// accessed members). Membership changes far less often than order — every
 /// transpose/permute mutation reuses it — and the summary reduces a
@@ -329,8 +346,9 @@ enum EvalMode {
 pub struct EngineStats {
     /// Individuals (whole placements) evaluated.
     pub evaluations: u64,
-    /// Per-DBC costs computed from scratch (subsequence merges, one per DBC
-    /// of a linear replay, or, in naive mode, full-trace replays).
+    /// Per-DBC costs computed from scratch (subsequence merges, walks of a
+    /// local search's kept sequences, one per DBC of a linear replay, or,
+    /// in naive mode, full-trace replays).
     pub dbc_recomputations: u64,
     /// Per-DBC costs answered by the content-keyed memo cache.
     pub dbc_cache_hits: u64,
@@ -404,15 +422,8 @@ impl EngineStats {
 /// allocation-free once the buffers have grown to the working-set size.
 #[derive(Debug, Default, Clone)]
 pub struct EvalScratch {
-    /// Variable at each position of the current merge window (validity
-    /// gated by `bitmap`) — the scatter target of the sort-free merge.
-    slots: Vec<u32>,
-    /// One bit per window position: whether the position belongs to the
-    /// DBC being merged.
-    bitmap: Vec<u64>,
-    /// One cursor per member whose run continues past the first merge
-    /// window.
-    runs: Vec<Cursor>,
+    /// The windowed merge's buffers.
+    merge: MergeBufs,
     /// The merged member-access sequence (variables in trace order).
     seq_buf: Vec<u32>,
     /// Variable -> offset table (`u32::MAX` = not in the DBC / placement),
@@ -428,6 +439,20 @@ pub struct EvalScratch {
     /// not yet aligned) — a flat `i64` instead of `Option<i64>` keeps that
     /// inner loop branch-light.
     disp1: Vec<(i64, u64)>,
+}
+
+/// The buffers of the windowed merge ([`FitnessEngine::merge_runs`]).
+#[derive(Debug, Default, Clone)]
+struct MergeBufs {
+    /// Variable at each position of the current merge window (validity
+    /// gated by `bitmap`) — the scatter target of the sort-free merge.
+    slots: Vec<u32>,
+    /// One bit per window position: whether the position belongs to the
+    /// DBC being merged.
+    bitmap: Vec<u64>,
+    /// One cursor per member whose run continues past the first merge
+    /// window.
+    runs: Vec<Cursor>,
 }
 
 /// One member's progress through its position run during a windowed merge.
@@ -501,11 +526,11 @@ impl<'s> Window<'s> {
         n
     }
 
-    /// Appends the scattered variables to `out` in position order. Only
-    /// the bitmap words between the lowest and highest scattered position
-    /// are read (and cleared for the next window), so a small DBC in a
-    /// long trace costs `O(A)`, not `O(WINDOW / 64)`.
-    fn drain_into(&mut self, out: &mut Vec<u32>) {
+    /// Hands every scattered `(position, variable)` to `emit` in position
+    /// order. Only the bitmap words between the lowest and highest
+    /// scattered position are read (and cleared for the next window), so
+    /// a small DBC in a long trace costs `O(A)`, not `O(WINDOW / 64)`.
+    fn drain(&mut self, emit: &mut impl FnMut(u32, u32)) {
         if self.lo > self.hi {
             return;
         }
@@ -514,9 +539,9 @@ impl<'s> Window<'s> {
         for w in first..=last {
             let mut bits = std::mem::take(&mut self.bitmap[w]);
             while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
+                let off = (w << 6) + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                out.push(self.slots[(w << 6) + b]);
+                emit(self.base + off as u32, self.slots[off]);
             }
         }
     }
@@ -918,67 +943,93 @@ impl<'a> FitnessEngine<'a> {
     /// private memo ([`BatchCtx`]): when present, the shared memo is only
     /// ever try-locked (contention = recompute, never block) and all
     /// writes go to the overlay — the hot loop takes **zero** contended
-    /// locks. The direct path (`overlay == None`: [`dbc_cost`](Self::dbc_cost)
-    /// and [`dbc_cost_with`](Self::dbc_cost_with), which SA/tabu re-costing
-    /// uses, and a streaming engine's [`per_dbc_costs`](Self::per_dbc_costs);
-    /// a sequence-built engine replays whole placements instead) blocks on
-    /// the memo lock, counting contended acquisitions. Either way the
-    /// returned cost is the same pure function of the list's content.
+    /// locks. Without one this is the direct path, [`memoized`](Self::memoized).
+    /// Either way the returned cost is the same pure function of the
+    /// list's content.
     fn dbc_cost_cached(
         &self,
         list: &[VarId],
         scratch: &mut EvalScratch,
         overlay: Option<&mut Memo>,
     ) -> u64 {
-        let Some(memo) = &self.memo else {
-            return self.dbc_cost_uncached(list, scratch, overlay.is_some());
+        let (Some(worker), Some(memo)) = (overlay, &self.memo) else {
+            return self.memoized(list, || self.dbc_cost_uncached(list, scratch, false));
         };
-        let key = Self::list_key(list);
-        let slot = (key as usize) & (FILTER_SLOTS - 1);
-        match overlay {
-            Some(worker) => {
-                if let Some(&c) = worker.map.get(list) {
-                    self.dbc_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return c;
-                }
-                if let Some(shared) = try_lock_cache(memo) {
-                    if let Some(&c) = shared.map.get(list) {
-                        self.dbc_cache_hits.fetch_add(1, Ordering::Relaxed);
-                        return c;
-                    }
-                }
-                let c = self.dbc_cost_uncached(list, scratch, true);
-                // Second-touch promotion against the worker's private
-                // filter; the entry reaches the shared memo at the batch
-                // boundary merge.
-                if worker.filter[slot] == key {
-                    if worker.map.len() >= MEMO_CAPACITY {
-                        worker.map.clear();
-                    }
-                    worker.map.insert(list.into(), c);
-                } else {
-                    worker.filter[slot] = key;
-                }
-                c
-            }
-            None => {
-                if let Some(&c) = lock_counted(memo, &self.memo_contended).map.get(list) {
-                    self.dbc_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return c;
-                }
-                let c = self.dbc_cost_uncached(list, scratch, false);
-                let mut m = lock_counted(memo, &self.memo_contended);
-                if m.filter[slot] == key {
-                    if m.map.len() >= MEMO_CAPACITY {
-                        m.map.clear();
-                    }
-                    m.map.insert(list.into(), c);
-                } else {
-                    m.filter[slot] = key;
-                }
-                c
+        if let Some(&c) = worker.map.get(list) {
+            self.dbc_cache_hits.fetch_add(1, Ordering::Relaxed);
+            return c;
+        }
+        if let Some(shared) = try_lock_cache(memo) {
+            if let Some(&c) = shared.map.get(list) {
+                self.dbc_cache_hits.fetch_add(1, Ordering::Relaxed);
+                return c;
             }
         }
+        let c = self.dbc_cost_uncached(list, scratch, true);
+        // Promotion goes to the worker's private filter; the entry reaches
+        // the shared memo at the batch boundary merge.
+        worker.record(list, Self::list_key(list), c);
+        c
+    }
+
+    /// The direct path's exact-list memo in front of `compute`: a hit
+    /// answers from the shared memo, a miss runs `compute` and records its
+    /// value under second-touch promotion. Both memo accesses block on the
+    /// lock, counting contended acquisitions. [`dbc_cost`](Self::dbc_cost)
+    /// and [`dbc_cost_with`](Self::dbc_cost_with) (so a streaming engine's
+    /// [`per_dbc_costs`](Self::per_dbc_costs)) and the local search's
+    /// kept-sequence re-costs ([`kept_cost`](Self::kept_cost)) all come
+    /// through here, so they probe, record and count hits alike.
+    fn memoized(&self, list: &[VarId], compute: impl FnOnce() -> u64) -> u64 {
+        let Some(memo) = &self.memo else {
+            return compute();
+        };
+        if let Some(&c) = lock_counted(memo, &self.memo_contended).map.get(list) {
+            self.dbc_cache_hits.fetch_add(1, Ordering::Relaxed);
+            return c;
+        }
+        let c = compute();
+        lock_counted(memo, &self.memo_contended).record(list, Self::list_key(list), c);
+        c
+    }
+
+    /// Cost of the DBC `list` from its kept access sequence `seq` — the
+    /// `(position, variable)` pairs [`dbc_sequence`](Self::dbc_sequence)
+    /// builds, kept current by the local search — walked against the
+    /// search's var -> offset table, behind the memo. No merge and no
+    /// subsequence cache: the sequence is already at hand.
+    pub(crate) fn kept_cost(&self, list: &[VarId], seq: &[(u32, u32)], offsets: &[u32]) -> u64 {
+        self.memoized(list, || {
+            self.dbc_recomputations.fetch_add(1, Ordering::Relaxed);
+            self.walk(seq.iter().map(|&(_, var)| var), offsets)
+        })
+    }
+
+    /// The access sequence of the DBC `list`, written to `out`: its
+    /// members' dedup-stream positions, each paired with its variable
+    /// index, in trace order — the merge kernel's output with the
+    /// positions kept, which is what lets a local search
+    /// ([`SearchState`](crate::search::SearchState)) splice one member in
+    /// or out later instead of merging again.
+    pub fn dbc_sequence(
+        &self,
+        list: &[VarId],
+        scratch: &mut EvalScratch,
+        out: &mut Vec<(u32, u32)>,
+    ) {
+        out.clear();
+        self.merge_runs(list, &mut scratch.merge, |pos, var| out.push((pos, var)));
+    }
+
+    /// The ascending dedup positions of `v` (empty when the trace never
+    /// accesses it).
+    pub(crate) fn positions(&self, v: VarId) -> &[u32] {
+        self.index.positions(v)
+    }
+
+    /// Number of variable slots of the engine's index.
+    pub(crate) fn var_count(&self) -> usize {
+        self.index.var_count()
     }
 
     fn dbc_cost_uncached(
@@ -1043,8 +1094,7 @@ impl<'a> FitnessEngine<'a> {
                             self.walk_summary(&s, &scratch.offsets)
                         }
                         None => {
-                            self.merge_members(list, scratch);
-                            let total = self.walk_seq_buf(scratch);
+                            let total = self.merge_and_walk(list, scratch);
                             // Promote only memberships seen twice — the
                             // first sighting costs nothing but a filter
                             // write, so crossover churn never allocates. A
@@ -1081,10 +1131,7 @@ impl<'a> FitnessEngine<'a> {
                         }
                     }
                 }
-                None => {
-                    self.merge_members(list, scratch);
-                    self.walk_seq_buf(scratch)
-                }
+                None => self.merge_and_walk(list, scratch),
             },
         };
         // Clear the table for the next costing.
@@ -1097,24 +1144,28 @@ impl<'a> FitnessEngine<'a> {
         total
     }
 
-    /// Merges the members' dedup positions into trace order
-    /// (`scratch.seq_buf`) without sorting, one [`Window`] of [`WINDOW`]
-    /// positions at a time: positions are scattered into a slot array
-    /// gated by a bitmap, and the bitmap's set bits read them back in
-    /// ascending order. The first window is filled straight off the member
-    /// list; a member whose run goes past it keeps a [`Cursor`], and each
-    /// later window is the one holding the lowest pending position, so no
-    /// empty window is visited.
-    fn merge_members(&self, list: &[VarId], scratch: &mut EvalScratch) {
+    /// Merges the members' dedup positions into trace order without
+    /// sorting, handing each `(position, variable)` to `emit`, one
+    /// [`Window`] of [`WINDOW`] positions at a time: positions are
+    /// scattered into a slot array gated by a bitmap, and the bitmap's set
+    /// bits read them back in ascending order. The first window is filled
+    /// straight off the member list; a member whose run goes past it keeps
+    /// a [`Cursor`], and each later window is the one holding the lowest
+    /// pending position, so no empty window is visited.
+    fn merge_runs(&self, list: &[VarId], bufs: &mut MergeBufs, mut emit: impl FnMut(u32, u32)) {
         let raw = self.index.raw_positions();
         let span = WINDOW.min(self.index.access_count());
-        if scratch.slots.len() < span {
-            scratch.slots.resize(span, 0);
-            scratch.bitmap.resize(span.div_ceil(64), 0);
+        let MergeBufs {
+            slots,
+            bitmap,
+            runs,
+        } = bufs;
+        if slots.len() < span {
+            slots.resize(span, 0);
+            bitmap.resize(span.div_ceil(64), 0);
         }
-        scratch.runs.clear();
-        scratch.seq_buf.clear();
-        let mut win = Window::new(&mut scratch.slots, &mut scratch.bitmap);
+        runs.clear();
+        let mut win = Window::new(slots, bitmap);
         for &v in list {
             let (at, end) = self.index.span(v);
             let run = &raw[at as usize..end as usize];
@@ -1122,7 +1173,7 @@ impl<'a> FitnessEngine<'a> {
             let n = win.scatter(run, var);
             if n < run.len() {
                 let at = at + n as u32;
-                scratch.runs.push(Cursor {
+                runs.push(Cursor {
                     next: run[n],
                     at,
                     end,
@@ -1130,10 +1181,10 @@ impl<'a> FitnessEngine<'a> {
                 });
             }
         }
-        win.drain_into(&mut scratch.seq_buf);
-        while let Some(next) = scratch.runs.iter().map(|c| c.next).min() {
+        win.drain(&mut emit);
+        while let Some(next) = runs.iter().map(|c| c.next).min() {
             win.move_to(next & !(WINDOW as u32 - 1));
-            for c in &mut scratch.runs {
+            for c in runs.iter_mut() {
                 if c.next < win.limit {
                     c.at += win.scatter(&raw[c.at as usize..c.end as usize], c.var) as u32;
                     if c.at < c.end {
@@ -1141,21 +1192,53 @@ impl<'a> FitnessEngine<'a> {
                     }
                 }
             }
-            scratch.runs.retain(|c| c.at < c.end);
-            win.drain_into(&mut scratch.seq_buf);
+            runs.retain(|c| c.at < c.end);
+            win.drain(&mut emit);
         }
     }
 
-    /// Costs the freshly merged subsequence (`scratch.seq_buf`) against the
-    /// offsets table in one pass.
-    fn walk_seq_buf(&self, scratch: &mut EvalScratch) -> u64 {
-        let mut disp: Option<i64> = None;
-        let mut total = 0u64;
-        for &var in &scratch.seq_buf {
-            let off = scratch.offsets[var as usize];
-            let (c, nd) = self.coster.access_cost(disp, off as usize);
-            total += c;
-            disp = Some(nd);
+    /// Merges the members' subsequence into `scratch.seq_buf` (the form a
+    /// subsequence-cache summary is built from) and walks it against the
+    /// offsets table.
+    fn merge_and_walk(&self, list: &[VarId], scratch: &mut EvalScratch) -> u64 {
+        let seq_buf = &mut scratch.seq_buf;
+        seq_buf.clear();
+        self.merge_runs(list, &mut scratch.merge, |_, var| seq_buf.push(var));
+        self.walk(scratch.seq_buf.iter().copied(), &scratch.offsets)
+    }
+
+    /// Costs one DBC's access subsequence — its variables in trace order —
+    /// against a var -> offset table: the one walk behind the merge path,
+    /// the multi-port summaries and the local search's kept sequences.
+    /// Under the single-port model (one port homed at 0, so the target is
+    /// the offset) the loop is branch-free: the port starts at the track
+    /// head, or under first-access alignment at the first offset, and each
+    /// access adds `|last − off|`. Other models run the generic coster.
+    fn walk(&self, mut vars: impl Iterator<Item = u32>, offsets: &[u32]) -> u64 {
+        if self.coster.homes() != [0] {
+            let mut disp: Option<i64> = None;
+            let mut total = 0u64;
+            for var in vars {
+                let (c, nd) = self
+                    .coster
+                    .access_cost(disp, offsets[var as usize] as usize);
+                total += c;
+                disp = Some(nd);
+            }
+            return total;
+        }
+        let Some(first) = vars.next() else {
+            return 0;
+        };
+        let mut last = offsets[first as usize] as i64;
+        let mut total = match self.cost.initial() {
+            InitialAlignment::TrackHead => last.unsigned_abs(),
+            InitialAlignment::FirstAccess => 0,
+        };
+        for var in vars {
+            let off = offsets[var as usize] as i64;
+            total += (last - off).unsigned_abs();
+            last = off;
         }
         total
     }
@@ -1206,18 +1289,7 @@ impl<'a> FitnessEngine<'a> {
                 }
                 total
             }
-            Summary::Sequence(seq) => {
-                let mut disp: Option<i64> = None;
-                let mut total = 0u64;
-                for &var in seq.iter() {
-                    let (c, nd) = self
-                        .coster
-                        .access_cost(disp, offsets[var as usize] as usize);
-                    total += c;
-                    disp = Some(nd);
-                }
-                total
-            }
+            Summary::Sequence(seq) => self.walk(seq.iter().copied(), offsets),
         }
     }
 
@@ -1316,18 +1388,28 @@ impl<'a> FitnessEngine<'a> {
     /// per list on a streaming one. Like [`dbc_cost`](Self::dbc_cost), it
     /// needs each variable placed at most once.
     pub fn per_dbc_costs(&self, lists: &[Vec<VarId>]) -> Vec<u64> {
+        self.per_dbc_costs_with(lists, &mut self.scratch())
+    }
+
+    /// [`per_dbc_costs`](Self::per_dbc_costs) with an explicit scratch
+    /// buffer, so a caller costing several placements (a local search's
+    /// candidate seeds) fills the replay's tables into one set of buffers.
+    pub(crate) fn per_dbc_costs_with(
+        &self,
+        lists: &[Vec<VarId>],
+        scratch: &mut EvalScratch,
+    ) -> Vec<u64> {
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let mut scratch = self.scratch();
         let costs = match (self.mode, &self.trace) {
             (EvalMode::Incremental, Some(trace)) => {
                 let mut costs = vec![0; lists.len()];
-                self.replay_lists(&trace.dedup, lists, &mut scratch, &mut costs);
+                self.replay_lists(&trace.dedup, lists, scratch, &mut costs);
                 costs
             }
             (EvalMode::Incremental, None) => lists
                 .iter()
-                .map(|l| self.dbc_cost_with(l, &mut scratch))
+                .map(|l| self.dbc_cost_with(l, scratch))
                 .collect(),
             (EvalMode::Naive, _) => self.naive_per_dbc_costs(lists),
         };

@@ -335,70 +335,311 @@ pub(crate) fn meter_for(budget: Budget, race: Race<'_>) -> BudgetMeter {
 
 // ---- Local-search state and neighborhood ----------------------------------
 
+/// One entry of a kept access sequence: a dedup-stream position and the
+/// variable (index) accessed there.
+type Access = (u32, u32);
+
 /// The mutable state of a single-candidate local search (SA / tabu):
 /// ordered per-DBC lists plus their individually cached costs, re-costed
 /// incrementally through the engine after each move.
+///
+/// Next to the lists the state keeps what a re-cost walks: each DBC's
+/// access sequence (its members' dedup positions, each paired with its
+/// variable, in trace order — exactly what the engine's merge kernel
+/// produces for the same members) and a variable -> offset table. A move
+/// edits both and splices only what changed, so a re-cost is one walk of
+/// each touched DBC's sequence, behind the engine's exact-list memo: a
+/// transpose swaps two offsets and touches no sequence; a relocate drops
+/// the variable's entries from its source DBC and merges its position
+/// run into its destination; an exchange does one drop-and-merge per side.
+/// A spliced sequence replaces the old one, which waits in a spare buffer
+/// so [`undo`](Self::undo) is a swap; once warm, no move allocates.
 #[derive(Debug)]
-pub(crate) struct SearchState {
-    pub lists: Vec<Vec<VarId>>,
-    pub dbc_costs: Vec<u64>,
-    pub total: u64,
+pub struct SearchState {
+    lists: Vec<Vec<VarId>>,
+    dbc_costs: Vec<u64>,
+    total: u64,
+    /// Each DBC's kept access sequence.
+    seqs: Vec<Vec<Access>>,
+    /// Variable index -> offset in its DBC list.
+    offsets: Vec<u32>,
+    /// The applied move awaiting [`commit`](Self::commit) or
+    /// [`undo`](Self::undo).
+    pending: Option<Pending>,
+    /// While a move is pending, the sequences it replaced (for undo);
+    /// otherwise free buffers for the next splice.
+    spare: [Vec<Access>; 2],
+    /// Merge buffers for building the kept sequences.
+    scratch: EvalScratch,
 }
 
-/// A saved view of the ≤2 DBC costs a move may change, plus the total —
-/// lets a rejected move roll back in `O(1)` instead of re-costing through
-/// the engine (and its memo mutex) a second time.
-pub(crate) type CostSnapshot = ([Option<(usize, u64)>; 2], u64);
+/// What undoing an applied move restores besides its list edit.
+#[derive(Debug)]
+struct Pending {
+    m: Move,
+    /// The touched DBCs' costs before the move.
+    costs: [Option<(usize, u64)>; 2],
+    /// The total before the move.
+    total: u64,
+    /// The DBCs whose sequence was spliced, by spare slot.
+    spliced: [Option<usize>; 2],
+}
 
 impl SearchState {
-    /// Re-costs exactly the DBCs `touched` by a move and returns the new
-    /// total (the incremental evaluation: untouched DBC costs are reused).
-    pub fn recost(
+    /// The state at `lists` (each variable placed at most once), costed
+    /// as one evaluation of `engine`.
+    pub fn new(engine: &FitnessEngine<'_>, lists: Vec<Vec<VarId>>) -> Self {
+        let mut scratch = engine.scratch();
+        let dbc_costs = engine.per_dbc_costs_with(&lists, &mut scratch);
+        Self::with_costs(engine, lists, dbc_costs, scratch)
+    }
+
+    /// The state at `lists`, whose per-DBC costs are `dbc_costs`, with its
+    /// kept sequences built through `scratch`.
+    pub(crate) fn with_costs(
+        engine: &FitnessEngine<'_>,
+        lists: Vec<Vec<VarId>>,
+        dbc_costs: Vec<u64>,
+        scratch: EvalScratch,
+    ) -> Self {
+        let mut state = Self {
+            total: dbc_costs.iter().sum(),
+            lists,
+            dbc_costs,
+            seqs: Vec::new(),
+            offsets: Vec::new(),
+            pending: None,
+            spare: [Vec::new(), Vec::new()],
+            scratch,
+        };
+        state.rebuild(engine);
+        state
+    }
+
+    /// The per-DBC lists.
+    pub fn lists(&self) -> &[Vec<VarId>] {
+        &self.lists
+    }
+
+    /// The per-DBC costs.
+    pub fn dbc_costs(&self) -> &[u64] {
+        &self.dbc_costs
+    }
+
+    /// DBC `d`'s kept access sequence: its members' dedup positions, each
+    /// paired with its variable index, in trace order.
+    pub fn kept_sequence(&self, d: usize) -> &[(u32, u32)] {
+        &self.seqs[d]
+    }
+
+    /// Replaces the whole state (SA's reheat to its best placement) and
+    /// rebuilds the kept sequences and offsets to match.
+    pub(crate) fn reset(
         &mut self,
         engine: &FitnessEngine<'_>,
-        scratch: &mut EvalScratch,
-        touched: [Option<usize>; 2],
-    ) -> u64 {
+        lists: &[Vec<VarId>],
+        dbc_costs: &[u64],
+        total: u64,
+    ) {
+        self.lists.clone_from_slice(lists);
+        self.dbc_costs.copy_from_slice(dbc_costs);
+        self.total = total;
+        self.rebuild(engine);
+    }
+
+    /// Builds the kept state from the lists: the offsets table, then one
+    /// merge of each DBC's members, which reads every run of the engine's
+    /// position index once.
+    fn rebuild(&mut self, engine: &FitnessEngine<'_>) {
+        self.pending = None;
+        let width = self
+            .lists
+            .iter()
+            .flatten()
+            .map(|v| v.index() + 1)
+            .max()
+            .unwrap_or(0)
+            .max(engine.var_count());
+        self.offsets.clear();
+        self.offsets.resize(width, u32::MAX);
+        for list in &self.lists {
+            for (off, v) in list.iter().enumerate() {
+                self.offsets[v.index()] = off as u32;
+            }
+        }
+        self.seqs.resize_with(self.lists.len(), Vec::new);
+        for (seq, list) in self.seqs.iter_mut().zip(&self.lists) {
+            engine.dbc_sequence(list, &mut self.scratch, seq);
+        }
+    }
+
+    /// Applies `m`, re-costs the DBCs it touches and returns the new total
+    /// (the incremental evaluation: untouched DBC costs are reused). The
+    /// move stays pending until [`commit`](Self::commit) or
+    /// [`undo`](Self::undo); applying another move commits it.
+    pub fn apply(&mut self, engine: &FitnessEngine<'_>, m: Move) -> u64 {
+        let touched = m.touched();
+        let costs = touched.map(|o| o.map(|d| (d, self.dbc_costs[d])));
+        let total = self.total;
+        m.apply(&mut self.lists);
+        self.reindex(m);
+        let mut spliced = [None, None];
+        match m {
+            Move::Noop | Move::Transpose { .. } => {}
+            Move::Relocate { src, dst, .. } => {
+                if let Some(&v) = self.lists[dst].last() {
+                    let run = engine.positions(v);
+                    if !run.is_empty() {
+                        self.splice(0, src, run, &[], 0);
+                        self.splice(1, dst, &[], run, v.index() as u32);
+                        spliced = [Some(src), Some(dst)];
+                    }
+                }
+            }
+            Move::Exchange { a, i, b, j } => {
+                // `va` moved from `a` to `b`, `vb` the other way.
+                let (vb, va) = (self.lists[a][i], self.lists[b][j]);
+                let (run_a, run_b) = (engine.positions(va), engine.positions(vb));
+                if !(run_a.is_empty() && run_b.is_empty()) {
+                    self.splice(0, a, run_a, run_b, vb.index() as u32);
+                    self.splice(1, b, run_b, run_a, va.index() as u32);
+                    spliced = [Some(a), Some(b)];
+                }
+            }
+        }
         for d in touched.into_iter().flatten() {
-            let new = engine.dbc_cost_with(&self.lists[d], scratch);
+            let new = engine.kept_cost(&self.lists[d], &self.seqs[d], &self.offsets);
             self.total = self.total - self.dbc_costs[d] + new;
             self.dbc_costs[d] = new;
         }
+        self.pending = Some(Pending {
+            m,
+            costs,
+            total,
+            spliced,
+        });
         self.total
     }
 
-    /// Saves the costs a move with these `touched` DBCs may change.
-    pub fn snapshot(&self, touched: [Option<usize>; 2]) -> CostSnapshot {
-        (
-            touched.map(|o| o.map(|d| (d, self.dbc_costs[d]))),
-            self.total,
-        )
+    /// Keeps the pending move.
+    pub fn commit(&mut self) {
+        self.pending = None;
     }
 
-    /// Restores a [`snapshot`](Self::snapshot) (the move itself must be
-    /// undone separately via [`Move::undo`]).
-    pub fn restore(&mut self, snap: &CostSnapshot) {
-        for (d, cost) in snap.0.into_iter().flatten() {
+    /// Reverts the pending move: the lists and offsets, the spliced
+    /// sequences (swapped back from the spares) and the costs.
+    pub fn undo(&mut self) {
+        let Some(p) = self.pending.take() else {
+            return;
+        };
+        p.m.undo(&mut self.lists);
+        self.reindex(p.m);
+        for (spare, d) in self.spare.iter_mut().zip(p.spliced) {
+            if let Some(d) = d {
+                std::mem::swap(spare, &mut self.seqs[d]);
+            }
+        }
+        for (d, cost) in p.costs.into_iter().flatten() {
             self.dbc_costs[d] = cost;
         }
-        self.total = snap.1;
+        self.total = p.total;
+    }
+
+    /// Rewrites the offsets of the list slots `m` changed, read from the
+    /// lists as they now stand (after the move, or after its undo).
+    fn reindex(&mut self, m: Move) {
+        let mut set = |list: &[VarId], at: usize| {
+            if let Some(v) = list.get(at) {
+                self.offsets[v.index()] = at as u32;
+            }
+        };
+        match m {
+            Move::Noop => {}
+            Move::Transpose { d, i, j } => {
+                set(&self.lists[d], i);
+                set(&self.lists[d], j);
+            }
+            Move::Relocate { src, i, dst } => {
+                // Everything behind the removal point shifts by one; the
+                // destination's tail gains (or loses) the variable.
+                for at in i..self.lists[src].len() {
+                    set(&self.lists[src], at);
+                }
+                set(&self.lists[dst], self.lists[dst].len().wrapping_sub(1));
+            }
+            Move::Exchange { a, i, b, j } => {
+                set(&self.lists[a], i);
+                set(&self.lists[b], j);
+            }
+        }
+    }
+
+    /// Splices DBC `d`'s kept sequence into spare buffer `slot` — with the
+    /// entries at the positions of `drop` (a leaving member's run) removed
+    /// and `add` (an arriving member's run) merged in as `var` — then
+    /// swaps it in, so the old sequence waits in the spare for an undo.
+    /// Both runs are ascending; the untouched stretches between their
+    /// positions are copied whole.
+    fn splice(&mut self, slot: usize, d: usize, drop: &[u32], add: &[u32], var: u32) {
+        let (old, out) = (&self.seqs[d], &mut self.spare[slot]);
+        out.clear();
+        let (mut drop, mut add) = (drop.iter().peekable(), add.iter().peekable());
+        let mut at = 0;
+        loop {
+            let (pos, adding) = match (drop.peek(), add.peek()) {
+                (Some(&&x), Some(&&y)) if y < x => (y, true),
+                (Some(&&x), _) => (x, false),
+                (None, Some(&&y)) => (y, true),
+                (None, None) => break,
+            };
+            let k = at + old[at..].partition_point(|&(p, _)| p < pos);
+            out.extend_from_slice(&old[at..k]);
+            at = k;
+            if adding {
+                add.next();
+                out.push((pos, var));
+            } else {
+                drop.next();
+                at += usize::from(old.get(k).is_some_and(|&(p, _)| p == pos));
+            }
+        }
+        out.extend_from_slice(&old[at..]);
+        std::mem::swap(&mut self.seqs[d], &mut self.spare[slot]);
     }
 }
 
 /// One local move over per-DBC lists, with enough information to undo it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Move {
+pub enum Move {
     /// Nothing to do (the sampled operator had no feasible instance).
     Noop,
     /// Swap positions `i` and `j` within DBC `d` (order-only change).
-    Transpose { d: usize, i: usize, j: usize },
+    Transpose {
+        /// The DBC.
+        d: usize,
+        /// One position.
+        i: usize,
+        /// The other position.
+        j: usize,
+    },
     /// Move the variable at `src[i]` to the tail of `dst`.
-    Relocate { src: usize, i: usize, dst: usize },
+    Relocate {
+        /// The source DBC.
+        src: usize,
+        /// The variable's position in `src`.
+        i: usize,
+        /// The destination DBC.
+        dst: usize,
+    },
     /// Swap the variables at `a[i]` and `b[j]` across two DBCs.
     Exchange {
+        /// One DBC.
         a: usize,
+        /// The position in `a`.
         i: usize,
+        /// The other DBC.
         b: usize,
+        /// The position in `b`.
         j: usize,
     },
 }
@@ -450,13 +691,16 @@ impl Move {
 /// operator weights. Infeasible samples degrade to [`Move::Noop`] — which
 /// still consumes budget, guaranteeing termination on degenerate shapes.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Neighborhood {
-    pub capacity: usize,
+pub struct Neighborhood {
+    capacity: usize,
     /// DBCs per subarray; `== lists.len()` on a flat geometry.
-    pub dbcs_per_subarray: usize,
+    dbcs_per_subarray: usize,
 }
 
 impl Neighborhood {
+    /// The neighborhood of `dbcs` DBCs of `capacity` locations in
+    /// `subarrays` subarrays (flat when `subarrays` does not divide
+    /// `dbcs`).
     pub fn new(dbcs: usize, capacity: usize, subarrays: usize) -> Self {
         let dbcs_per_subarray = if subarrays > 1 && dbcs.is_multiple_of(subarrays) {
             dbcs / subarrays
@@ -489,32 +733,26 @@ impl Neighborhood {
     /// A relocate move; with `across = Some(q)` the destination must lie in
     /// a different subarray of `q` DBCs (the migrate operator).
     fn relocate(&self, lists: &[Vec<VarId>], rng: &mut impl Rng, across: Option<usize>) -> Move {
-        let nonempty: Vec<usize> = (0..lists.len()).filter(|&d| !lists[d].is_empty()).collect();
-        if nonempty.is_empty() {
+        let Some(src) = pick(lists.len(), rng, |d| !lists[d].is_empty()) else {
             return Move::Noop;
-        }
-        let src = nonempty[rng.gen_range(0..nonempty.len())];
+        };
         let ok = |d: usize| match across {
             Some(q) => d / q != src / q,
             None => d != src,
         };
-        let dsts: Vec<usize> = (0..lists.len())
-            .filter(|&d| ok(d) && lists[d].len() < self.capacity)
-            .collect();
-        if dsts.is_empty() {
+        let Some(dst) = pick(lists.len(), rng, |d| {
+            ok(d) && lists[d].len() < self.capacity
+        }) else {
             return Move::Noop;
-        }
-        let dst = dsts[rng.gen_range(0..dsts.len())];
+        };
         let i = rng.gen_range(0..lists[src].len());
         Move::Relocate { src, i, dst }
     }
 
     fn transpose(lists: &[Vec<VarId>], rng: &mut impl Rng) -> Move {
-        let eligible: Vec<usize> = (0..lists.len()).filter(|&d| lists[d].len() >= 2).collect();
-        if eligible.is_empty() {
+        let Some(d) = pick(lists.len(), rng, |d| lists[d].len() >= 2) else {
             return Move::Noop;
-        }
-        let d = eligible[rng.gen_range(0..eligible.len())];
+        };
         let n = lists[d].len();
         let i = rng.gen_range(0..n);
         let mut j = rng.gen_range(0..n);
@@ -525,22 +763,41 @@ impl Neighborhood {
     }
 
     fn exchange(lists: &[Vec<VarId>], rng: &mut impl Rng) -> Move {
-        let nonempty: Vec<usize> = (0..lists.len()).filter(|&d| !lists[d].is_empty()).collect();
-        if nonempty.len() < 2 {
+        let nonempty = |d: usize| !lists[d].is_empty();
+        // Two non-empty DBCs or nothing is drawn at all.
+        if (0..lists.len()).filter(|&d| nonempty(d)).nth(1).is_none() {
             return Move::Noop;
         }
-        let a = nonempty[rng.gen_range(0..nonempty.len())];
-        let others: Vec<usize> = nonempty.into_iter().filter(|&d| d != a).collect();
-        let b = others[rng.gen_range(0..others.len())];
+        let Some(a) = pick(lists.len(), rng, nonempty) else {
+            return Move::Noop;
+        };
+        let Some(b) = pick(lists.len(), rng, |d| nonempty(d) && d != a) else {
+            return Move::Noop;
+        };
         let i = rng.gen_range(0..lists[a].len());
         let j = rng.gen_range(0..lists[b].len());
         Move::Exchange { a, i, b, j }
     }
 }
 
+/// Draws uniformly among the indices `0..n` that satisfy `eligible`,
+/// without collecting them: count, draw a rank, scan to it. One draw of
+/// `0..count` when any index is eligible, none otherwise — the same draw
+/// as indexing a collected list.
+fn pick(n: usize, rng: &mut impl Rng, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+    let count = (0..n).filter(|&d| eligible(d)).count();
+    if count == 0 {
+        return None;
+    }
+    let rank = rng.gen_range(0..count);
+    (0..n).filter(|&d| eligible(d)).nth(rank)
+}
+
 /// Picks the start state of a local search: the best of the (valid) seed
 /// placements evaluated within budget, or a seeded random assignment when
-/// no seed survives. Charges one evaluation per costed candidate.
+/// no seed survives. Charges one evaluation per costed candidate; every
+/// candidate is costed through one scratch, which then builds the chosen
+/// state's kept sequences.
 pub(crate) fn choose_start(
     engine: &FitnessEngine<'_>,
     dbcs: usize,
@@ -549,7 +806,14 @@ pub(crate) fn choose_start(
     rng: &mut impl Rng,
     meter: &mut BudgetMeter,
 ) -> SearchState {
-    let mut best: Option<SearchState> = None;
+    let mut scratch = engine.scratch();
+    let mut cost_of = |lists: &[Vec<VarId>], meter: &mut BudgetMeter| {
+        let dbc_costs = engine.per_dbc_costs_with(lists, &mut scratch);
+        meter.charge(1);
+        meter.note_cost(dbc_costs.iter().sum());
+        dbc_costs
+    };
+    let mut best: Option<(&Placement, Vec<u64>)> = None;
     for seed in seeds {
         if best.is_some() && meter.exhausted() {
             break;
@@ -561,37 +825,28 @@ pub(crate) fn choose_start(
         if !valid {
             continue;
         }
-        let dbc_costs = engine.per_dbc_costs(lists);
-        meter.charge(1);
-        let total = dbc_costs.iter().sum();
-        meter.note_cost(total);
-        if best.as_ref().is_none_or(|b| total < b.total) {
-            best = Some(SearchState {
-                lists: lists.to_vec(),
-                dbc_costs,
-                total,
-            });
+        let dbc_costs = cost_of(lists, meter);
+        let total: u64 = dbc_costs.iter().sum();
+        if best.as_ref().is_none_or(|(_, b)| total < b.iter().sum()) {
+            best = Some((seed, dbc_costs));
         }
     }
-    best.unwrap_or_else(|| {
-        let lists = random_assignment(engine.accessed_vars(), dbcs, capacity, rng);
-        let dbc_costs = engine.per_dbc_costs(&lists);
-        meter.charge(1);
-        let total = dbc_costs.iter().sum();
-        meter.note_cost(total);
-        SearchState {
-            lists,
-            dbc_costs,
-            total,
+    let (lists, dbc_costs) = match best {
+        Some((seed, dbc_costs)) => (seed.dbc_lists().to_vec(), dbc_costs),
+        None => {
+            let lists = random_assignment(engine.accessed_vars(), dbcs, capacity, rng);
+            let dbc_costs = cost_of(&lists, meter);
+            (lists, dbc_costs)
         }
-    })
+    };
+    SearchState::with_costs(engine, lists, dbc_costs, scratch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use rtm_trace::AccessSequence;
 
@@ -645,6 +900,97 @@ mod tests {
         }
     }
 
+    /// The sampler as it was before it stopped allocating: each operator
+    /// collects its eligible DBCs and indexes the list with one draw.
+    fn propose_collecting(hood: &Neighborhood, lists: &[Vec<VarId>], rng: &mut impl Rng) -> Move {
+        let relocate = |rng: &mut _, across: Option<usize>| {
+            let nonempty: Vec<usize> = (0..lists.len()).filter(|&d| !lists[d].is_empty()).collect();
+            if nonempty.is_empty() {
+                return Move::Noop;
+            }
+            let src = nonempty[Rng::gen_range(rng, 0..nonempty.len())];
+            let ok = |d: usize| match across {
+                Some(q) => d / q != src / q,
+                None => d != src,
+            };
+            let dsts: Vec<usize> = (0..lists.len())
+                .filter(|&d| ok(d) && lists[d].len() < hood.capacity)
+                .collect();
+            if dsts.is_empty() {
+                return Move::Noop;
+            }
+            let dst = dsts[Rng::gen_range(rng, 0..dsts.len())];
+            let i = Rng::gen_range(rng, 0..lists[src].len());
+            Move::Relocate { src, i, dst }
+        };
+        let hierarchical = hood.dbcs_per_subarray < lists.len();
+        let roll = rng.gen_range(0..if hierarchical { 32u32 } else { 26 });
+        if roll < 10 {
+            relocate(rng, None)
+        } else if roll < 20 {
+            let eligible: Vec<usize> = (0..lists.len()).filter(|&d| lists[d].len() >= 2).collect();
+            if eligible.is_empty() {
+                return Move::Noop;
+            }
+            let d = eligible[rng.gen_range(0..eligible.len())];
+            let n = lists[d].len();
+            let i = rng.gen_range(0..n);
+            let mut j = rng.gen_range(0..n);
+            if i == j {
+                j = (j + 1) % n;
+            }
+            Move::Transpose { d, i, j }
+        } else if roll < 26 {
+            let nonempty: Vec<usize> = (0..lists.len()).filter(|&d| !lists[d].is_empty()).collect();
+            if nonempty.len() < 2 {
+                return Move::Noop;
+            }
+            let a = nonempty[rng.gen_range(0..nonempty.len())];
+            let others: Vec<usize> = nonempty.into_iter().filter(|&d| d != a).collect();
+            let b = others[rng.gen_range(0..others.len())];
+            let i = rng.gen_range(0..lists[a].len());
+            let j = rng.gen_range(0..lists[b].len());
+            Move::Exchange { a, i, b, j }
+        } else {
+            relocate(rng, Some(hood.dbcs_per_subarray))
+        }
+    }
+
+    #[test]
+    fn propose_draws_as_the_collecting_reference() {
+        let mut shapes = ChaCha8Rng::seed_from_u64(12);
+        for case in 0..600 {
+            let dbcs = 1 + case % 8;
+            let subarrays = [1, 2, 4][case % 3];
+            let capacity = shapes.gen_range(1..5usize);
+            // Empty DBCs, DBCs at capacity and everything between.
+            let mut next = 0;
+            let lists: Vec<Vec<VarId>> = (0..dbcs)
+                .map(|_| {
+                    let n = shapes.gen_range(0..=capacity);
+                    next += n;
+                    (next - n..next).map(VarId::from_index).collect()
+                })
+                .collect();
+            let hood = Neighborhood::new(dbcs, capacity, subarrays);
+            let seed = shapes.next_u64();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut reference = ChaCha8Rng::seed_from_u64(seed);
+            for draw in 0..20 {
+                assert_eq!(
+                    hood.propose(&lists, &mut rng),
+                    propose_collecting(&hood, &lists, &mut reference),
+                    "case {case}, draw {draw}: {lists:?}"
+                );
+            }
+            assert_eq!(
+                rng.next_u64(),
+                reference.next_u64(),
+                "case {case}: streams diverged"
+            );
+        }
+    }
+
     #[test]
     fn indivisible_subarray_count_degrades_to_flat() {
         let hood = Neighborhood::new(5, 8, 2);
@@ -659,19 +1005,24 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let lists = random_assignment(&vars, 3, 4, &mut rng);
         let dbc_costs = engine.per_dbc_costs(&lists);
-        let total = dbc_costs.iter().sum();
-        let mut st = SearchState {
-            lists,
-            dbc_costs,
-            total,
-        };
-        let mut scratch = engine.scratch();
+        let mut st = SearchState::with_costs(&engine, lists, dbc_costs, engine.scratch());
         let hood = Neighborhood::new(3, 4, 1);
-        for _ in 0..200 {
+        for step in 0..200 {
+            let (lists, costs, total) = (st.lists.clone(), st.dbc_costs.clone(), st.total);
             let m = hood.propose(&st.lists, &mut rng);
-            m.apply(&mut st.lists);
-            let t = st.recost(&engine, &mut scratch, m.touched());
+            let t = st.apply(&engine, m);
             assert_eq!(t, engine.per_dbc_costs(&st.lists).iter().sum::<u64>());
+            if step % 3 == 0 {
+                // An undone move leaves lists, costs and total as they were,
+                // and the next re-costs still agree with a full replay.
+                st.undo();
+                assert_eq!(
+                    (&st.lists, &st.dbc_costs, st.total),
+                    (&lists, &costs, total)
+                );
+            } else {
+                st.commit();
+            }
         }
     }
 

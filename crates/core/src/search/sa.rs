@@ -161,7 +161,6 @@ impl SimulatedAnnealing {
         let horizon = self.config.cool_horizon.max(1);
         let quench = self.config.quench_after.max(1);
         let hood = Neighborhood::new(dbcs, capacity, self.subarrays);
-        let mut scratch = engine.scratch();
 
         // Sweep state, all driven by eval counts (module docs): `cooled`
         // evals into the current sweep, `since_best` evals since the last
@@ -179,9 +178,7 @@ impl SimulatedAnnealing {
                 peak = (peak * 0.5).max(tf);
                 cooled = 0;
                 since_best = 0;
-                state.lists.clone_from(&best.0);
-                state.dbc_costs.clone_from(&best_costs);
-                state.total = best.1;
+                state.reset(engine, &best.0, &best_costs, best.1);
             } else if since_best >= quench {
                 // Quench: jump to the sweep's cold, hill-climbing end.
                 cooled = cooled.max(horizon);
@@ -198,9 +195,7 @@ impl SimulatedAnnealing {
                 continue;
             }
             let before = state.total;
-            let snap = state.snapshot(m.touched());
-            m.apply(&mut state.lists);
-            let after = state.recost(engine, &mut scratch, m.touched());
+            let after = state.apply(engine, m);
             meter.charge(1);
             cooled += 1;
             since_best += 1;
@@ -209,6 +204,7 @@ impl SimulatedAnnealing {
                 rng.gen_bool(exp_neg(delta / temp))
             };
             if accept {
+                state.commit();
                 if after < best.1 {
                     // Reuse the incumbent's buffers: no per-improvement
                     // allocation, clones only here (the publish point).
@@ -220,8 +216,7 @@ impl SimulatedAnnealing {
                     race_publish(race, after, &best.0, meter.evals());
                 }
             } else {
-                m.undo(&mut state.lists);
-                state.restore(&snap);
+                state.undo();
             }
         }
 

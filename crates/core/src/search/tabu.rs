@@ -133,7 +133,6 @@ impl TabuSearch {
         race_publish(race, best.1, &best.0, meter.evals());
 
         let hood = Neighborhood::new(dbcs, capacity, self.subarrays);
-        let mut scratch = engine.scratch();
         // Reversal key -> iteration index until which it stays tabu.
         let mut tabu: HashMap<u64, u64> = HashMap::new();
         let mut iter = 0u64;
@@ -151,9 +150,7 @@ impl TabuSearch {
                     meter.charge(1);
                     continue;
                 }
-                let snap = state.snapshot(m.touched());
-                m.apply(&mut state.lists);
-                let cost = state.recost(engine, &mut scratch, m.touched());
+                let cost = state.apply(engine, m);
                 meter.charge(1);
                 let forbidden = Self::candidate_keys(m, &state.lists)
                     .into_iter()
@@ -166,16 +163,15 @@ impl TabuSearch {
                 if fallback.as_ref().is_none_or(|(_, c)| cost < *c) {
                     fallback = Some((m, cost));
                 }
-                m.undo(&mut state.lists);
-                state.restore(&snap);
+                state.undo();
             }
             // Commit the best admissible candidate (all-tabu iterations fall
             // back to the overall best sample — the standard escape rule).
             let Some((m, cost)) = chosen.or(fallback) else {
                 continue; // only no-ops sampled; budget already charged
             };
-            m.apply(&mut state.lists);
-            state.recost(engine, &mut scratch, m.touched());
+            state.apply(engine, m);
+            state.commit();
             debug_assert_eq!(state.total, cost);
             for key in Self::reversal_keys(m, &state.lists).into_iter().flatten() {
                 tabu.insert(key, iter + self.config.tenure.max(1) as u64);

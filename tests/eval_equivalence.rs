@@ -8,6 +8,8 @@
 //! * the batch replay path (random walk) equals per-placement costing;
 //! * the engine's two costing kernels — one linear replay of a whole
 //!   placement, one merge per DBC — agree on every DBC;
+//! * the local search's kept access sequences stay equal to the merge
+//!   kernel's through any sequence of applied, undone and committed moves;
 //! * the GA produces identical outcomes (best, history, evaluations) under
 //!   the naive evaluator, the incremental engine, and any thread count;
 //! * golden histories captured from the pre-engine implementation are
@@ -15,8 +17,10 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
 use rtm::placement::eval::{EvalJob, FitnessEngine};
 use rtm::placement::random_walk::{self, RandomWalkConfig};
+use rtm::placement::search::{Neighborhood, SearchState};
 use rtm::placement::InitialAlignment;
 use rtm::{AccessSequence, Benchmark, CostModel, GaConfig, GeneticPlacer, Placement, VarTable};
 use rtm_trace::{ChunkedSequence, VarId};
@@ -186,6 +190,78 @@ proptest! {
         engine.evaluate_batch(&mut jobs);
         for job in &jobs {
             prop_assert_eq!(&job.dbc_costs, &want);
+        }
+    }
+
+    /// The local search's kept access sequences equal the merge kernel's
+    /// subsequence of the same members, and every re-cost equals a cold
+    /// `dbc_cost`, through random move sequences — relocate, transpose,
+    /// exchange and, on a 2-subarray geometry, subarray migrate — each
+    /// move undone, committed or left pending (the next move commits it)
+    /// at random. At ports {1,2,4}, in both initial alignments, on
+    /// materialized and streaming engines, with lists holding variables
+    /// the trace never accesses.
+    #[test]
+    fn kept_sequences_match_merges(
+        seq in arb_trace(16, 120),
+        dbcs_sel in 0usize..3,
+        dbc_of in vec(0usize..4, 20),
+        order in vec(any::<u8>(), 20),
+        unaccessed in 0usize..4,
+        ports_sel in 0usize..3,
+        track_head in any::<bool>(),
+        streaming in any::<bool>(),
+        chunk in 1usize..40,
+        seed in any::<u64>(),
+    ) {
+        // 2 or 4 DBCs split into two subarrays (migrate moves); 3 is flat.
+        let dbcs = [2usize, 3, 4][dbcs_sel];
+        // Variables past the trace's table are never accessed.
+        let nvars = seq.vars().len() + unaccessed;
+        let lists = placement_from(&dbc_of, &order, nvars, dbcs);
+        let capacity = lists.iter().map(Vec::len).max().unwrap_or(0) + 1;
+        let ports = [1usize, 2, 4][ports_sel];
+        let initial = if track_head {
+            InitialAlignment::TrackHead
+        } else {
+            InitialAlignment::FirstAccess
+        };
+        let cost = if ports == 1 {
+            CostModel::single_port()
+        } else {
+            CostModel::multi_port(ports, capacity.max(ports))
+        }
+        .with_initial(initial);
+        let chunked = ChunkedSequence::new(&seq, chunk);
+        let engine = if streaming {
+            FitnessEngine::streaming(&chunked, cost)
+        } else {
+            FitnessEngine::new(&seq, cost)
+        };
+        // The reference merges every time: no memo answers for it.
+        let reference = FitnessEngine::new(&seq, cost).with_memo(false);
+        let mut scratch = reference.scratch();
+        let mut merged = Vec::new();
+        let hood = Neighborhood::new(dbcs, capacity, 2);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut state = SearchState::new(&engine, lists);
+        for _ in 0..40 {
+            let m = hood.propose(state.lists(), &mut rng);
+            let total = state.apply(&engine, m);
+            prop_assert_eq!(total, state.dbc_costs().iter().sum::<u64>());
+            for d in m.touched().into_iter().flatten() {
+                prop_assert_eq!(state.dbc_costs()[d], reference.dbc_cost(&state.lists()[d]));
+            }
+            match rng.gen_range(0..3u32) {
+                0 => state.undo(),
+                1 => state.commit(),
+                _ => {}
+            }
+            for (d, list) in state.lists().iter().enumerate() {
+                reference.dbc_sequence(list, &mut scratch, &mut merged);
+                prop_assert_eq!(state.kept_sequence(d), &merged[..]);
+                prop_assert_eq!(state.dbc_costs()[d], reference.dbc_cost(list));
+            }
         }
     }
 
