@@ -7,6 +7,7 @@ use rtm_serve::report::deterministic_slice;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn rtm() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_rtm"));
@@ -49,10 +50,13 @@ fn roundtrip(stream: &mut TcpStream, line: &str) -> String {
 /// Runs a single-shot `rtm place --json` for the same query a serve
 /// request describes and returns its deterministic payload slice.
 fn single_shot_payload(trace: &str, extra: &[&str]) -> String {
+    // One path per call: two traces of one length must never share (and
+    // delete) one file.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let path = std::env::temp_dir().join(format!(
         "rtm-serve-test-{}-{}.txt",
         std::process::id(),
-        trace.len()
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::write(&path, trace).unwrap();
     let mut args = vec!["place", "--trace", path.to_str().unwrap(), "--json"];

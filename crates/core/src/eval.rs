@@ -426,12 +426,13 @@ pub struct EvalScratch {
     merge: MergeBufs,
     /// The merged member-access sequence (variables in trace order).
     seq_buf: Vec<u32>,
-    /// Variable -> offset table (`u32::MAX` = not in the DBC / placement),
-    /// set and cleared around each costing.
+    /// Variable -> offset table (`u32::MAX` = not in the DBC), set and
+    /// cleared around each per-DBC costing.
     offsets: Vec<u32>,
-    /// Variable -> DBC table for full-placement replays, parallel to
-    /// `offsets`.
-    dbc_of: Vec<u32>,
+    /// Variable -> `(DBC, offset)` table for full-placement replays (DBC
+    /// `u32::MAX` = unplaced), so an access reads both with one load; set
+    /// and cleared around each replay.
+    slot: Vec<(u32, u32)>,
     /// Per-DBC state of a full-placement replay: the port displacement and
     /// the shifts so far, side by side so an access touches one slot.
     disp: Vec<(Option<i64>, u64)>,
@@ -1294,7 +1295,8 @@ impl<'a> FitnessEngine<'a> {
     }
 
     /// Allocation-free full replay of a complete placement: one pass over
-    /// the deduplicated access stream with scratch lookup tables, writing
+    /// the deduplicated access stream with one `(DBC, offset)` scratch
+    /// table (one load per access), writing
     /// each DBC's cost to its slot of `costs` (`costs.len() ==
     /// lists.len()`) — naive semantics without the naive path's clone and
     /// `Placement` build. Equal to one per-DBC merge per list by
@@ -1309,21 +1311,18 @@ impl<'a> FitnessEngine<'a> {
         scratch: &mut EvalScratch,
         costs: &mut [u64],
     ) {
+        const UNPLACED: (u32, u32) = (u32::MAX, u32::MAX);
         self.dbc_recomputations
             .fetch_add(lists.len() as u64, Ordering::Relaxed);
         let table_len = self.index.var_count();
-        if scratch.offsets.len() < table_len {
-            scratch.offsets.resize(table_len, u32::MAX);
-        }
-        if scratch.dbc_of.len() < table_len {
-            scratch.dbc_of.resize(table_len, u32::MAX);
+        if scratch.slot.len() < table_len {
+            scratch.slot.resize(table_len, UNPLACED);
         }
         for (d, list) in lists.iter().enumerate() {
             for (off, &v) in list.iter().enumerate() {
                 let i = v.index();
                 if i < table_len {
-                    scratch.offsets[i] = off as u32;
-                    scratch.dbc_of[i] = d as u32;
+                    scratch.slot[i] = (d as u32, off as u32);
                 }
             }
         }
@@ -1339,11 +1338,11 @@ impl<'a> FitnessEngine<'a> {
             scratch.disp1.clear();
             scratch.disp1.resize(lists.len(), (i64::MIN, 0));
             for &v in dedup {
-                let i = v.index();
-                let Some((last, shifts)) = scratch.disp1.get_mut(scratch.dbc_of[i] as usize) else {
+                let (d, off) = scratch.slot[v.index()];
+                let Some((last, shifts)) = scratch.disp1.get_mut(d as usize) else {
                     continue;
                 };
-                let off = scratch.offsets[i] as i64;
+                let off = i64::from(off);
                 if *last != i64::MIN {
                     *shifts += (*last - off).unsigned_abs();
                 } else if track_head {
@@ -1358,11 +1357,11 @@ impl<'a> FitnessEngine<'a> {
             scratch.disp.clear();
             scratch.disp.resize(lists.len(), (None, 0));
             for &v in dedup {
-                let i = v.index();
-                let Some((disp, shifts)) = scratch.disp.get_mut(scratch.dbc_of[i] as usize) else {
+                let (d, off) = scratch.slot[v.index()];
+                let Some((disp, shifts)) = scratch.disp.get_mut(d as usize) else {
                     continue;
                 };
-                let (c, nd) = self.coster.access_cost(*disp, scratch.offsets[i] as usize);
+                let (c, nd) = self.coster.access_cost(*disp, off as usize);
                 *shifts += c;
                 *disp = Some(nd);
             }
@@ -1374,8 +1373,7 @@ impl<'a> FitnessEngine<'a> {
             for &v in list {
                 let i = v.index();
                 if i < table_len {
-                    scratch.offsets[i] = u32::MAX;
-                    scratch.dbc_of[i] = u32::MAX;
+                    scratch.slot[i] = UNPLACED;
                 }
             }
         }
@@ -1888,6 +1886,29 @@ mod tests {
             engine.dbc_cost(&[VarId::from_index(0), VarId::from_index(99)]),
             0
         );
+    }
+
+    #[test]
+    fn a_reused_replay_scratch_forgets_the_last_placement() {
+        // One worker replays every candidate through one scratch, so a
+        // variable placed by one candidate and left out of the next must
+        // lose its DBC and offset in between.
+        let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
+        let full = paper_placement(&seq);
+        let partial: Vec<Vec<VarId>> = full.iter().map(|l| l[..l.len() / 2].to_vec()).collect();
+        for cost in [CostModel::single_port(), CostModel::multi_port(2, 8)] {
+            let want = |lists: &[Vec<VarId>]| {
+                cost.per_dbc_costs(&Placement::from_dbc_lists(lists.to_vec()), seq.accesses())
+            };
+            let engine = FitnessEngine::new(&seq, cost).with_threads(1);
+            let round = [full.clone(), partial.clone(), full.clone(), partial.clone()];
+            let totals: Vec<u64> = round.iter().map(|l| want(l).iter().sum()).collect();
+            assert_eq!(engine.batch_costs(&round), totals);
+            let mut scratch = engine.scratch();
+            for lists in &round {
+                assert_eq!(engine.per_dbc_costs_with(lists, &mut scratch), want(lists));
+            }
+        }
     }
 
     #[test]

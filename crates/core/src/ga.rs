@@ -490,8 +490,11 @@ impl GeneticPlacer {
                 }
             }
         }
+        let mut shuffled = Vec::new();
         while initial.len() < self.config.mu {
-            initial.push(EvalJob::fresh(random_assignment(vars, dbcs, capacity, rng)));
+            let mut lists = Vec::new();
+            random_assignment_into(vars, dbcs, capacity, rng, &mut lists, &mut shuffled);
+            initial.push(EvalJob::fresh(lists));
         }
         initial
     }
@@ -616,6 +619,13 @@ pub(crate) fn random_assignment(
 /// capacity across calls. The RNG draw sequence is identical to
 /// [`random_assignment`] — callers sampling in a loop (the random walk)
 /// stay bit-compatible with the allocating form.
+///
+/// The deal gives DBC `d` the shuffled positions `d, d + q, d + 2q, …`
+/// (`q = dbcs`), each list reserved to `⌈V/q⌉` at once. The variables must
+/// fit (`V ≤ q · capacity`, which every caller's `check_fit` ensures): then
+/// DBC `k mod q` holds `⌊k/q⌋ < capacity` entries before the `k`-th
+/// variable is dealt, so no DBC is ever full when its turn comes and a
+/// capacity-skipping round-robin would deal exactly the same lists.
 pub(crate) fn random_assignment_into(
     vars: &[VarId],
     dbcs: usize,
@@ -624,23 +634,23 @@ pub(crate) fn random_assignment_into(
     out: &mut Vec<Vec<VarId>>,
     shuffled: &mut Vec<VarId>,
 ) {
+    debug_assert!(
+        vars.len() <= dbcs.saturating_mul(capacity),
+        "{} variables cannot fit {dbcs} DBCs of capacity {capacity}",
+        vars.len()
+    );
     shuffled.clear();
     shuffled.extend_from_slice(vars);
     shuffled.shuffle(rng);
     out.truncate(dbcs);
-    for l in out.iter_mut() {
-        l.clear();
-    }
     out.resize_with(dbcs, Vec::new);
-    let mut d = 0usize;
-    for &v in shuffled.iter() {
-        while out[d].len() >= capacity {
-            d = (d + 1) % dbcs;
-        }
-        out[d].push(v);
-        d = (d + 1) % dbcs;
-    }
-    for l in out.iter_mut() {
+    let per_dbc = vars.len().div_ceil(dbcs.max(1));
+    // Dealing draws nothing, so dealing and shuffling DBC by DBC keeps the
+    // draw order of dealing everything first.
+    for (d, l) in out.iter_mut().enumerate() {
+        l.clear();
+        l.reserve(per_dbc);
+        l.extend(shuffled.iter().skip(d).step_by(dbcs));
         l.shuffle(rng);
     }
 }
@@ -1185,6 +1195,85 @@ mod tests {
             let dbcs = random_assignment(&vars, 3, 3, &mut rng);
             assert_valid(&dbcs, &seq, 3);
         }
+    }
+
+    /// The deal as first written: round-robin with `% dbcs`, skipping full
+    /// DBCs, after dealing everything shuffling each list — the reference
+    /// the strided deal is held to.
+    fn modulo_deal_reference(
+        vars: &[VarId],
+        dbcs: usize,
+        capacity: usize,
+        rng: &mut impl Rng,
+        out: &mut Vec<Vec<VarId>>,
+        shuffled: &mut Vec<VarId>,
+    ) {
+        shuffled.clear();
+        shuffled.extend_from_slice(vars);
+        shuffled.shuffle(rng);
+        out.truncate(dbcs);
+        for l in out.iter_mut() {
+            l.clear();
+        }
+        out.resize_with(dbcs, Vec::new);
+        let mut d = 0usize;
+        for &v in shuffled.iter() {
+            while out[d].len() >= capacity {
+                d = (d + 1) % dbcs;
+            }
+            out[d].push(v);
+            d = (d + 1) % dbcs;
+        }
+        for l in out.iter_mut() {
+            l.shuffle(rng);
+        }
+    }
+
+    #[test]
+    fn strided_deal_equals_the_modulo_reference() {
+        // Both sides keep their buffers across every call, so each call
+        // starts from the last shape's lists (more or fewer DBCs, stale
+        // entries).
+        let (mut out, mut shuffled) = (Vec::new(), Vec::new());
+        let (mut want, mut want_shuffled) = (Vec::new(), Vec::new());
+        let mut shapes = 0;
+        for q in [1usize, 2, 3, 4, 8] {
+            for capacity in [1usize, 2, 5, 128] {
+                let full = q * capacity;
+                // Empty, one variable, fewer than q, every DBC full, and
+                // two sizes in between.
+                let sizes = [0, 1, q - 1, full, full / 2 + 1, 369.min(full)];
+                for v in sizes {
+                    let vars: Vec<VarId> = (0..v).map(|i| VarId::from_index(3 * i + 1)).collect();
+                    for seed in 0..4 {
+                        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                        let mut reference = rng.clone();
+                        random_assignment_into(
+                            &vars,
+                            q,
+                            capacity,
+                            &mut rng,
+                            &mut out,
+                            &mut shuffled,
+                        );
+                        modulo_deal_reference(
+                            &vars,
+                            q,
+                            capacity,
+                            &mut reference,
+                            &mut want,
+                            &mut want_shuffled,
+                        );
+                        let shape = format!("V={v} q={q} capacity={capacity} seed={seed}");
+                        assert_eq!(out, want, "{shape}");
+                        let next = rand::RngCore::next_u64;
+                        assert_eq!(next(&mut rng), next(&mut reference), "{shape}");
+                        shapes += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(shapes, 5 * 4 * 6 * 4);
     }
 
     #[test]
