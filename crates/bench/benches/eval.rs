@@ -65,14 +65,19 @@ fn fitness_eval(c: &mut Criterion) {
         });
         // Fresh candidates (the random walk's workload): allocation-free
         // replay vs the naive clone + placement build.
-        let candidates: Vec<Vec<Vec<VarId>>> = vec![lists.clone(); BATCH];
         let replay = FitnessEngine::new(&seq, CostModel::single_port()).with_memo(false);
-        group.bench_with_input(BenchmarkId::new("fresh_naive", dbcs), &(), |b, ()| {
-            b.iter(|| black_box(naive.batch_costs(&candidates)))
-        });
-        group.bench_with_input(BenchmarkId::new("fresh_replay", dbcs), &(), |b, ()| {
-            b.iter(|| black_box(replay.batch_costs(&candidates)))
-        });
+        for (name, engine) in [("fresh_naive", &naive), ("fresh_replay", &replay)] {
+            let mut scratch = engine.scratch();
+            group.bench_with_input(BenchmarkId::new(name, dbcs), &(), |b, ()| {
+                b.iter(|| {
+                    black_box(
+                        (0..BATCH)
+                            .map(|_| engine.total_cost_with(&lists, &mut scratch))
+                            .sum::<u64>(),
+                    )
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -1,10 +1,9 @@
-//! Worker-count scaling sweep of the fitness engine; writes
-//! `BENCH_smp.json`. See `DESIGN.md` §4 and §7.
+//! Worker-count sweep of the portfolio race; writes `BENCH_smp.json`. See
+//! `DESIGN.md` §4 and §7.
 //!
-//! Every configuration is asserted bit-identical to the serial (1 worker)
-//! baseline at collection time; CI greps the JSON for
-//! `"identical": false` / `"contention_free": false` (must be absent) and
-//! for the `speedup_gate` verdict.
+//! Every configuration is compared bit for bit with the serial (1 worker)
+//! baseline at collection time; CI greps the JSON for `"identical": false`
+//! (must be absent).
 
 fn main() -> std::io::Result<()> {
     let opts = rtm_bench::ExperimentOpts::from_args();

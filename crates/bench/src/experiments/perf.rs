@@ -141,7 +141,7 @@ fn rate(count: u64, secs: f64) -> f64 {
 /// Deals the trace's variables round-robin into `dbcs` lists — the fixed
 /// base placement the offspring streams derive from (shared with the
 /// `smp` experiment).
-pub(crate) fn base_lists(seq: &AccessSequence, dbcs: usize, capacity: usize) -> Vec<Vec<VarId>> {
+fn base_lists(seq: &AccessSequence, dbcs: usize, capacity: usize) -> Vec<Vec<VarId>> {
     let vars = seq.liveness().by_first_occurrence();
     let mut lists: Vec<Vec<VarId>> = vec![Vec::new(); dbcs];
     let mut d = 0usize;
@@ -172,7 +172,7 @@ fn transpose(job: &mut EvalJob, d: usize, rng: &mut ChaCha8Rng) {
 /// A reorder-only offspring stream: each job transposes two variables in
 /// one random DBC (membership intact — the engine's cached-subsequence
 /// case).
-pub(crate) fn reorder_jobs(
+fn reorder_jobs(
     base: &[Vec<VarId>],
     base_costs: &[u64],
     count: usize,
@@ -190,7 +190,7 @@ pub(crate) fn reorder_jobs(
 
 /// The paper's mutation mix (move : transpose : permute-all at 10 : 10 : 3),
 /// one mutation per offspring.
-pub(crate) fn mixed_jobs(
+fn mixed_jobs(
     base: &[Vec<VarId>],
     base_costs: &[u64],
     capacity: usize,

@@ -158,18 +158,8 @@ fn representative(tier: Tier, target: usize) -> TierWorkload {
     TierWorkload::by_name(base.name(), scale).expect("representative exists at any scale")
 }
 
-/// Measures one ladder point end to end. `threads` is the engine worker
-/// count (`0` = all cores), routed into the streaming engine exactly as
-/// the CLI routes `--threads` into the materialized path — results are
-/// identical for any value.
-fn measure(
-    w: &TierWorkload,
-    dbcs: usize,
-    evals: u64,
-    seed: u64,
-    threads: usize,
-    probe: &MemProbe,
-) -> ScaleRow {
+/// Measures one ladder point end to end.
+fn measure(w: &TierWorkload, dbcs: usize, evals: u64, seed: u64, probe: &MemProbe) -> ScaleRow {
     (probe.reset)();
     let (variables, accesses) = (w.var_count(), w.access_count());
     let capacity = variables.div_ceil(dbcs).max(8);
@@ -182,9 +172,7 @@ fn measure(
 
     // Random walk through the streaming engine: candidate placements are
     // costed straight off the position index, O(chunk) resident.
-    let engine = FitnessEngine::from_compact_index(index, cost)
-        .with_memo(false)
-        .with_threads(threads);
+    let engine = FitnessEngine::from_compact_index(index, cost).with_memo(false);
     let t = Instant::now();
     let out = random_walk::run_budgeted(&engine, dbcs, capacity, seed, Budget::evals(evals), None)
         .expect("ladder capacities always fit");
@@ -272,7 +260,7 @@ pub fn collect(opts: &ExperimentOpts, probe: &MemProbe) -> (Vec<ScaleRow>, bool)
     for tier in Tier::ALL {
         for &(target, evals) in &steps {
             let w = representative(tier, target);
-            rows.push(measure(&w, dbcs, evals, opts.seed, opts.threads, probe));
+            rows.push(measure(&w, dbcs, evals, opts.seed, probe));
         }
     }
     // The deep end: one 10M-access adversarial row (the profiled
@@ -280,25 +268,19 @@ pub fn collect(opts: &ExperimentOpts, probe: &MemProbe) -> (Vec<ScaleRow>, bool)
     // adversarial emitter is O(1) per access).
     if let Some((target, evals)) = extra {
         let w = representative(Tier::Adversarial, target);
-        rows.push(measure(&w, dbcs, evals, opts.seed, opts.threads, probe));
+        rows.push(measure(&w, dbcs, evals, opts.seed, probe));
     }
     (rows, suite_identical(dbcs))
 }
 
 /// Renders the JSON record (`BENCH_scale.json`).
 pub fn to_json(rows: &[ScaleRow], suite_ok: bool, opts: &ExperimentOpts) -> String {
-    let threads = if opts.threads > 0 {
-        opts.threads
-    } else {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    };
     let mut w = Writer::pretty();
     w.object()
         .field("experiment", "scale")
         .field("quick", opts.quick)
         .field("seed", opts.seed)
         .field("dbcs", dbcs_for(opts))
-        .field("threads", threads)
         .field("suite_identical", suite_ok)
         .key("rows")
         .array();

@@ -15,7 +15,7 @@
 //! | `perf` | search-stack throughput, written to `BENCH_perf.json` |
 //! | `portfolio` | anytime search quality vs budget (per lane and portfolio, across ports/subarrays), written to `BENCH_search.json` |
 //! | `scale` | workload-tier scaling of the bounded-memory trace pipeline, written to `BENCH_scale.json` |
-//! | `smp` | multi-core scaling of the fitness engine over worker counts, written to `BENCH_smp.json` |
+//! | `smp` | the portfolio race over worker counts, written to `BENCH_smp.json` |
 //!
 //! All binaries accept `--quick` (reduced GA/RW budgets), `--dbcs 2,4,8,16`,
 //! `--seed N`, `--benchmarks a,b,c` and write CSV next to the printed table

@@ -13,8 +13,8 @@ use std::path::PathBuf;
 /// * `--budgets 5000,20000,50000` — eval budgets to sweep (`portfolio`
 ///   experiment);
 /// * `--workers 1,2,4` — engine worker counts to sweep (`smp` experiment);
-/// * `--threads N` — engine worker count for the non-sweeping experiments
-///   (`scale`; `0` = all cores);
+/// * `--threads N` — the daemon's worker count (`serve`; `0` = all
+///   cores);
 /// * `--legacy-spill` — revert Fig. 4/5/6 and latency to the historical
 ///   grown-track behavior instead of the capacity-aware multi-subarray
 ///   path (kept as an explicit comparison baseline);
@@ -35,9 +35,8 @@ pub struct ExperimentOpts {
     pub budgets: Vec<u64>,
     /// Engine worker counts to sweep (the `smp` experiment).
     pub workers: Vec<usize>,
-    /// Engine worker count for the non-sweeping experiments (`0` = all
-    /// cores) — routed into streaming engines the same way the CLI routes
-    /// `--threads` into the materialized path.
+    /// The daemon's worker count in the `serve` experiment (`0` = all
+    /// cores).
     pub threads: usize,
     /// Use the historical grown-track spill instead of the capacity-aware
     /// multi-subarray path (Fig. 4/5/6 and latency).

@@ -116,7 +116,7 @@ OPTIONS:
     --budget-stall N  stop after N evals without improvement (sa/tabu/portfolio)
     --lanes L,L,...   portfolio lanes from sa,tabu,ga,rw (default all four)
     --seed N          RNG seed for sa/tabu/portfolio (fixed defaults otherwise)
-    --threads N       fitness-engine workers for the search strategies, on
+    --threads N       workers that run the portfolio's lanes side by side, on
                       both the materialized and --stream paths (default: all
                       cores; results are identical for any value)
     --json            machine-readable output for place/simulate

@@ -1,5 +1,5 @@
-//! The fitness engine: incremental, allocation-free, parallel shift-cost
-//! evaluation for the search-based placers.
+//! The fitness engine: incremental, allocation-free shift-cost evaluation
+//! for the search-based placers.
 //!
 //! Every search path in this crate (GA, random walk, `Strategy::solve`)
 //! ultimately asks the same question many thousands of times: *how many
@@ -18,19 +18,17 @@
 //! [`PositionIndex`] of the trace's dedup stream, built once in two
 //! passes. It costs a DBC by merging its members' access positions into
 //! trace order through a sort-free bitmap scatter, one window of at most
-//! 2^16 positions at a time, into reusable per-worker scratch (`O(A)` in
+//! 2^16 positions at a time, into reusable scratch (`O(A)` in
 //! the DBC's *own* access count `A`, plus, per window it touches, its
 //! member count and one bitmap word per 64 spanned positions;
 //! allocation-free after warm-up). A placement whose DBCs are all new
 //! (nothing to inherit, lists that seldom recur) is instead costed in one
 //! linear replay of the dedup stream, when the engine was built from a
 //! sequence and so holds it. It memoizes per-DBC costs under a
-//! content key so recurring lists across generations are free, and fans
-//! batches of evaluations out over its [`WorkerPool`] in a way that is
-//! **bit-identical** to the sequential order: every job's slot is written
-//! by exactly one worker and each per-DBC cost is a pure function
-//! of the list's content, so neither thread count nor scheduling can change
-//! a result (see `DESIGN.md` §7 for the full argument).
+//! content key so recurring lists across generations are free. Each
+//! per-DBC cost is a pure function of the list's content, so neither the
+//! caches nor lanes racing on the engine's [`WorkerPool`] can change a
+//! result (see `DESIGN.md` §7 for the full argument).
 //!
 //! The engine is **port-aware end to end**: every path serves each access
 //! at the minimum displacement change over the cost model's port homes
@@ -86,32 +84,20 @@ fn lock_cache<T: Default>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     })
 }
 
-/// Non-blocking variant of [`lock_cache`]: `WouldBlock` returns `None` (the
-/// caller treats the access as a cache miss or skips the write — every
-/// cached value is a pure function of its key, so recomputing is always
-/// correct), poison recovers by the same clear-and-rebuild.
-fn try_lock_cache<T: Default>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
-    match m.try_lock() {
-        Ok(guard) => Some(guard),
-        Err(TryLockError::Poisoned(poisoned)) => {
-            let mut guard = poisoned.into_inner();
-            *guard = T::default();
-            m.clear_poison();
-            Some(guard)
-        }
-        Err(TryLockError::WouldBlock) => None,
-    }
-}
-
 /// [`lock_cache`] with a contention counter: an acquisition that cannot
-/// complete immediately is counted before blocking. The `rtm-bench smp`
-/// experiment reads these counters to verify the batch hot path (which only
-/// ever uses [`try_lock_cache`]) takes zero contended locks.
+/// complete immediately is counted before blocking. Only threads sharing
+/// one engine (lanes of a race on two or more workers, concurrent solves
+/// of one session) can contend.
 fn lock_counted<'m, T: Default>(m: &'m Mutex<T>, contended: &AtomicU64) -> MutexGuard<'m, T> {
-    match try_lock_cache(m) {
-        Some(guard) => guard,
-        None => {
+    match m.try_lock() {
+        Ok(guard) => guard,
+        Err(TryLockError::WouldBlock) => {
             contended.fetch_add(1, Ordering::Relaxed);
+            lock_cache(m)
+        }
+        Err(TryLockError::Poisoned(poisoned)) => {
+            // Release the poisoned guard before `lock_cache` re-locks.
+            drop(poisoned);
             lock_cache(m)
         }
     }
@@ -281,13 +267,13 @@ fn mix_member(v: u64) -> u64 {
 /// subsequence cache is wiped (≈ tens of MB worst case).
 const SUBSEQ_ELEM_CAPACITY: usize = 1 << 22;
 
-/// Bound on memoized DBC lists before the memo — or a batch worker's
-/// overlay — is wiped (epoch eviction keeps the engine's memory
-/// proportional to the working set of a few generations, not a whole run).
+/// Bound on memoized DBC lists before the memo is wiped (epoch eviction
+/// keeps the engine's memory proportional to the working set of a few
+/// generations, not a whole run).
 const MEMO_CAPACITY: usize = 1 << 16;
 
 /// Dedup positions per merge window: the slot array and bitmap cover one
-/// window, so a worker's merge scratch is `O(WINDOW + A)` whatever the
+/// window, so a scratch's merge buffers are `O(WINDOW + A)` whatever the
 /// trace length (256 KiB of slots, 8 KiB of bitmap).
 const WINDOW: usize = 1 << 16;
 
@@ -318,8 +304,8 @@ impl std::ops::Deref for SeqRef<'_> {
 /// What only an engine built from an [`AccessSequence`] holds: the
 /// sequence itself (naive replays, GA heuristic seeding) and its dedup
 /// stream as one array, which the linear replay of whole placements walks
-/// ([`FitnessEngine::per_dbc_costs`], [`FitnessEngine::batch_costs`] and
-/// fully dirty batch jobs).
+/// ([`FitnessEngine::per_dbc_costs`], [`FitnessEngine::total_cost_with`]
+/// and fully dirty batch jobs).
 #[derive(Debug)]
 struct Materialized<'a> {
     seq: SeqRef<'a>,
@@ -358,19 +344,19 @@ pub struct EngineStats {
     /// Per-DBC costs inherited unchanged from a parent (clean under the
     /// dirty mask — never even looked up).
     pub dbc_inherited: u64,
-    /// Worker-overlay memo entries merged into the shared memo at batch
-    /// boundaries (the batch path's writes all arrive this way).
+    /// Always 0: batches cost on the calling thread straight through the
+    /// memo, so nothing is ever merged into it. Kept so that its readers
+    /// (the `e2ebench` layer totals, the CLI's and the daemon's `"cache"`
+    /// objects) still read a well-defined value.
     pub memo_merged: u64,
-    /// Memo-lock acquisitions that found the lock held and had to block.
-    /// The batch hot path only ever try-locks (contention = recompute,
-    /// never block), so this counts the direct path alone — the smp
-    /// experiment asserts it stays 0 for pure batch evaluation.
+    /// Memo-lock acquisitions that found the lock held and had to block
+    /// (only threads sharing one engine can contend: lanes of a race on
+    /// two or more workers, concurrent solves of one session).
     pub memo_contended: u64,
     /// Subsequence-cache lock acquisitions that found the lock held and
-    /// had to block (direct path only, as with `memo_contended`).
+    /// had to block, as with `memo_contended`.
     pub subseq_contended: u64,
-    /// Wall nanoseconds spent inside evaluation calls (batch timings are
-    /// wall time, so parallel fan-out shows up as higher throughput).
+    /// Wall nanoseconds spent inside evaluation calls.
     pub eval_nanos: u64,
 }
 
@@ -407,7 +393,7 @@ impl EngineStats {
                 .subseq_cache_hits
                 .saturating_sub(earlier.subseq_cache_hits),
             dbc_inherited: self.dbc_inherited.saturating_sub(earlier.dbc_inherited),
-            memo_merged: self.memo_merged.saturating_sub(earlier.memo_merged),
+            memo_merged: 0,
             memo_contended: self.memo_contended.saturating_sub(earlier.memo_contended),
             subseq_contended: self
                 .subseq_contended
@@ -417,7 +403,7 @@ impl EngineStats {
     }
 }
 
-/// Reusable buffers for one evaluation worker. Obtain via
+/// Reusable buffers for one evaluating thread. Obtain via
 /// [`FitnessEngine::scratch`]; reusing one across calls makes the hot path
 /// allocation-free once the buffers have grown to the working-set size.
 #[derive(Debug, Default, Clone)]
@@ -433,6 +419,8 @@ pub struct EvalScratch {
     /// `u32::MAX` = unplaced), so an access reads both with one load; set
     /// and cleared around each replay.
     slot: Vec<(u32, u32)>,
+    /// Per-DBC costs of the last full-placement replay, one per list.
+    costs: Vec<u64>,
     /// Per-DBC state of a full-placement replay: the port displacement and
     /// the shifts so far, side by side so an access touches one slot.
     disp: Vec<(Option<i64>, u64)>,
@@ -654,7 +642,7 @@ impl EvalJob {
     }
 }
 
-/// The incremental, allocation-free, parallel fitness evaluator.
+/// The incremental, allocation-free fitness evaluator.
 ///
 /// See the [module docs](self) for the design; construction is `O(|S|)`
 /// (one two-pass [`PositionIndex`] build), after which a per-DBC cost is
@@ -685,7 +673,6 @@ pub struct FitnessEngine<'a> {
     dbc_cache_hits: AtomicU64,
     subseq_cache_hits: AtomicU64,
     dbc_inherited: AtomicU64,
-    memo_merged: AtomicU64,
     memo_contended: AtomicU64,
     subseq_contended: AtomicU64,
     eval_nanos: AtomicU64,
@@ -718,7 +705,7 @@ impl<'a> FitnessEngine<'a> {
 
     /// Creates a **streaming** engine over any [`AccessStream`]: the trace
     /// is consumed in chunks (two passes) into a [`PositionIndex`] and
-    /// never materialized, so resident memory is the index plus per-worker
+    /// never materialized, so resident memory is the index plus evaluation
     /// scratch — `O(chunk)` during the build, independent of trace length
     /// afterwards.
     ///
@@ -772,7 +759,6 @@ impl<'a> FitnessEngine<'a> {
             dbc_cache_hits: AtomicU64::new(0),
             subseq_cache_hits: AtomicU64::new(0),
             dbc_inherited: AtomicU64::new(0),
-            memo_merged: AtomicU64::new(0),
             memo_contended: AtomicU64::new(0),
             subseq_contended: AtomicU64::new(0),
             eval_nanos: AtomicU64::new(0),
@@ -790,7 +776,7 @@ impl<'a> FitnessEngine<'a> {
     }
 
     /// Sets the worker limit of the engine's [`WorkerPool`] (`0` =
-    /// auto-detect).
+    /// auto-detect), on which a portfolio races its lanes.
     ///
     /// Worker count never affects results — only wall time (see the
     /// determinism argument in the module docs and in [`crate::pool`]).
@@ -809,10 +795,9 @@ impl<'a> FitnessEngine<'a> {
         self
     }
 
-    /// The engine's worker pool — the shared execution substrate for batch
-    /// evaluation and for anything racing *on top of* the engine (the
-    /// portfolio runs its lanes on this pool, so lane threads and batch
-    /// workers draw from one token budget).
+    /// The engine's worker pool, for anything racing *on top of* the
+    /// engine: the portfolio runs its lanes on it, so the lanes of every
+    /// engine sharing one pool draw from one token budget.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
     }
@@ -874,11 +859,6 @@ impl<'a> FitnessEngine<'a> {
         self.cost
     }
 
-    /// Resolved worker count for batch evaluation.
-    pub fn threads(&self) -> usize {
-        self.pool.workers()
-    }
-
     /// A fresh scratch buffer.
     pub fn scratch(&self) -> EvalScratch {
         EvalScratch::default()
@@ -887,8 +867,7 @@ impl<'a> FitnessEngine<'a> {
     /// Deliberately poisons the engine's memo and subsequence cache locks
     /// by panicking while each is held (fault injection — `--features
     /// faults` only). The next evaluation recovers each cache via
-    /// [`lock_cache`] / [`try_lock_cache`]'s clear-and-rebuild, so results
-    /// are unchanged.
+    /// [`lock_cache`]'s clear-and-rebuild, so results are unchanged.
     #[cfg(feature = "faults")]
     pub fn poison_caches(&self) {
         if let Some(m) = &self.memo {
@@ -907,7 +886,7 @@ impl<'a> FitnessEngine<'a> {
             dbc_cache_hits: self.dbc_cache_hits.load(Ordering::Relaxed),
             subseq_cache_hits: self.subseq_cache_hits.load(Ordering::Relaxed),
             dbc_inherited: self.dbc_inherited.load(Ordering::Relaxed),
-            memo_merged: self.memo_merged.load(Ordering::Relaxed),
+            memo_merged: 0,
             memo_contended: self.memo_contended.load(Ordering::Relaxed),
             subseq_contended: self.subseq_contended.load(Ordering::Relaxed),
             eval_nanos: self.eval_nanos.load(Ordering::Relaxed),
@@ -929,7 +908,7 @@ impl<'a> FitnessEngine<'a> {
     /// [`dbc_cost`](Self::dbc_cost) with an explicit scratch buffer
     /// (allocation-free once the buffer has grown to the working set).
     pub fn dbc_cost_with(&self, list: &[VarId], scratch: &mut EvalScratch) -> u64 {
-        self.dbc_cost_cached(list, scratch, None)
+        self.memoized(list, || self.dbc_cost_uncached(list, scratch))
     }
 
     /// The memo key of a list — the exact hash the memo map computes
@@ -940,47 +919,15 @@ impl<'a> FitnessEngine<'a> {
         hasher.finish()
     }
 
-    /// The cached costing core. `overlay` is the batch path's per-worker
-    /// private memo ([`BatchCtx`]): when present, the shared memo is only
-    /// ever try-locked (contention = recompute, never block) and all
-    /// writes go to the overlay — the hot loop takes **zero** contended
-    /// locks. Without one this is the direct path, [`memoized`](Self::memoized).
-    /// Either way the returned cost is the same pure function of the
-    /// list's content.
-    fn dbc_cost_cached(
-        &self,
-        list: &[VarId],
-        scratch: &mut EvalScratch,
-        overlay: Option<&mut Memo>,
-    ) -> u64 {
-        let (Some(worker), Some(memo)) = (overlay, &self.memo) else {
-            return self.memoized(list, || self.dbc_cost_uncached(list, scratch, false));
-        };
-        if let Some(&c) = worker.map.get(list) {
-            self.dbc_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return c;
-        }
-        if let Some(shared) = try_lock_cache(memo) {
-            if let Some(&c) = shared.map.get(list) {
-                self.dbc_cache_hits.fetch_add(1, Ordering::Relaxed);
-                return c;
-            }
-        }
-        let c = self.dbc_cost_uncached(list, scratch, true);
-        // Promotion goes to the worker's private filter; the entry reaches
-        // the shared memo at the batch boundary merge.
-        worker.record(list, Self::list_key(list), c);
-        c
-    }
-
-    /// The direct path's exact-list memo in front of `compute`: a hit
-    /// answers from the shared memo, a miss runs `compute` and records its
-    /// value under second-touch promotion. Both memo accesses block on the
-    /// lock, counting contended acquisitions. [`dbc_cost`](Self::dbc_cost)
-    /// and [`dbc_cost_with`](Self::dbc_cost_with) (so a streaming engine's
-    /// [`per_dbc_costs`](Self::per_dbc_costs)) and the local search's
-    /// kept-sequence re-costs ([`kept_cost`](Self::kept_cost)) all come
-    /// through here, so they probe, record and count hits alike.
+    /// The exact-list memo in front of `compute`: a hit answers from the
+    /// memo, a miss runs `compute` and records its value under
+    /// second-touch promotion. Both memo accesses block on the lock,
+    /// counting contended acquisitions. [`dbc_cost`](Self::dbc_cost) and
+    /// [`dbc_cost_with`](Self::dbc_cost_with) (so a streaming engine's
+    /// [`per_dbc_costs`](Self::per_dbc_costs) and the dirty DBCs of a
+    /// partially dirty batch job) and the local search's kept-sequence
+    /// re-costs ([`kept_cost`](Self::kept_cost)) all come through here,
+    /// so they probe, record and count hits alike.
     fn memoized(&self, list: &[VarId], compute: impl FnOnce() -> u64) -> u64 {
         let Some(memo) = &self.memo else {
             return compute();
@@ -1033,12 +980,7 @@ impl<'a> FitnessEngine<'a> {
         self.index.var_count()
     }
 
-    fn dbc_cost_uncached(
-        &self,
-        list: &[VarId],
-        scratch: &mut EvalScratch,
-        nonblocking: bool,
-    ) -> u64 {
+    fn dbc_cost_uncached(&self, list: &[VarId], scratch: &mut EvalScratch) -> u64 {
         self.dbc_recomputations.fetch_add(1, Ordering::Relaxed);
         // Populate the var -> offset table and find the accessed members.
         let table_len = self.index.var_count();
@@ -1069,26 +1011,17 @@ impl<'a> FitnessEngine<'a> {
                     // and skip the merge entirely. The hash is only a key —
                     // the entry's stored membership is verified against the
                     // offsets table (same size + every stored member present
-                    // ⇒ identical sets), so a collision is just a miss. On
-                    // the nonblocking (batch) path a contended lock is a
-                    // miss too: recomputing the same pure value costs wall
-                    // time, never correctness.
-                    let cached = {
-                        let guard = if nonblocking {
-                            try_lock_cache(cache)
-                        } else {
-                            Some(lock_counted(cache, &self.subseq_contended))
-                        };
-                        guard.and_then(|c| {
-                            c.map.get(&set_key).and_then(|e| {
-                                let verified = e.members.len() == members
-                                    && e.members
-                                        .iter()
-                                        .all(|v| scratch.offsets[v.index()] != u32::MAX);
-                                verified.then(|| e.summary.clone())
-                            })
-                        })
-                    };
+                    // ⇒ identical sets), so a collision is just a miss.
+                    let cached = lock_counted(cache, &self.subseq_contended)
+                        .map
+                        .get(&set_key)
+                        .and_then(|e| {
+                            let verified = e.members.len() == members
+                                && e.members
+                                    .iter()
+                                    .all(|v| scratch.offsets[v.index()] != u32::MAX);
+                            verified.then(|| e.summary.clone())
+                        });
                     match cached {
                         Some(s) => {
                             self.subseq_cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -1098,35 +1031,27 @@ impl<'a> FitnessEngine<'a> {
                             let total = self.merge_and_walk(list, scratch);
                             // Promote only memberships seen twice — the
                             // first sighting costs nothing but a filter
-                            // write, so crossover churn never allocates. A
-                            // contended lock skips the promotion entirely
-                            // on the nonblocking path.
-                            let guard = if nonblocking {
-                                try_lock_cache(cache)
-                            } else {
-                                Some(lock_counted(cache, &self.subseq_contended))
-                            };
-                            if let Some(mut c) = guard {
-                                let slot = (set_key as usize) & (FILTER_SLOTS - 1);
-                                if c.filter[slot] == set_key {
-                                    let s = std::sync::Arc::new(self.summary_of_seq_buf(scratch));
-                                    let entry = SubseqEntry {
-                                        members: list
-                                            .iter()
-                                            .copied()
-                                            .filter(|&v| self.index.frequency(v) > 0)
-                                            .collect(),
-                                        summary: s.clone(),
-                                    };
-                                    c.stored += s.weight();
-                                    if c.stored > SUBSEQ_ELEM_CAPACITY {
-                                        c.map.clear();
-                                        c.stored = s.weight();
-                                    }
-                                    c.map.insert(set_key, entry);
-                                } else {
-                                    c.filter[slot] = set_key;
+                            // write, so crossover churn never allocates.
+                            let mut c = lock_counted(cache, &self.subseq_contended);
+                            let slot = (set_key as usize) & (FILTER_SLOTS - 1);
+                            if c.filter[slot] == set_key {
+                                let s = std::sync::Arc::new(self.summary_of_seq_buf(scratch));
+                                let entry = SubseqEntry {
+                                    members: list
+                                        .iter()
+                                        .copied()
+                                        .filter(|&v| self.index.frequency(v) > 0)
+                                        .collect(),
+                                    summary: s.clone(),
+                                };
+                                c.stored += s.weight();
+                                if c.stored > SUBSEQ_ELEM_CAPACITY {
+                                    c.map.clear();
+                                    c.stored = s.weight();
                                 }
+                                c.map.insert(set_key, entry);
+                            } else {
+                                c.filter[slot] = set_key;
                             }
                             total
                         }
@@ -1296,21 +1221,19 @@ impl<'a> FitnessEngine<'a> {
 
     /// Allocation-free full replay of a complete placement: one pass over
     /// the deduplicated access stream with one `(DBC, offset)` scratch
-    /// table (one load per access), writing
-    /// each DBC's cost to its slot of `costs` (`costs.len() ==
-    /// lists.len()`) — naive semantics without the naive path's clone and
-    /// `Placement` build. Equal to one per-DBC merge per list by
+    /// table (one load per access), returning each DBC's cost (one per
+    /// list, held in `scratch`) — naive semantics without the naive path's
+    /// clone and `Placement` build. Equal to one per-DBC merge per list by
     /// separability, and cheaper when every DBC of a placement is new
     /// (fresh candidates, fully dirty jobs, start states): one linear pass
     /// instead of `q` merges, and no cache traffic for lists that would
     /// almost never recur.
-    fn replay_lists(
+    fn replay_lists<'s>(
         &self,
         dedup: &[VarId],
         lists: &[Vec<VarId>],
-        scratch: &mut EvalScratch,
-        costs: &mut [u64],
-    ) {
+        scratch: &'s mut EvalScratch,
+    ) -> &'s [u64] {
         const UNPLACED: (u32, u32) = (u32::MAX, u32::MAX);
         self.dbc_recomputations
             .fetch_add(lists.len() as u64, Ordering::Relaxed);
@@ -1350,9 +1273,8 @@ impl<'a> FitnessEngine<'a> {
                 }
                 *last = off;
             }
-            for (c, &(_, shifts)) in costs.iter_mut().zip(&scratch.disp1) {
-                *c = shifts;
-            }
+            scratch.costs.clear();
+            scratch.costs.extend(scratch.disp1.iter().map(|d| d.1));
         } else {
             scratch.disp.clear();
             scratch.disp.resize(lists.len(), (None, 0));
@@ -1365,9 +1287,8 @@ impl<'a> FitnessEngine<'a> {
                 *shifts += c;
                 *disp = Some(nd);
             }
-            for (c, &(_, shifts)) in costs.iter_mut().zip(&scratch.disp) {
-                *c = shifts;
-            }
+            scratch.costs.clear();
+            scratch.costs.extend(scratch.disp.iter().map(|d| d.1));
         }
         for list in lists {
             for &v in list {
@@ -1377,6 +1298,7 @@ impl<'a> FitnessEngine<'a> {
                 }
             }
         }
+        &scratch.costs
     }
 
     // ---- Whole-placement costing ------------------------------------------
@@ -1401,9 +1323,7 @@ impl<'a> FitnessEngine<'a> {
         let start = Instant::now();
         let costs = match (self.mode, &self.trace) {
             (EvalMode::Incremental, Some(trace)) => {
-                let mut costs = vec![0; lists.len()];
-                self.replay_lists(&trace.dedup, lists, scratch, &mut costs);
-                costs
+                self.replay_lists(&trace.dedup, lists, scratch).to_vec()
             }
             (EvalMode::Incremental, None) => lists
                 .iter()
@@ -1439,77 +1359,35 @@ impl<'a> FitnessEngine<'a> {
 
     // ---- Batch evaluation --------------------------------------------------
 
-    /// Evaluates a batch of jobs, refreshing every dirty per-DBC cost.
-    ///
-    /// Jobs fan out over the engine's [`WorkerPool`]: each job is claimed
-    /// exactly once and writes only its own slot, and each per-DBC cost is
-    /// a pure function of the list's content, so the result is independent
-    /// of worker count and claim order — identical to a sequential
-    /// pass. Each worker costs through a private memo overlay (a
-    /// `BatchCtx`), so the per-DBC hot loop takes zero contended locks;
-    /// overlays merge into the shared memo when the batch ends.
+    /// Evaluates a batch of jobs in order on the calling thread, refreshing
+    /// every dirty per-DBC cost through one scratch.
     pub fn evaluate_batch(&self, jobs: &mut [EvalJob]) {
         self.evaluations
             .fetch_add(jobs.len() as u64, Ordering::Relaxed);
         let start = Instant::now();
-        self.pool.run(
-            jobs,
-            || self.batch_ctx(),
-            |ctx, _, job| self.finish_job(job, ctx),
-        );
+        let mut scratch = self.scratch();
+        for job in jobs {
+            self.finish_job(job, &mut scratch);
+        }
         self.add_eval_time(start);
-    }
-
-    /// One worker's batch context: scratch plus the private memo overlay
-    /// (when the memo is enabled at all).
-    fn batch_ctx(&self) -> BatchCtx<'_, 'a> {
-        BatchCtx {
-            engine: self,
-            scratch: self.scratch(),
-            overlay: self.memo.is_some().then(Memo::default),
-        }
-    }
-
-    /// Merges a worker's private memo overlay into the shared memo at a
-    /// batch boundary. A plain blocking lock is fine here — this runs once
-    /// per worker per batch, not per DBC, so it never shows up in the
-    /// hot-path contention counters.
-    fn merge_overlay(&self, overlay: Memo) {
-        let Some(memo) = &self.memo else { return };
-        let merged = overlay.map.len() as u64;
-        let mut m = lock_cache(memo);
-        for (list, c) in overlay.map {
-            if m.map.len() >= MEMO_CAPACITY {
-                m.map.clear();
-            }
-            m.map.insert(list, c);
-        }
-        self.memo_merged.fetch_add(merged, Ordering::Relaxed);
     }
 
     /// Refreshes a job's dirty costs: one linear replay when every DBC is
     /// dirty and the engine holds the dedup stream (nothing to inherit, and
     /// lists that new seldom recur), otherwise a cached merge per dirty
     /// DBC.
-    fn finish_job(&self, job: &mut EvalJob, ctx: &mut BatchCtx<'_, 'a>) {
+    fn finish_job(&self, job: &mut EvalJob, scratch: &mut EvalScratch) {
         match (self.mode, &self.trace) {
             (EvalMode::Incremental, Some(trace)) if job.dirty.covers(job.lists.len()) => {
-                self.replay_lists(
-                    &trace.dedup,
-                    &job.lists,
-                    &mut ctx.scratch,
-                    &mut job.dbc_costs,
-                );
+                let costs = self.replay_lists(&trace.dedup, &job.lists, scratch);
+                job.dbc_costs.clear();
+                job.dbc_costs.extend_from_slice(costs);
             }
             (EvalMode::Incremental, _) => {
                 let mut inherited = 0u64;
                 for d in 0..job.lists.len() {
                     if job.dirty.is_dirty(d) {
-                        job.dbc_costs[d] = self.dbc_cost_cached(
-                            &job.lists[d],
-                            &mut ctx.scratch,
-                            ctx.overlay.as_mut(),
-                        );
+                        job.dbc_costs[d] = self.dbc_cost_with(&job.lists[d], scratch);
                     } else {
                         inherited += 1;
                     }
@@ -1520,79 +1398,32 @@ impl<'a> FitnessEngine<'a> {
         }
     }
 
-    /// Evaluates independent candidates with no inherited state (the random
-    /// walk's workload): returns the total cost of each, in order.
-    pub fn batch_costs(&self, candidates: &[Vec<Vec<VarId>>]) -> Vec<u64> {
-        self.evaluations
-            .fetch_add(candidates.len() as u64, Ordering::Relaxed);
+    /// Total cost of one candidate with no inherited state (the random
+    /// walk's workload): a linear replay on an engine built from a
+    /// sequence, one merge per DBC without the memo on a streaming one.
+    pub fn total_cost_with(&self, lists: &[Vec<VarId>], scratch: &mut EvalScratch) -> u64 {
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
-        let mut out = vec![0u64; candidates.len()];
-        self.pool.run(
-            &mut out,
-            || (self.scratch(), Vec::new()),
-            |(scratch, costs), i, slot| {
-                *slot = self.total_cost_uncached(&candidates[i], scratch, costs);
-            },
-        );
-        self.add_eval_time(start);
-        out
-    }
-
-    fn add_eval_time(&self, start: Instant) {
-        self.eval_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Total cost of one candidate; `costs` is the worker's per-DBC buffer
-    /// for the replay.
-    fn total_cost_uncached(
-        &self,
-        lists: &[Vec<VarId>],
-        scratch: &mut EvalScratch,
-        costs: &mut Vec<u64>,
-    ) -> u64 {
-        match (self.mode, &self.trace) {
+        let total = match (self.mode, &self.trace) {
             (EvalMode::Incremental, Some(trace)) => {
-                costs.resize(lists.len(), 0);
-                self.replay_lists(&trace.dedup, lists, scratch, costs);
-                costs.iter().sum()
+                self.replay_lists(&trace.dedup, lists, scratch).iter().sum()
             }
             // A streaming engine has no dedup copy to replay; per-DBC
             // separability makes the sum of per-DBC merges the same total
             // (and the same recomputation count).
             (EvalMode::Incremental, None) => lists
                 .iter()
-                .map(|l| self.dbc_cost_uncached(l, scratch, true))
+                .map(|l| self.dbc_cost_uncached(l, scratch))
                 .sum(),
             (EvalMode::Naive, _) => self.naive_per_dbc_costs(lists).into_iter().sum(),
-        }
+        };
+        self.add_eval_time(start);
+        total
     }
-}
 
-/// One worker's context for [`FitnessEngine::evaluate_batch`]: scratch
-/// buffers plus a private memo overlay. During the batch the worker reads
-/// the overlay first, then try-locks the shared memo, and writes **only**
-/// the overlay — so the per-DBC hot loop never blocks on a lock. The
-/// overlay merges into the shared memo when the context drops at the end
-/// of the batch.
-struct BatchCtx<'e, 'a> {
-    engine: &'e FitnessEngine<'a>,
-    scratch: EvalScratch,
-    /// Private memo overlay; `None` when the engine's memo is disabled.
-    overlay: Option<Memo>,
-}
-
-impl Drop for BatchCtx<'_, '_> {
-    fn drop(&mut self) {
-        // Merging is purely an optimization — every value is a pure
-        // function of its key — so the unwind path skips it: a panicking
-        // job must never risk a second panic inside a drop.
-        if std::thread::panicking() {
-            return;
-        }
-        if let Some(overlay) = self.overlay.take() {
-            self.engine.merge_overlay(overlay);
-        }
+    fn add_eval_time(&self, start: Instant) {
+        self.eval_nanos
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
@@ -1665,38 +1496,33 @@ mod tests {
     }
 
     #[test]
-    fn batch_overlays_merge_into_the_shared_memo() {
+    fn dirty_batch_lists_are_memoized_across_batches() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let base = paper_placement(&seq);
-        let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(1);
-        let reference = FitnessEngine::new(&seq, CostModel::single_port());
-        let want = reference.per_dbc_costs(&base);
+        let engine = FitnessEngine::new(&seq, CostModel::single_port());
+        let want = FitnessEngine::new(&seq, CostModel::single_port()).per_dbc_costs(&base);
         // Fully dirty jobs are replayed whole and never reach the memo.
         let mut fresh: Vec<EvalJob> = (0..4).map(|_| EvalJob::fresh(base.clone())).collect();
         engine.evaluate_batch(&mut fresh);
         assert!(fresh.iter().all(|job| job.dbc_costs == want));
-        let stats = engine.stats();
-        assert_eq!((stats.memo_merged, stats.dbc_cache_hits), (0, 0));
-        // The same dirty list recurs within one batch: the worker's private
-        // filter promotes it on second touch, and the batch-boundary merge
-        // lands it in the shared memo.
-        let mut jobs: Vec<EvalJob> = (0..4)
-            .map(|_| {
-                let mut job = EvalJob::derived(base.clone(), vec![want[0], 0]);
-                job.dirty.mark(1);
-                job
-            })
-            .collect();
-        engine.evaluate_batch(&mut jobs);
-        for job in &jobs {
+        assert_eq!(engine.stats().dbc_cache_hits, 0);
+        // DBC 1's list is dirty once in each of three batches: the first
+        // sighting arms its filter slot, the second records it, and the
+        // third is answered from the memo.
+        let mut hits = Vec::new();
+        for _ in 0..3 {
+            let mut job = EvalJob::derived(base.clone(), vec![want[0], 0]);
+            job.dirty.mark(1);
+            engine.evaluate_batch(std::slice::from_mut(&mut job));
             assert_eq!(job.dbc_costs, want);
+            hits.push(engine.stats().dbc_cache_hits);
         }
-        let stats = engine.stats();
-        assert!(stats.memo_merged > 0, "overlay never merged: {stats:?}");
-        // A later *direct* costing is served from the merged shared memo.
-        let before = stats.dbc_cache_hits;
+        assert_eq!(hits, [0, 0, 1]);
+        // A later direct costing is served from the memo too.
         assert_eq!(engine.dbc_cost(&base[1]), want[1]);
-        assert!(engine.stats().dbc_cache_hits > before);
+        let stats = engine.stats();
+        assert_eq!((stats.dbc_recomputations, stats.dbc_cache_hits), (10, 2));
+        assert_eq!(stats.memo_merged, 0);
     }
 
     #[test]
@@ -1827,6 +1653,16 @@ mod tests {
         assert_eq!(engine.stats().dbc_inherited, 2);
     }
 
+    /// Each candidate's [`FitnessEngine::total_cost_with`], through one
+    /// scratch.
+    fn totals(engine: &FitnessEngine, candidates: &[Vec<Vec<VarId>>]) -> Vec<u64> {
+        let mut scratch = engine.scratch();
+        candidates
+            .iter()
+            .map(|lists| engine.total_cost_with(lists, &mut scratch))
+            .collect()
+    }
+
     #[test]
     fn batch_results_are_thread_count_invariant() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
@@ -1840,7 +1676,7 @@ mod tests {
             })
             .collect();
         let serial = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(1);
-        let want_batch = serial.batch_costs(&candidates);
+        let want_batch = totals(&serial, &candidates);
         let want_dbc = serial.per_dbc_costs(&base);
         // Each candidate twice: fresh (replayed whole) and derived with
         // only DBC1 dirty (merged through the caches).
@@ -1861,11 +1697,11 @@ mod tests {
         assert_eq!(want_totals, pairs);
         for threads in [1usize, 4] {
             let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(threads);
-            assert_eq!(engine.batch_costs(&candidates), want_batch);
+            assert_eq!(totals(&engine, &candidates), want_batch);
             let mut got_jobs = jobs();
             engine.evaluate_batch(&mut got_jobs);
-            let totals: Vec<u64> = got_jobs.iter().map(EvalJob::total).collect();
-            assert_eq!(totals, want_totals);
+            let got: Vec<u64> = got_jobs.iter().map(EvalJob::total).collect();
+            assert_eq!(got, want_totals);
             // Repeat, through the replay and through the memo-hit path.
             for _ in 0..3 {
                 assert_eq!(engine.per_dbc_costs(&base), want_dbc);
@@ -1890,9 +1726,9 @@ mod tests {
 
     #[test]
     fn a_reused_replay_scratch_forgets_the_last_placement() {
-        // One worker replays every candidate through one scratch, so a
-        // variable placed by one candidate and left out of the next must
-        // lose its DBC and offset in between.
+        // Every candidate is replayed through one scratch, so a variable
+        // placed by one candidate and left out of the next must lose its
+        // DBC and offset in between.
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let full = paper_placement(&seq);
         let partial: Vec<Vec<VarId>> = full.iter().map(|l| l[..l.len() / 2].to_vec()).collect();
@@ -1900,10 +1736,10 @@ mod tests {
             let want = |lists: &[Vec<VarId>]| {
                 cost.per_dbc_costs(&Placement::from_dbc_lists(lists.to_vec()), seq.accesses())
             };
-            let engine = FitnessEngine::new(&seq, cost).with_threads(1);
+            let engine = FitnessEngine::new(&seq, cost);
             let round = [full.clone(), partial.clone(), full.clone(), partial.clone()];
-            let totals: Vec<u64> = round.iter().map(|l| want(l).iter().sum()).collect();
-            assert_eq!(engine.batch_costs(&round), totals);
+            let want_totals: Vec<u64> = round.iter().map(|l| want(l).iter().sum()).collect();
+            assert_eq!(totals(&engine, &round), want_totals);
             let mut scratch = engine.scratch();
             for lists in &round {
                 assert_eq!(engine.per_dbc_costs_with(lists, &mut scratch), want(lists));
@@ -1931,8 +1767,8 @@ mod tests {
                     "chunk {chunk}"
                 );
                 assert_eq!(
-                    streaming.batch_costs(std::slice::from_ref(&lists)),
-                    materialized.batch_costs(std::slice::from_ref(&lists)),
+                    totals(&streaming, std::slice::from_ref(&lists)),
+                    totals(&materialized, std::slice::from_ref(&lists)),
                 );
                 assert_eq!(streaming.seq(), None);
                 assert!(materialized.seq().is_some());
@@ -2059,7 +1895,7 @@ mod tests {
                     engine.evaluate_batch(std::slice::from_mut(&mut job));
                     assert_eq!(job.dbc_costs, want);
                     let total: u64 = want.iter().sum();
-                    assert_eq!(engine.batch_costs(std::slice::from_ref(lists)), [total]);
+                    assert_eq!(totals(engine, std::slice::from_ref(lists)), [total]);
                 }
             }
         }

@@ -173,7 +173,6 @@ impl Individual {
 pub struct GeneticPlacer {
     config: GaConfig,
     cost: CostModel,
-    threads: usize,
     subarrays: usize,
 }
 
@@ -184,7 +183,6 @@ impl GeneticPlacer {
         Self {
             config,
             cost: CostModel::single_port(),
-            threads: 0,
             subarrays: 1,
         }
     }
@@ -207,13 +205,6 @@ impl GeneticPlacer {
     /// draws only exist for a real hierarchy.
     pub fn with_subarrays(mut self, subarrays: usize) -> Self {
         self.subarrays = subarrays.max(1);
-        self
-    }
-
-    /// Sets the fitness-engine worker count (`0` = auto-detect). The GA is
-    /// bit-identical for any thread count; this only trades wall time.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 
@@ -248,7 +239,7 @@ impl GeneticPlacer {
         capacity: usize,
         seeds: &[Placement],
     ) -> Result<GaOutcome, PlacementError> {
-        let engine = FitnessEngine::new(seq, self.cost).with_threads(self.threads);
+        let engine = FitnessEngine::new(seq, self.cost);
         self.run_with_engine(&engine, dbcs, capacity, seeds)
     }
 
@@ -257,10 +248,10 @@ impl GeneticPlacer {
     /// lets the caller pick the evaluation mode and read
     /// [`FitnessEngine::stats`] afterwards.
     ///
-    /// The outcome is bit-identical for every engine mode and thread count:
-    /// evaluation never touches the RNG, per-DBC costs are pure functions of
-    /// list content, and batch results are written to per-offspring slots in
-    /// generation order.
+    /// The outcome is bit-identical for every engine mode: evaluation never
+    /// touches the RNG, per-DBC costs are pure functions of list content,
+    /// and batch results are written to per-offspring slots in generation
+    /// order.
     ///
     /// # Errors
     ///
@@ -309,9 +300,8 @@ impl GeneticPlacer {
         // ---- Generations ---------------------------------------------------
         for _ in 0..self.config.generations {
             // Generate the whole λ-batch first (all RNG draws, in the exact
-            // order of the sequential implementation), then evaluate it —
-            // possibly in parallel — and only recompute the DBCs the
-            // operators actually touched.
+            // order of the sequential implementation), then evaluate it,
+            // recomputing only the DBCs the operators actually touched.
             let mut jobs = self.offspring_batch(
                 &population,
                 vars,

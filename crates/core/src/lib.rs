@@ -9,8 +9,8 @@
 //! * [`CostModel`] — the shift-cost evaluator (the fitness function of the
 //!   whole paper): consecutive accesses `u, v` mapped to the same DBC cost
 //!   `|offset(u) − offset(v)|` shifts.
-//! * [`eval`] — the incremental, allocation-free, parallel fitness engine
-//!   that every search path evaluates through.
+//! * [`eval`] — the incremental, allocation-free fitness engine that every
+//!   search path evaluates through.
 //! * [`inter`] — inter-DBC distribution: the **AFD** baseline of Chen'16 and
 //!   the paper's **DMA** heuristic (Algorithm 1).
 //! * [`intra`] — intra-DBC orderings: **OFU** (order of first use),

@@ -1,21 +1,20 @@
-//! The in-tree worker pool — the single execution substrate for every
-//! parallel fan-out in the crate.
+//! The in-tree worker pool — the execution substrate of the crate's one
+//! parallel fan-out, [`Portfolio`](crate::Portfolio) lane racing.
 //!
-//! [`FitnessEngine`](crate::FitnessEngine) batch evaluation, GA generation
-//! evaluation and [`Portfolio`](crate::Portfolio) lane racing all run their
-//! work items through one [`WorkerPool`], instead of each spawning their
-//! own ad-hoc [`std::thread::scope`] threads. The pool solves two problems
-//! those ad-hoc spawns had:
+//! [`FitnessEngine`](crate::FitnessEngine) batches cost on the calling
+//! thread: spread over the pool they ran slower than serial on every
+//! recorded host (`DESIGN.md` §7). Lanes run through one [`WorkerPool`]
+//! instead of ad-hoc [`std::thread::scope`] threads, which solves two
+//! problems:
 //!
-//! * **Oversubscription.** A portfolio race used to spawn one thread per
-//!   lane *and* each lane's GA spawned per-batch evaluation threads on
-//!   top. The pool holds one shared token budget ([`WorkerPool::new`]'s
-//!   worker limit): a nested fan-out only gets extra OS threads while
-//!   tokens remain, and degrades to inline execution on the caller's
-//!   thread otherwise — so the whole stack never runs more than `limit`
-//!   worker threads at once.
+//! * **Oversubscription.** The pool holds one shared token budget
+//!   ([`WorkerPool::new`]'s worker limit), which every engine on the pool
+//!   draws from (a daemon's warm sessions share one): a fan-out only gets
+//!   extra OS threads while tokens remain, and degrades to inline
+//!   execution on the caller's thread otherwise — so concurrent races
+//!   never run more than `limit` worker threads at once.
 //! * **Skew.** Static contiguous chunking stalls on uneven items (one
-//!   expensive DBC list, one slow lane). The pool keeps a single claim
+//!   slow lane). The pool keeps a single claim
 //!   queue — one mutex over the batch's `(index, &mut item)` iterator —
 //!   and every worker, the caller included, claims the next item whenever
 //!   it finishes one, so tail latency tracks the single heaviest item.

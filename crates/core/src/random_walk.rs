@@ -25,8 +25,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rtm_trace::{AccessSequence, VarId};
 
-/// Candidates costed per engine batch (bounds peak memory while giving the
-/// parallel evaluator enough work per fan-out).
+/// Candidates drawn between two checks of the stop conditions (the budget
+/// meter, the race's stop flag and a zero-cost best).
 const BATCH: usize = 256;
 
 /// Configuration of the random-walk search.
@@ -95,7 +95,7 @@ pub fn search(
     cost: CostModel,
     config: RandomWalkConfig,
 ) -> Result<(Placement, u64), PlacementError> {
-    // `batch_costs` replays candidates without consulting the caches;
+    // `total_cost_with` replays candidates without consulting the caches;
     // disabling them just skips building unused maps.
     let engine = FitnessEngine::new(seq, cost).with_memo(false);
     search_with_engine(&engine, dbcs, capacity, config)
@@ -104,9 +104,9 @@ pub fn search(
 /// Like [`search`], but evaluating through a caller-owned
 /// [`FitnessEngine`] (whose trace and cost model are used).
 ///
-/// Candidates are generated sequentially from the seeded RNG and costed in
-/// batches; the best placement (earliest, on ties) is identical to a fully
-/// sequential run for any engine mode or thread count.
+/// Candidates are generated sequentially from the seeded RNG and each is
+/// costed as it is drawn; the best placement (earliest, on ties) is
+/// identical for any engine mode.
 ///
 /// # Errors
 ///
@@ -153,35 +153,31 @@ pub fn run_budgeted(
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut meter = crate::search::meter_for(budget, race);
     let mut best: Option<(Vec<Vec<VarId>>, u64)> = None;
-    // Candidate buffers persist across batches: each slot's per-DBC lists
-    // (and the shared shuffle scratch) are refilled in place, and only an
-    // *improvement* is cloned out — the steady-state loop allocates
+    // One candidate buffer, refilled in place for every draw (its per-DBC
+    // lists and the shuffle scratch keep their capacity); only an
+    // *improvement* is cloned out, so the steady-state loop allocates
     // nothing per candidate.
-    let mut batch: Vec<Vec<Vec<VarId>>> = Vec::new();
+    let mut lists: Vec<Vec<VarId>> = Vec::new();
     let mut shuffle_buf: Vec<VarId> = Vec::new();
+    let mut scratch = engine.scratch();
     // At least one batch always runs (the result must be reportable even
     // under an already-expired deadline), hence the loop-with-break shape.
     loop {
-        let n = (BATCH as u64).min(meter.remaining_evals()).max(1) as usize;
-        if batch.len() < n {
-            batch.resize_with(n, Vec::new);
-        }
-        for slot in batch[..n].iter_mut() {
-            random_assignment_into(vars, dbcs, capacity, &mut rng, slot, &mut shuffle_buf);
-        }
-        let costs = engine.batch_costs(&batch[..n]);
-        for (lists, c) in batch[..n].iter().zip(costs) {
+        let n = (BATCH as u64).min(meter.remaining_evals()).max(1);
+        for _ in 0..n {
+            random_assignment_into(vars, dbcs, capacity, &mut rng, &mut lists, &mut shuffle_buf);
+            let c = engine.total_cost_with(&lists, &mut scratch);
             meter.charge(1);
             if best.as_ref().is_none_or(|(_, bc)| c < *bc) {
                 meter.note_cost(c);
                 match &mut best {
                     Some((b, bc)) => {
-                        b.clone_from(lists);
+                        b.clone_from(&lists);
                         *bc = c;
                     }
                     None => best = Some((lists.clone(), c)),
                 }
-                crate::search::race_publish(race, c, lists, meter.evals());
+                crate::search::race_publish(race, c, &lists, meter.evals());
             }
         }
         if best.as_ref().is_some_and(|(_, c)| *c == 0) {

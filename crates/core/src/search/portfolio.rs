@@ -363,9 +363,8 @@ impl Portfolio {
         let control = RaceControl::new(self.config.budget.deadline());
         #[cfg(feature = "faults")]
         let control = control.with_faults(self.faults.clone());
-        // Lanes are coarse work items on the engine's shared pool: lane
-        // threads and any batch-evaluation fan-out *inside* a lane (the GA
-        // generations, the random walk's candidate batches) draw from one
+        // Lanes are coarse work items on the engine's pool: the lanes of
+        // every engine sharing it (a daemon's warm sessions) draw from one
         // worker-token budget instead of oversubscribing the machine. Each
         // lane writes only its own slot and is a pure function of its
         // `(seed, budget)` pair, so results are independent of worker

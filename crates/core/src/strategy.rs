@@ -450,8 +450,9 @@ impl PlacementProblem {
         self.with_cost_model(cost)
     }
 
-    /// Sets the fitness-engine worker count used by the search strategies
-    /// (`0` = auto-detect). Results are bit-identical for any value.
+    /// Sets the worker count of the engine's pool, on which a portfolio
+    /// races its lanes (`0` = auto-detect). Results are bit-identical for
+    /// any value.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -474,7 +475,8 @@ impl PlacementProblem {
         Arc::clone(&self.seq)
     }
 
-    /// The configured engine worker count (`0` = auto-detect).
+    /// The configured worker count of the engine's pool (`0` =
+    /// auto-detect).
     pub fn threads(&self) -> usize {
         self.threads
     }

@@ -1,11 +1,11 @@
 //! Equivalence and determinism suite for the fitness engine (DESIGN.md §7).
 //!
-//! The incremental/parallel engine must be a *bit-identical* drop-in for
-//! the naive evaluator it replaced:
+//! The incremental engine must be a *bit-identical* drop-in for the naive
+//! evaluator it replaced:
 //!
 //! * per-DBC subsequence costing equals `CostModel::per_dbc_costs` on
 //!   arbitrary traces, placements and port counts;
-//! * the batch replay path (random walk) equals per-placement costing;
+//! * the fresh-candidate replay (random walk) equals per-placement costing;
 //! * the engine's two costing kernels — one linear replay of a whole
 //!   placement, one merge per DBC — agree on every DBC;
 //! * the local search's kept access sequences stay equal to the merge
@@ -57,6 +57,16 @@ fn placement_from(dbc_of: &[usize], order: &[u8], nvars: usize, dbcs: usize) -> 
             l.sort();
             l.into_iter().map(|(_, i)| VarId::from_index(i)).collect()
         })
+        .collect()
+}
+
+/// Each candidate's [`FitnessEngine::total_cost_with`], through one
+/// scratch.
+fn totals(engine: &FitnessEngine, candidates: &[Vec<Vec<VarId>>]) -> Vec<u64> {
+    let mut scratch = engine.scratch();
+    candidates
+        .iter()
+        .map(|lists| engine.total_cost_with(lists, &mut scratch))
         .collect()
 }
 
@@ -121,7 +131,7 @@ proptest! {
         }
         let cost = CostModel::single_port();
         let engine = FitnessEngine::new(&seq, cost).with_memo(false);
-        let costs = engine.batch_costs(&candidates);
+        let costs = totals(&engine, &candidates);
         for (lists, got) in candidates.iter().zip(costs) {
             let p = Placement::from_dbc_lists(lists.clone());
             prop_assert_eq!(got, cost.shift_cost(&p, seq.accesses()));
@@ -365,8 +375,8 @@ proptest! {
         let one = FitnessEngine::new(&seq, cost).with_memo(false).with_threads(1);
         let four = FitnessEngine::new(&seq, cost).with_memo(false).with_threads(4);
         let naive = FitnessEngine::naive(&seq, cost);
-        let a = one.batch_costs(&candidates);
-        let b = four.batch_costs(&candidates);
+        let a = totals(&one, &candidates);
+        let b = totals(&four, &candidates);
         prop_assert_eq!(&a, &b);
         for (lists, &got) in candidates.iter().zip(&a) {
             prop_assert_eq!(got, naive.per_dbc_costs(lists).into_iter().sum::<u64>());
@@ -448,8 +458,8 @@ proptest! {
             candidates.push(c);
         }
         prop_assert_eq!(
-            streaming.batch_costs(&candidates),
-            materialized.batch_costs(&candidates)
+            totals(&streaming, &candidates),
+            totals(&materialized, &candidates)
         );
     }
 

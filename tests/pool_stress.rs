@@ -291,8 +291,8 @@ mod cache_poison_storm {
         let engine = FitnessEngine::new(&seq, cost).with_threads(4);
 
         // Phase 1: storm between batches — both caches poisoned, then the
-        // batch path (overlay + try-lock recovery) and the direct path
-        // (blocking lock recovery) must both come back bit-identical.
+        // batch path and the direct path must both recover their locks and
+        // come back bit-identical.
         for round in 0..20 {
             engine.poison_caches();
             let got = totals(&engine, jobs(&variants, &costs));
@@ -313,8 +313,8 @@ mod cache_poison_storm {
         );
 
         // Phase 2: storm *concurrent* with the batches — a poisoner thread
-        // hammers both cache locks while the pool evaluates; recovery then
-        // happens mid-flight.
+        // hammers both cache locks while the batches evaluate; recovery
+        // then happens mid-flight.
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {

@@ -323,7 +323,8 @@ proptest! {
 /// Nested-search golden (DESIGN.md §7): a seed-fixed GA and a seed-fixed,
 /// evals-budgeted portfolio race (which runs a GA lane *inside* concurrent
 /// lanes sharing one engine) return bit-identical outcomes at every
-/// worker count.
+/// worker count. The GA's batches cost on the calling thread, so its
+/// engine counters are worker-invariant too.
 #[test]
 fn nested_ga_and_portfolio_goldens_are_worker_invariant() {
     use rtm::placement::search::{Budget, PortfolioConfig};
@@ -337,20 +338,25 @@ fn nested_ga_and_portfolio_goldens_are_worker_invariant() {
     let seq = AccessSequence::parse(&text).unwrap();
     let (dbcs, capacity) = (4, seq.vars().len().div_ceil(4).max(2));
 
-    let mut ga_cfg = GaConfig::quick().with_seed(0xD1CE);
-    ga_cfg.mu = 8;
-    ga_cfg.lambda = 8;
-    ga_cfg.generations = 6;
+    let ga_cfg = GaConfig::quick().with_seed(0xD1CE);
     let race_cfg = PortfolioConfig::new(Budget::evals(600)).with_seed(0xD1CE);
 
-    let mut golden: Option<(u64, Vec<u64>, u64, Placement)> = None;
+    type Outcome = (u64, Vec<u64>, [u64; 4], u64, Placement);
+    let mut golden: Option<Outcome> = None;
     for workers in [1, 2, 8] {
         let problem = PlacementProblem::new(seq.clone(), dbcs, capacity).with_threads(workers);
         let ga = problem.solve(&Strat::Ga(ga_cfg)).unwrap();
         let race = problem.solve(&Strat::Portfolio(race_cfg.clone())).unwrap();
+        let s = &ga.engine_stats;
         let outcome = (
             ga.shifts,
             ga.per_dbc_shifts.clone(),
+            [
+                s.dbc_recomputations,
+                s.dbc_cache_hits,
+                s.subseq_cache_hits,
+                s.dbc_inherited,
+            ],
             race.shifts,
             race.placement.clone(),
         );

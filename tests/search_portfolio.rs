@@ -406,96 +406,96 @@ const FRESH_CANDIDATE_GOLDENS: &[TierGolden] = &[
     ("expected-dsp", 4, 1, 200, "folio4/tabu", 3925, 18306925200884332981, 1, 2256, 2),
     ("expected-dsp", 4, 1, 200, "folio4/ga", 3925, 18306925200884332981, 100, 2256, 2),
     ("expected-dsp", 4, 1, 200, "folio4/rw", 25666, 8958935417190201839, 42, 2256, 2),
-    ("expected-dsp", 4, 1, 2000, "ga", 3821, 13640832722720243587, 1700, 2848, 261),
+    ("expected-dsp", 4, 1, 2000, "ga", 3821, 13640832722720243587, 1700, 2797, 312),
     ("expected-dsp", 4, 1, 2000, "rw", 24378, 3117662486889249115, 778, 8000, 0),
-    ("expected-dsp", 4, 1, 2000, "folio4/sa", 3915, 3941301220952957911, 812, 17344, 183),
-    ("expected-dsp", 4, 1, 2000, "folio4/tabu", 3925, 18306925200884332981, 1, 17344, 183),
-    ("expected-dsp", 4, 1, 2000, "folio4/ga", 3803, 5509658167461155505, 1800, 17344, 183),
-    ("expected-dsp", 4, 1, 2000, "folio4/rw", 24908, 15668691124740925567, 273, 17344, 183),
+    ("expected-dsp", 4, 1, 2000, "folio4/sa", 3915, 3941301220952957911, 812, 17293, 234),
+    ("expected-dsp", 4, 1, 2000, "folio4/tabu", 3925, 18306925200884332981, 1, 17293, 234),
+    ("expected-dsp", 4, 1, 2000, "folio4/ga", 3803, 5509658167461155505, 1800, 17293, 234),
+    ("expected-dsp", 4, 1, 2000, "folio4/rw", 24908, 15668691124740925567, 273, 17293, 234),
     ("expected-dsp", 4, 2, 200, "ga", 3925, 18306925200884332981, 100, 760, 0),
     ("expected-dsp", 4, 2, 200, "rw", 25061, 14917617959074612651, 152, 800, 0),
     ("expected-dsp", 4, 2, 200, "folio4/sa", 3925, 18306925200884332981, 1, 2257, 2),
     ("expected-dsp", 4, 2, 200, "folio4/tabu", 3789, 8351645367001667115, 200, 2257, 2),
     ("expected-dsp", 4, 2, 200, "folio4/ga", 3925, 18306925200884332981, 100, 2257, 2),
     ("expected-dsp", 4, 2, 200, "folio4/rw", 25536, 8958935417190201839, 42, 2257, 2),
-    ("expected-dsp", 4, 2, 2000, "ga", 3756, 6211828988214535867, 1800, 2799, 283),
+    ("expected-dsp", 4, 2, 2000, "ga", 3756, 6211828988214535867, 1800, 2739, 343),
     ("expected-dsp", 4, 2, 2000, "rw", 24346, 3117662486889249115, 778, 8000, 0),
-    ("expected-dsp", 4, 2, 2000, "folio4/sa", 3915, 3941301220952957911, 809, 17381, 311),
-    ("expected-dsp", 4, 2, 2000, "folio4/tabu", 3763, 1530916580205665117, 260, 17381, 311),
-    ("expected-dsp", 4, 2, 2000, "folio4/ga", 3769, 10646016046332653965, 2000, 17381, 311),
-    ("expected-dsp", 4, 2, 2000, "folio4/rw", 24880, 4986386211696446585, 1142, 17381, 311),
+    ("expected-dsp", 4, 2, 2000, "folio4/sa", 3915, 3941301220952957911, 809, 17320, 372),
+    ("expected-dsp", 4, 2, 2000, "folio4/tabu", 3763, 1530916580205665117, 260, 17320, 372),
+    ("expected-dsp", 4, 2, 2000, "folio4/ga", 3769, 10646016046332653965, 2000, 17320, 372),
+    ("expected-dsp", 4, 2, 2000, "folio4/rw", 24880, 4986386211696446585, 1142, 17320, 372),
     ("expected-dsp", 8, 1, 200, "ga", 1850, 1619651893498708131, 100, 1535, 0),
     ("expected-dsp", 8, 1, 200, "rw", 9678, 6871499412635606805, 55, 1600, 0),
     ("expected-dsp", 8, 1, 200, "folio4/sa", 1850, 1619651893498708131, 1, 3821, 0),
     ("expected-dsp", 8, 1, 200, "folio4/tabu", 1835, 12933700990669493813, 68, 3821, 0),
     ("expected-dsp", 8, 1, 200, "folio4/ga", 1850, 1619651893498708131, 100, 3821, 0),
     ("expected-dsp", 8, 1, 200, "folio4/rw", 9017, 13050136897315296183, 82, 3821, 0),
-    ("expected-dsp", 8, 1, 2000, "ga", 1703, 4929637846399127263, 2000, 4799, 372),
+    ("expected-dsp", 8, 1, 2000, "ga", 1703, 4929637846399127263, 2000, 4716, 455),
     ("expected-dsp", 8, 1, 2000, "rw", 9164, 7942425725956377261, 1535, 16000, 0),
-    ("expected-dsp", 8, 1, 2000, "folio4/sa", 1792, 3892424095081726961, 1724, 27427, 69),
-    ("expected-dsp", 8, 1, 2000, "folio4/tabu", 1759, 6669313332289202499, 1604, 27427, 69),
-    ("expected-dsp", 8, 1, 2000, "folio4/ga", 1799, 8649178752300116993, 2000, 27427, 69),
-    ("expected-dsp", 8, 1, 2000, "folio4/rw", 9017, 13050136897315296183, 82, 27427, 69),
+    ("expected-dsp", 8, 1, 2000, "folio4/sa", 1792, 3892424095081726961, 1724, 27369, 127),
+    ("expected-dsp", 8, 1, 2000, "folio4/tabu", 1759, 6669313332289202499, 1604, 27369, 127),
+    ("expected-dsp", 8, 1, 2000, "folio4/ga", 1799, 8649178752300116993, 2000, 27369, 127),
+    ("expected-dsp", 8, 1, 2000, "folio4/rw", 9017, 13050136897315296183, 82, 27369, 127),
     ("expected-dsp", 8, 2, 200, "ga", 1850, 1619651893498708131, 100, 1533, 0),
     ("expected-dsp", 8, 2, 200, "rw", 9660, 6871499412635606805, 55, 1600, 0),
     ("expected-dsp", 8, 2, 200, "folio4/sa", 1850, 1619651893498708131, 1, 3827, 0),
     ("expected-dsp", 8, 2, 200, "folio4/tabu", 1818, 17848640896498416905, 132, 3827, 0),
     ("expected-dsp", 8, 2, 200, "folio4/ga", 1850, 1619651893498708131, 100, 3827, 0),
     ("expected-dsp", 8, 2, 200, "folio4/rw", 8995, 13050136897315296183, 82, 3827, 0),
-    ("expected-dsp", 8, 2, 2000, "ga", 1749, 13622863091170690049, 2000, 4654, 522),
+    ("expected-dsp", 8, 2, 2000, "ga", 1749, 13622863091170690049, 2000, 4571, 605),
     ("expected-dsp", 8, 2, 2000, "rw", 9152, 7942425725956377261, 1535, 16000, 0),
-    ("expected-dsp", 8, 2, 2000, "folio4/sa", 1837, 16389600277698972715, 1722, 27468, 361),
-    ("expected-dsp", 8, 2, 2000, "folio4/tabu", 1653, 12708722911693539825, 932, 27468, 361),
-    ("expected-dsp", 8, 2, 2000, "folio4/ga", 1782, 6105030551546719331, 1900, 27468, 361),
-    ("expected-dsp", 8, 2, 2000, "folio4/rw", 8995, 13050136897315296183, 82, 27468, 361),
+    ("expected-dsp", 8, 2, 2000, "folio4/sa", 1837, 16389600277698972715, 1722, 27395, 434),
+    ("expected-dsp", 8, 2, 2000, "folio4/tabu", 1653, 12708722911693539825, 932, 27395, 434),
+    ("expected-dsp", 8, 2, 2000, "folio4/ga", 1782, 6105030551546719331, 1900, 27395, 434),
+    ("expected-dsp", 8, 2, 2000, "folio4/rw", 8995, 13050136897315296183, 82, 27395, 434),
     ("expected-ctl", 4, 1, 200, "ga", 7001, 16989116825300073689, 100, 761, 0),
     ("expected-ctl", 4, 1, 200, "rw", 33919, 2093575747100298981, 111, 800, 0),
     ("expected-ctl", 4, 1, 200, "folio4/sa", 7001, 16989116825300073689, 1, 2278, 0),
     ("expected-ctl", 4, 1, 200, "folio4/tabu", 7001, 16989116825300073689, 1, 2278, 0),
     ("expected-ctl", 4, 1, 200, "folio4/ga", 7001, 16989116825300073689, 100, 2278, 0),
     ("expected-ctl", 4, 1, 200, "folio4/rw", 33923, 11767888976707789779, 126, 2278, 0),
-    ("expected-ctl", 4, 1, 2000, "ga", 6753, 13050105903125560979, 2000, 2871, 299),
+    ("expected-ctl", 4, 1, 2000, "ga", 6753, 13050105903125560979, 2000, 2811, 359),
     ("expected-ctl", 4, 1, 2000, "rw", 31975, 5044326953412236381, 1841, 8000, 0),
-    ("expected-ctl", 4, 1, 2000, "folio4/sa", 7001, 16989116825300073689, 1, 17312, 152),
-    ("expected-ctl", 4, 1, 2000, "folio4/tabu", 7001, 16989116825300073689, 1, 17312, 152),
-    ("expected-ctl", 4, 1, 2000, "folio4/ga", 6921, 1081794579262640029, 2000, 17312, 152),
-    ("expected-ctl", 4, 1, 2000, "folio4/rw", 31494, 10263960873268061799, 1874, 17312, 152),
+    ("expected-ctl", 4, 1, 2000, "folio4/sa", 7001, 16989116825300073689, 1, 17278, 186),
+    ("expected-ctl", 4, 1, 2000, "folio4/tabu", 7001, 16989116825300073689, 1, 17278, 186),
+    ("expected-ctl", 4, 1, 2000, "folio4/ga", 6921, 1081794579262640029, 2000, 17278, 186),
+    ("expected-ctl", 4, 1, 2000, "folio4/rw", 31494, 10263960873268061799, 1874, 17278, 186),
     ("expected-ctl", 4, 2, 200, "ga", 7001, 16989116825300073689, 100, 761, 0),
     ("expected-ctl", 4, 2, 200, "rw", 33455, 2093575747100298981, 111, 800, 0),
     ("expected-ctl", 4, 2, 200, "folio4/sa", 7001, 16989116825300073689, 1, 2275, 0),
     ("expected-ctl", 4, 2, 200, "folio4/tabu", 7001, 16989116825300073689, 1, 2275, 0),
     ("expected-ctl", 4, 2, 200, "folio4/ga", 7001, 16989116825300073689, 100, 2275, 0),
     ("expected-ctl", 4, 2, 200, "folio4/rw", 33631, 11767888976707789779, 126, 2275, 0),
-    ("expected-ctl", 4, 2, 2000, "ga", 6793, 5372078395691726007, 1900, 2915, 202),
+    ("expected-ctl", 4, 2, 2000, "ga", 6793, 5372078395691726007, 1900, 2848, 269),
     ("expected-ctl", 4, 2, 2000, "rw", 31817, 5044326953412236381, 1841, 8000, 0),
-    ("expected-ctl", 4, 2, 2000, "folio4/sa", 6963, 11469958205381187325, 809, 17445, 220),
-    ("expected-ctl", 4, 2, 2000, "folio4/tabu", 7001, 16989116825300073689, 1, 17445, 220),
-    ("expected-ctl", 4, 2, 2000, "folio4/ga", 6855, 6742080090082071595, 2000, 17445, 220),
-    ("expected-ctl", 4, 2, 2000, "folio4/rw", 31278, 10263960873268061799, 1874, 17445, 220),
+    ("expected-ctl", 4, 2, 2000, "folio4/sa", 6963, 11469958205381187325, 809, 17392, 273),
+    ("expected-ctl", 4, 2, 2000, "folio4/tabu", 7001, 16989116825300073689, 1, 17392, 273),
+    ("expected-ctl", 4, 2, 2000, "folio4/ga", 6855, 6742080090082071595, 2000, 17392, 273),
+    ("expected-ctl", 4, 2, 2000, "folio4/rw", 31278, 10263960873268061799, 1874, 17392, 273),
     ("expected-ctl", 8, 1, 200, "ga", 3595, 2025026535896686959, 100, 1502, 0),
     ("expected-ctl", 8, 1, 200, "rw", 13559, 13882736701963595267, 74, 1600, 0),
     ("expected-ctl", 8, 1, 200, "folio4/sa", 3595, 2025026535896686959, 1, 3820, 2),
     ("expected-ctl", 8, 1, 200, "folio4/tabu", 3519, 12400768987306694759, 180, 3820, 2),
     ("expected-ctl", 8, 1, 200, "folio4/ga", 3595, 2025026535896686959, 100, 3820, 2),
     ("expected-ctl", 8, 1, 200, "folio4/rw", 14150, 8690175840193341239, 140, 3820, 2),
-    ("expected-ctl", 8, 1, 2000, "ga", 3473, 15355616601693882533, 2000, 4470, 768),
+    ("expected-ctl", 8, 1, 2000, "ga", 3473, 15355616601693882533, 2000, 4366, 872),
     ("expected-ctl", 8, 1, 2000, "rw", 12946, 6068304381493081609, 1799, 16000, 0),
-    ("expected-ctl", 8, 1, 2000, "folio4/sa", 3595, 2025026535896686959, 1, 26881, 297),
-    ("expected-ctl", 8, 1, 2000, "folio4/tabu", 3263, 12615805124260702195, 1076, 26881, 297),
-    ("expected-ctl", 8, 1, 2000, "folio4/ga", 3501, 5955849891855262301, 1900, 26881, 297),
-    ("expected-ctl", 8, 1, 2000, "folio4/rw", 13171, 10206785099042018781, 1430, 26881, 297),
+    ("expected-ctl", 8, 1, 2000, "folio4/sa", 3595, 2025026535896686959, 1, 26823, 355),
+    ("expected-ctl", 8, 1, 2000, "folio4/tabu", 3263, 12615805124260702195, 1076, 26823, 355),
+    ("expected-ctl", 8, 1, 2000, "folio4/ga", 3501, 5955849891855262301, 1900, 26823, 355),
+    ("expected-ctl", 8, 1, 2000, "folio4/rw", 13171, 10206785099042018781, 1430, 26823, 355),
     ("expected-ctl", 8, 2, 200, "ga", 3595, 2025026535896686959, 100, 1502, 0),
     ("expected-ctl", 8, 2, 200, "rw", 13525, 13882736701963595267, 74, 1600, 0),
     ("expected-ctl", 8, 2, 200, "folio4/sa", 3595, 2025026535896686959, 1, 3819, 0),
     ("expected-ctl", 8, 2, 200, "folio4/tabu", 3461, 8305549902904174575, 180, 3819, 0),
     ("expected-ctl", 8, 2, 200, "folio4/ga", 3595, 2025026535896686959, 100, 3819, 0),
     ("expected-ctl", 8, 2, 200, "folio4/rw", 14072, 8690175840193341239, 140, 3819, 0),
-    ("expected-ctl", 8, 2, 2000, "ga", 3473, 18265577834812832679, 2000, 4449, 872),
+    ("expected-ctl", 8, 2, 2000, "ga", 3473, 18265577834812832679, 2000, 4314, 1007),
     ("expected-ctl", 8, 2, 2000, "rw", 12834, 6068304381493081609, 1799, 16000, 0),
-    ("expected-ctl", 8, 2, 2000, "folio4/sa", 3595, 2025026535896686959, 1, 27078, 702),
-    ("expected-ctl", 8, 2, 2000, "folio4/tabu", 3104, 11721245537117040211, 1364, 27078, 702),
-    ("expected-ctl", 8, 2, 2000, "folio4/ga", 3485, 6822277267916682775, 1800, 27078, 702),
-    ("expected-ctl", 8, 2, 2000, "folio4/rw", 13093, 10206785099042018781, 1430, 27078, 702),
+    ("expected-ctl", 8, 2, 2000, "folio4/sa", 3595, 2025026535896686959, 1, 26996, 784),
+    ("expected-ctl", 8, 2, 2000, "folio4/tabu", 3104, 11721245537117040211, 1364, 26996, 784),
+    ("expected-ctl", 8, 2, 2000, "folio4/ga", 3485, 6822277267916682775, 1800, 26996, 784),
+    ("expected-ctl", 8, 2, 2000, "folio4/rw", 13093, 10206785099042018781, 1430, 26996, 784),
 ];
 
 /// Seed-fixed GA and random-walk trajectory goldens on the same traces and

@@ -96,11 +96,7 @@ fn solve_streamed_under(target: usize, evals: u64, budget_bytes: usize) {
     reset_peak();
     let index = PositionIndex::from_stream(&w);
     let index_bytes = index.heap_bytes();
-    // Thread count pinned so per-worker merge scratch cannot scale the
-    // peak with the CI machine's core count.
-    let engine = FitnessEngine::from_compact_index(index, cost)
-        .with_memo(false)
-        .with_threads(2);
+    let engine = FitnessEngine::from_compact_index(index, cost).with_memo(false);
     let out =
         random_walk::run_budgeted(&engine, dbcs, capacity, 0x5CA1E, Budget::evals(evals), None)
             .expect("workload fits the chosen geometry");
@@ -128,8 +124,8 @@ fn solve_streamed_under(target: usize, evals: u64, budget_bytes: usize) {
 }
 
 /// 10M accesses, fixed 128 MiB budget. A materialized `Vec<Access>` alone
-/// would exceed this; the position index plus per-worker merge scratch
-/// bounded by the merge window stays well inside it.
+/// would exceed this; the position index plus merge scratch bounded by
+/// the merge window stays well inside it.
 #[test]
 #[cfg_attr(
     debug_assertions,
