@@ -1,6 +1,7 @@
 //! Fitness-evaluation throughput: the naive full-trace replay against the
-//! subsequence engine on a GA-shaped offspring batch — the microbenchmark
-//! behind the `rtm-bench perf` experiment's headline numbers.
+//! incremental engine, which merges each dirty DBC's subsequence, on a
+//! GA-shaped offspring batch — the microbenchmark behind the `rtm-bench
+//! perf` experiment's offspring streams.
 //!
 //! Each iteration evaluates a prebuilt batch of reorder offspring (one
 //! transposed DBC per job, the rest inherited), which is idempotent, so the
@@ -65,8 +66,7 @@ fn fitness_eval(c: &mut Criterion) {
         });
         // Fresh candidates (the random walk's workload): allocation-free
         // replay vs the naive clone + placement build.
-        let replay = FitnessEngine::new(&seq, CostModel::single_port()).with_memo(false);
-        for (name, engine) in [("fresh_naive", &naive), ("fresh_replay", &replay)] {
+        for (name, engine) in [("fresh_naive", &naive), ("fresh_replay", &engine)] {
             let mut scratch = engine.scratch();
             group.bench_with_input(BenchmarkId::new(name, dbcs), &(), |b, ()| {
                 b.iter(|| {

@@ -8,14 +8,14 @@
 //! kept alive as [`FitnessEngine::naive`]) and through the incremental
 //! engine, on three workloads:
 //!
-//! * **reorder** — the incremental engine's target case: offspring that
-//!   reorder one DBC (transpose mutations), leaving membership intact; the
-//!   engine re-costs one DBC from its cached subsequence summary while the
-//!   naive path replays the whole trace. This is the headline
+//! * **reorder** — offspring that reorder one DBC (transpose mutations),
+//!   leaving membership intact; the engine merges and walks only that DBC
+//!   while the naive path replays the whole trace. This is the headline
 //!   evaluations/sec metric.
 //! * **mixed** — the paper's §III-C mutation distribution (move :
-//!   transpose : permute-all at 10 : 10 : 3), which also exercises
-//!   membership changes (full subsequence merges).
+//!   transpose : permute-all at 10 : 10 : 3): an offspring with some DBCs
+//!   clean merges each dirty one, whether its membership changed or only
+//!   its order, and one that permutes every DBC is replayed whole.
 //! * **ga** — the actual GA run under both evaluators; throughput is
 //!   measured from the engine's own evaluation-time counters, so operator
 //!   overhead (selection, crossover) is excluded from the evals/sec figure
@@ -170,8 +170,7 @@ fn transpose(job: &mut EvalJob, d: usize, rng: &mut ChaCha8Rng) {
 }
 
 /// A reorder-only offspring stream: each job transposes two variables in
-/// one random DBC (membership intact — the engine's cached-subsequence
-/// case).
+/// one random DBC (membership intact; one DBC merged per offspring).
 fn reorder_jobs(
     base: &[Vec<VarId>],
     base_costs: &[u64],
@@ -275,9 +274,8 @@ fn measure_benchmark(
     let base_costs = engine.per_dbc_costs(&base);
     let budget = eval_budget(opts);
     let mut rng = ChaCha8Rng::seed_from_u64(opts.seed ^ dbcs as u64);
-    // No warm-up: the reorder stream itself promotes each membership into
-    // the subsequence cache on its second touch, so the measurement
-    // includes the engine's real cold-start cost.
+    // No warm-up: the memo promotes a list on its second touch, so the
+    // measurement includes the engine's real cold-start cost.
     let jobs = reorder_jobs(&base, &base_costs, budget, &mut rng);
     time_stream(&naive, &engine, jobs, &mut m.reorder);
     let jobs = mixed_jobs(&base, &base_costs, capacity, budget, &mut rng);
@@ -332,7 +330,7 @@ fn measure_benchmark(
     let rw_naive = random_walk::search_with_engine(&rw_naive_engine, dbcs, capacity, rw_cfg)
         .expect("experiment capacities always fit");
     let naive_s = t.elapsed().as_secs_f64();
-    let rw_inc_engine = FitnessEngine::new(seq, cost).with_memo(false);
+    let rw_inc_engine = FitnessEngine::new(seq, cost);
     let t = Instant::now();
     let rw_engine = random_walk::search_with_engine(&rw_inc_engine, dbcs, capacity, rw_cfg)
         .expect("experiment capacities always fit");

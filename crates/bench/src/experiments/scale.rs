@@ -172,7 +172,7 @@ fn measure(w: &TierWorkload, dbcs: usize, evals: u64, seed: u64, probe: &MemProb
 
     // Random walk through the streaming engine: candidate placements are
     // costed straight off the position index, O(chunk) resident.
-    let engine = FitnessEngine::from_compact_index(index, cost).with_memo(false);
+    let engine = FitnessEngine::from_compact_index(index, cost);
     let t = Instant::now();
     let out = random_walk::run_budgeted(&engine, dbcs, capacity, seed, Budget::evals(evals), None)
         .expect("ladder capacities always fit");

@@ -165,10 +165,8 @@ pub fn to_json(rows: &[SmpRow], benchmark: &str, opts: &ExperimentOpts) -> Strin
             .field("identical", r.identical)
             .field("dbc_recomputations", s.dbc_recomputations)
             .field("dbc_cache_hits", s.dbc_cache_hits)
-            .field("subseq_cache_hits", s.subseq_cache_hits)
             .field("dbc_inherited", s.dbc_inherited)
             .field("memo_contended", s.memo_contended)
-            .field("subseq_contended", s.subseq_contended)
             .end()
             .end();
     }
@@ -196,7 +194,7 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
             format!("{:.0}", r.evals_per_sec()),
             format!("{race_x:.2}"),
             format!("{:.2}", race_x / r.workers as f64),
-            (r.stats.memo_contended + r.stats.subseq_contended).to_string(),
+            r.stats.memo_contended.to_string(),
             r.identical.to_string(),
         ]);
     }

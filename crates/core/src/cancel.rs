@@ -7,10 +7,9 @@
 //! Cancellation is *cooperative*: nothing is interrupted mid-evaluation.
 //! Solvers poll the token between evaluations (via
 //! [`BudgetMeter::exhausted`](crate::search::BudgetMeter::exhausted)), and
-//! [`WorkerPool::run_with_cancel`](crate::pool::WorkerPool::run_with_cancel)
-//! polls it before claiming each queued item — so the worst-case latency
-//! from cancellation to quiescence is one evaluation plus one in-flight
-//! item.
+//! [`WorkerPool::run`](crate::pool::WorkerPool::run) polls it before
+//! claiming each queued item — so the worst-case latency from
+//! cancellation to quiescence is one evaluation plus one in-flight item.
 //!
 //! Checking the token is an atomic load, plus a clock read only when it
 //! has a deadline. It never draws from an RNG or consumes budget, and

@@ -27,16 +27,16 @@
 //! sequence and so holds it. It memoizes per-DBC costs under a
 //! content key so recurring lists across generations are free. Each
 //! per-DBC cost is a pure function of the list's content, so neither the
-//! caches nor lanes racing on the engine's [`WorkerPool`] can change a
+//! memo nor lanes racing on the engine's [`WorkerPool`] can change a
 //! result (see `DESIGN.md` §7 for the full argument).
 //!
 //! The engine is **port-aware end to end**: every path serves each access
 //! at the minimum displacement change over the cost model's port homes
 //! (precomputed once per engine), so GA/random-walk/`Strategy::solve` can
 //! *search* under a multi-port objective, bit-exactly with
-//! [`CostModel::per_dbc_costs`] at any port count. Both caches are
+//! [`CostModel::per_dbc_costs`] at any port count. The memo is
 //! engine-local and an engine's [`CostModel`] (port configuration
-//! included) is fixed at construction, so cache keys are implicitly scoped
+//! included) is fixed at construction, so memo keys are implicitly scoped
 //! to the port config — costs cached under one model can never answer a
 //! query under another.
 //!
@@ -147,11 +147,10 @@ impl Hasher for ListHasher {
     }
 }
 
-/// The content-keyed per-DBC cost memo, with the same second-touch
-/// promotion discipline as the subsequence cache: a list is memoized only
-/// when its content hash recurs, so one-off lists (crossover churn, random
-/// candidates) cost a filter write instead of a `Box` allocation and a map
-/// insert.
+/// The content-keyed per-DBC cost memo, under second-touch promotion: a
+/// list is memoized only when its content hash recurs, so one-off lists
+/// (crossover churn, random candidates) cost a filter write instead of a
+/// `Box` allocation and a map insert.
 struct Memo {
     map: HashMap<Box<[VarId]>, u64, BuildHasherDefault<ListHasher>>,
     filter: Box<[u64]>,
@@ -191,81 +190,8 @@ impl Memo {
     }
 }
 
-/// A cached per-DBC subsequence summary, keyed by *membership* (the sorted
-/// accessed members). Membership changes far less often than order — every
-/// transpose/permute mutation reuses it — and the summary reduces a
-/// re-costing to a table-driven walk with no merge at all.
-#[derive(Debug)]
-enum Summary {
-    /// Single-port form: the first accessed member plus the consecutive
-    /// transition pairs of the subsequence (single-port cost is
-    /// `Σ |off(u) − off(v)|` over them; self-transitions never shift and
-    /// are dropped at build time, which deletes most of a loop-heavy
-    /// trace).
-    Transitions {
-        first: u32,
-        pairs: Box<[(u32, u32)]>,
-    },
-    /// Multi-port form: the full member-access sequence in trace order
-    /// (multi-port cost is stateful and cannot be pair-decomposed).
-    Sequence(Box<[u32]>),
-}
-
-impl Summary {
-    /// Cache-accounting weight (stored elements).
-    fn weight(&self) -> usize {
-        match self {
-            Summary::Transitions { pairs, .. } => pairs.len(),
-            Summary::Sequence(seq) => seq.len(),
-        }
-    }
-}
-
-/// One subsequence-cache slot: the membership it was built for (for exact
-/// verification — the map key is only a commutative hash) plus the summary.
-#[derive(Debug)]
-struct SubseqEntry {
-    members: Box<[VarId]>,
-    summary: std::sync::Arc<Summary>,
-}
-
-#[derive(Debug)]
-struct SubseqCache {
-    map: HashMap<u64, SubseqEntry, BuildHasherDefault<ListHasher>>,
-    stored: usize,
-    /// Second-touch promotion filter: a membership is summarized and cached
-    /// only when its key is seen a second time. Crossover churns through
-    /// memberships that never recur; building summaries for those would be
-    /// pure allocation overhead. Fixed-size, collisions just overwrite.
-    filter: Box<[u64]>,
-}
-
-impl Default for SubseqCache {
-    fn default() -> Self {
-        Self {
-            map: HashMap::default(),
-            stored: 0,
-            filter: vec![0; FILTER_SLOTS].into_boxed_slice(),
-        }
-    }
-}
-
 /// Size of the second-touch filter (power of two).
 const FILTER_SLOTS: usize = 8192;
-
-/// splitmix64 finalizer: the per-member mix of the order-independent
-/// membership hash (members are combined with wrapping addition, so any
-/// permutation of the same set produces the same key).
-fn mix_member(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Bound on elements stored across all cached summaries before the
-/// subsequence cache is wiped (≈ tens of MB worst case).
-const SUBSEQ_ELEM_CAPACITY: usize = 1 << 22;
 
 /// Bound on memoized DBC lists before the memo is wiped (epoch eviction
 /// keeps the engine's memory proportional to the working set of a few
@@ -338,8 +264,10 @@ pub struct EngineStats {
     pub dbc_recomputations: u64,
     /// Per-DBC costs answered by the content-keyed memo cache.
     pub dbc_cache_hits: u64,
-    /// Re-costings that reused a membership-keyed subsequence summary
-    /// (no merge performed, only the offset walk).
+    /// Always 0: the engine has no subsequence cache, so every dirty DBC
+    /// is merged or walked from its kept sequence. Kept so that its
+    /// readers (the `e2ebench` layer totals, the CLI's and the daemon's
+    /// `"cache"` objects) still read a well-defined value.
     pub subseq_cache_hits: u64,
     /// Per-DBC costs inherited unchanged from a parent (clean under the
     /// dirty mask — never even looked up).
@@ -353,8 +281,8 @@ pub struct EngineStats {
     /// (only threads sharing one engine can contend: lanes of a race on
     /// two or more workers, concurrent solves of one session).
     pub memo_contended: u64,
-    /// Subsequence-cache lock acquisitions that found the lock held and
-    /// had to block, as with `memo_contended`.
+    /// Always 0, for the same readers as `subseq_cache_hits`: the memo's
+    /// lock is the engine's only cache lock.
     pub subseq_contended: u64,
     /// Wall nanoseconds spent inside evaluation calls.
     pub eval_nanos: u64,
@@ -380,7 +308,7 @@ impl EngineStats {
     /// difference is exactly the work of the interval; subtraction
     /// saturates so a mismatched snapshot can never underflow. This is how
     /// a [`Session`](crate::Session) reports **per-solve** engine stats
-    /// while its warm caches keep accumulating across solves.
+    /// while its warm memo keeps accumulating across solves.
     #[must_use]
     pub fn since(&self, earlier: &EngineStats) -> EngineStats {
         EngineStats {
@@ -389,15 +317,11 @@ impl EngineStats {
                 .dbc_recomputations
                 .saturating_sub(earlier.dbc_recomputations),
             dbc_cache_hits: self.dbc_cache_hits.saturating_sub(earlier.dbc_cache_hits),
-            subseq_cache_hits: self
-                .subseq_cache_hits
-                .saturating_sub(earlier.subseq_cache_hits),
+            subseq_cache_hits: 0,
             dbc_inherited: self.dbc_inherited.saturating_sub(earlier.dbc_inherited),
             memo_merged: 0,
             memo_contended: self.memo_contended.saturating_sub(earlier.memo_contended),
-            subseq_contended: self
-                .subseq_contended
-                .saturating_sub(earlier.subseq_contended),
+            subseq_contended: 0,
             eval_nanos: self.eval_nanos.saturating_sub(earlier.eval_nanos),
         }
     }
@@ -663,23 +587,17 @@ pub struct FitnessEngine<'a> {
     coster: AccessCoster,
     mode: EvalMode,
     pool: Arc<WorkerPool>,
-    /// Whether the caches are enabled at all (memoization can be turned
-    /// off for pure random sampling via [`with_memo`](Self::with_memo)).
-    caching: bool,
-    memo: Option<Mutex<Memo>>,
-    subseq: Option<Mutex<SubseqCache>>,
+    memo: Mutex<Memo>,
     evaluations: AtomicU64,
     dbc_recomputations: AtomicU64,
     dbc_cache_hits: AtomicU64,
-    subseq_cache_hits: AtomicU64,
     dbc_inherited: AtomicU64,
     memo_contended: AtomicU64,
-    subseq_contended: AtomicU64,
     eval_nanos: AtomicU64,
 }
 
 impl<'a> FitnessEngine<'a> {
-    /// Creates the production engine: subsequence costing, memoization on,
+    /// Creates the production engine: subsequence costing behind the memo,
     /// thread count auto-detected.
     pub fn new(seq: &'a AccessSequence, cost: CostModel) -> Self {
         Self::materialized(SeqRef::Borrowed(seq), cost, EvalMode::Incremental)
@@ -711,7 +629,7 @@ impl<'a> FitnessEngine<'a> {
     ///
     /// Costs are **bit-identical** to an engine built from the same trace
     /// as a sequence: both hold the same index and run the same merge and
-    /// caches. [`seq`](Self::seq) returns `None` for a streaming engine,
+    /// memo. [`seq`](Self::seq) returns `None` for a streaming engine,
     /// so what only a sequence gives is unavailable: naive mode and
     /// heuristic seeding (the search loops degrade gracefully), and the
     /// linear replay of whole placements, which costs one merge per DBC
@@ -744,35 +662,21 @@ impl<'a> FitnessEngine<'a> {
         cost: CostModel,
         mode: EvalMode,
     ) -> Self {
-        let mut engine = Self {
+        Self {
             index,
             trace,
             cost,
             coster: cost.coster(),
             mode,
             pool: Arc::new(WorkerPool::new(0)),
-            caching: mode == EvalMode::Incremental,
-            memo: None,
-            subseq: None,
+            memo: Mutex::default(),
             evaluations: AtomicU64::new(0),
             dbc_recomputations: AtomicU64::new(0),
             dbc_cache_hits: AtomicU64::new(0),
-            subseq_cache_hits: AtomicU64::new(0),
             dbc_inherited: AtomicU64::new(0),
             memo_contended: AtomicU64::new(0),
-            subseq_contended: AtomicU64::new(0),
             eval_nanos: AtomicU64::new(0),
-        };
-        engine.rebuild_caches();
-        engine
-    }
-
-    /// (Re)builds the caches for the current mode. Only called from the
-    /// constructor and [`with_memo`](Self::with_memo), before any costing —
-    /// caches start empty either way.
-    fn rebuild_caches(&mut self) {
-        self.memo = self.caching.then(Mutex::default);
-        self.subseq = self.caching.then(Mutex::default);
+        }
     }
 
     /// Sets the worker limit of the engine's [`WorkerPool`] (`0` =
@@ -800,15 +704,6 @@ impl<'a> FitnessEngine<'a> {
     /// engine sharing one pool draw from one token budget.
     pub fn pool(&self) -> &WorkerPool {
         &self.pool
-    }
-
-    /// Disables (or re-enables) both the per-DBC cost memo and the
-    /// membership-keyed subsequence cache. Useful for pure random sampling,
-    /// where neither lists nor memberships recur.
-    pub fn with_memo(mut self, enabled: bool) -> Self {
-        self.caching = enabled && self.mode == EvalMode::Incremental;
-        self.rebuild_caches();
-        self
     }
 
     /// The materialized trace this engine evaluates against, or `None` for
@@ -864,18 +759,13 @@ impl<'a> FitnessEngine<'a> {
         EvalScratch::default()
     }
 
-    /// Deliberately poisons the engine's memo and subsequence cache locks
-    /// by panicking while each is held (fault injection — `--features
-    /// faults` only). The next evaluation recovers each cache via
-    /// [`lock_cache`]'s clear-and-rebuild, so results are unchanged.
+    /// Deliberately poisons the engine's memo lock by panicking while it
+    /// is held (fault injection — `--features faults` only). The next
+    /// memo access recovers it via [`lock_cache`]'s clear-and-rebuild, so
+    /// results are unchanged.
     #[cfg(feature = "faults")]
     pub fn poison_caches(&self) {
-        if let Some(m) = &self.memo {
-            poison(m);
-        }
-        if let Some(c) = &self.subseq {
-            poison(c);
-        }
+        poison(&self.memo);
     }
 
     /// Snapshot of the engine's work counters.
@@ -884,11 +774,11 @@ impl<'a> FitnessEngine<'a> {
             evaluations: self.evaluations.load(Ordering::Relaxed),
             dbc_recomputations: self.dbc_recomputations.load(Ordering::Relaxed),
             dbc_cache_hits: self.dbc_cache_hits.load(Ordering::Relaxed),
-            subseq_cache_hits: self.subseq_cache_hits.load(Ordering::Relaxed),
+            subseq_cache_hits: 0,
             dbc_inherited: self.dbc_inherited.load(Ordering::Relaxed),
             memo_merged: 0,
             memo_contended: self.memo_contended.load(Ordering::Relaxed),
-            subseq_contended: self.subseq_contended.load(Ordering::Relaxed),
+            subseq_contended: 0,
             eval_nanos: self.eval_nanos.load(Ordering::Relaxed),
         }
     }
@@ -929,23 +819,20 @@ impl<'a> FitnessEngine<'a> {
     /// re-costs ([`kept_cost`](Self::kept_cost)) all come through here,
     /// so they probe, record and count hits alike.
     fn memoized(&self, list: &[VarId], compute: impl FnOnce() -> u64) -> u64 {
-        let Some(memo) = &self.memo else {
-            return compute();
-        };
-        if let Some(&c) = lock_counted(memo, &self.memo_contended).map.get(list) {
+        if let Some(&c) = lock_counted(&self.memo, &self.memo_contended).map.get(list) {
             self.dbc_cache_hits.fetch_add(1, Ordering::Relaxed);
             return c;
         }
         let c = compute();
-        lock_counted(memo, &self.memo_contended).record(list, Self::list_key(list), c);
+        lock_counted(&self.memo, &self.memo_contended).record(list, Self::list_key(list), c);
         c
     }
 
     /// Cost of the DBC `list` from its kept access sequence `seq` — the
     /// `(position, variable)` pairs [`dbc_sequence`](Self::dbc_sequence)
     /// builds, kept current by the local search — walked against the
-    /// search's var -> offset table, behind the memo. No merge and no
-    /// subsequence cache: the sequence is already at hand.
+    /// search's var -> offset table, behind the memo. No merge: the
+    /// sequence is already at hand.
     pub(crate) fn kept_cost(&self, list: &[VarId], seq: &[(u32, u32)], offsets: &[u32]) -> u64 {
         self.memoized(list, || {
             self.dbc_recomputations.fetch_add(1, Ordering::Relaxed);
@@ -982,21 +869,18 @@ impl<'a> FitnessEngine<'a> {
 
     fn dbc_cost_uncached(&self, list: &[VarId], scratch: &mut EvalScratch) -> u64 {
         self.dbc_recomputations.fetch_add(1, Ordering::Relaxed);
-        // Populate the var -> offset table and find the accessed members.
+        // Populate the var -> offset table and count the accessed members.
         let table_len = self.index.var_count();
         if scratch.offsets.len() < table_len {
             scratch.offsets.resize(table_len, u32::MAX);
         }
         let mut members = 0usize;
         let mut last_offset = 0u32;
-        let mut set_key = 0u64;
         for (off, &v) in list.iter().enumerate() {
-            let i = v.index();
             if self.index.frequency(v) > 0 {
-                scratch.offsets[i] = off as u32;
+                scratch.offsets[v.index()] = off as u32;
                 members += 1;
                 last_offset = off as u32;
-                set_key = set_key.wrapping_add(mix_member(i as u64));
             }
         }
         let total = match members {
@@ -1004,61 +888,7 @@ impl<'a> FitnessEngine<'a> {
             // One accessed member: every access hits the same offset, so
             // only the initial alignment can cost anything.
             1 => self.coster.access_cost(None, last_offset as usize).0,
-            _ => match &self.subseq {
-                Some(cache) => {
-                    // Membership lookup by order-independent hash; order-only
-                    // changes (transpose/permute mutations) hit this cache
-                    // and skip the merge entirely. The hash is only a key —
-                    // the entry's stored membership is verified against the
-                    // offsets table (same size + every stored member present
-                    // ⇒ identical sets), so a collision is just a miss.
-                    let cached = lock_counted(cache, &self.subseq_contended)
-                        .map
-                        .get(&set_key)
-                        .and_then(|e| {
-                            let verified = e.members.len() == members
-                                && e.members
-                                    .iter()
-                                    .all(|v| scratch.offsets[v.index()] != u32::MAX);
-                            verified.then(|| e.summary.clone())
-                        });
-                    match cached {
-                        Some(s) => {
-                            self.subseq_cache_hits.fetch_add(1, Ordering::Relaxed);
-                            self.walk_summary(&s, &scratch.offsets)
-                        }
-                        None => {
-                            let total = self.merge_and_walk(list, scratch);
-                            // Promote only memberships seen twice — the
-                            // first sighting costs nothing but a filter
-                            // write, so crossover churn never allocates.
-                            let mut c = lock_counted(cache, &self.subseq_contended);
-                            let slot = (set_key as usize) & (FILTER_SLOTS - 1);
-                            if c.filter[slot] == set_key {
-                                let s = std::sync::Arc::new(self.summary_of_seq_buf(scratch));
-                                let entry = SubseqEntry {
-                                    members: list
-                                        .iter()
-                                        .copied()
-                                        .filter(|&v| self.index.frequency(v) > 0)
-                                        .collect(),
-                                    summary: s.clone(),
-                                };
-                                c.stored += s.weight();
-                                if c.stored > SUBSEQ_ELEM_CAPACITY {
-                                    c.map.clear();
-                                    c.stored = s.weight();
-                                }
-                                c.map.insert(set_key, entry);
-                            } else {
-                                c.filter[slot] = set_key;
-                            }
-                            total
-                        }
-                    }
-                }
-                None => self.merge_and_walk(list, scratch),
-            },
+            _ => self.merge_and_walk(list, scratch),
         };
         // Clear the table for the next costing.
         for &v in list {
@@ -1123,9 +953,8 @@ impl<'a> FitnessEngine<'a> {
         }
     }
 
-    /// Merges the members' subsequence into `scratch.seq_buf` (the form a
-    /// subsequence-cache summary is built from) and walks it against the
-    /// offsets table.
+    /// Merges the members' subsequence into `scratch.seq_buf` and walks it
+    /// against the offsets table.
     fn merge_and_walk(&self, list: &[VarId], scratch: &mut EvalScratch) -> u64 {
         let seq_buf = &mut scratch.seq_buf;
         seq_buf.clear();
@@ -1134,8 +963,8 @@ impl<'a> FitnessEngine<'a> {
     }
 
     /// Costs one DBC's access subsequence — its variables in trace order —
-    /// against a var -> offset table: the one walk behind the merge path,
-    /// the multi-port summaries and the local search's kept sequences.
+    /// against a var -> offset table: the one walk behind the merge path
+    /// and the local search's kept sequences.
     /// Under the single-port model (one port homed at 0, so the target is
     /// the offset) the loop is branch-free: the port starts at the track
     /// head, or under first-access alignment at the first offset, and each
@@ -1167,56 +996,6 @@ impl<'a> FitnessEngine<'a> {
             last = off;
         }
         total
-    }
-
-    /// Builds the membership summary from the freshly merged
-    /// `scratch.seq_buf`: transition pairs for single-port models, the full
-    /// member-access sequence otherwise.
-    fn summary_of_seq_buf(&self, scratch: &EvalScratch) -> Summary {
-        let seq = &scratch.seq_buf;
-        if self.cost.ports_per_track() == 1 {
-            let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(seq.len());
-            for w in seq.windows(2) {
-                // Self-transitions never shift; drop them at build time.
-                if w[0] != w[1] {
-                    pairs.push((w[0], w[1]));
-                }
-            }
-            Summary::Transitions {
-                first: seq[0],
-                pairs: pairs.into_boxed_slice(),
-            }
-        } else {
-            // Self-transitions are free under every port count (the access
-            // re-aligns to the same target at zero displacement change), so
-            // consecutive duplicates are dropped at build time here too —
-            // only the run boundaries carry cost in the stateful walk.
-            let mut deduped: Vec<u32> = Vec::with_capacity(seq.len());
-            for &var in seq.iter() {
-                if deduped.last() != Some(&var) {
-                    deduped.push(var);
-                }
-            }
-            Summary::Sequence(deduped.into_boxed_slice())
-        }
-    }
-
-    /// Costs a summary against the current var -> offset table.
-    fn walk_summary(&self, summary: &Summary, offsets: &[u32]) -> u64 {
-        match summary {
-            Summary::Transitions { first, pairs } => {
-                let mut total = self
-                    .coster
-                    .access_cost(None, offsets[*first as usize] as usize)
-                    .0;
-                for &(u, v) in pairs.iter() {
-                    total +=
-                        (offsets[u as usize] as i64 - offsets[v as usize] as i64).unsigned_abs();
-                }
-                total
-            }
-            Summary::Sequence(seq) => self.walk(seq.iter().copied(), offsets),
-        }
     }
 
     /// Allocation-free full replay of a complete placement: one pass over
@@ -1472,27 +1251,27 @@ mod tests {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
         let engine = FitnessEngine::new(&seq, CostModel::single_port());
-        let (memo, subseq) = (
-            engine.memo.as_ref().unwrap(),
-            engine.subseq.as_ref().unwrap(),
-        );
-        // Single-DBC costing goes through both caches (whole placements
-        // are replayed and touch neither).
+        // Single-DBC costing goes through the memo (whole placements are
+        // replayed and never touch it).
         let costs = || -> Vec<u64> { lists.iter().map(|l| engine.dbc_cost(l)).collect() };
         let want = costs();
         for _ in 0..2 {
-            poison(memo);
-            poison(subseq);
-            // Costs are pure functions of the lists: recovery rebuilds
-            // each cache and every result is bit-identical.
+            poison(&engine.memo);
+            // Costs are pure functions of the lists: recovery rebuilds the
+            // memo and every result is bit-identical.
             assert_eq!(costs(), want);
             assert_eq!(costs(), want);
         }
-        // Recovery is lazy: each cache clears its poison on its next
+        // The rebuilt memo answers again once a list recurs.
+        let hits = engine.stats().dbc_cache_hits;
+        assert_eq!(costs(), want);
+        assert!(engine.stats().dbc_cache_hits > hits);
+        // Recovery is lazy: the memo clears its poison on its next
         // acquisition.
-        drop(lock_cache(memo));
-        drop(lock_cache(subseq));
-        assert!(!memo.is_poisoned() && !subseq.is_poisoned());
+        poison(&engine.memo);
+        assert!(engine.memo.is_poisoned());
+        drop(lock_cache(&engine.memo));
+        assert!(!engine.memo.is_poisoned());
     }
 
     #[test]
@@ -1618,7 +1397,7 @@ mod tests {
     fn dirty_mask_drives_incremental_reuse() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
-        let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_memo(false);
+        let engine = FitnessEngine::new(&seq, CostModel::single_port());
         let costs = engine.per_dbc_costs(&lists);
         // Swap two variables in DBC1 only; DBC0's cost is inherited.
         let mut mutated = lists.clone();
@@ -1638,7 +1417,7 @@ mod tests {
         let v = VarId::from_index;
         // Four global DBCs = two subarrays of two DBCs.
         let lists = vec![vec![v(0)], vec![v(1)], vec![v(2)], vec![v(3)]];
-        let engine = FitnessEngine::new(&seq, CostModel::single_port()).with_memo(false);
+        let engine = FitnessEngine::new(&seq, CostModel::single_port());
         let costs = engine.per_dbc_costs(&lists);
         // Swap the two lists of subarray 1 and mark only that subarray.
         let mut mutated = lists.clone();
@@ -1679,7 +1458,7 @@ mod tests {
         let want_batch = totals(&serial, &candidates);
         let want_dbc = serial.per_dbc_costs(&base);
         // Each candidate twice: fresh (replayed whole) and derived with
-        // only DBC1 dirty (merged through the caches).
+        // only DBC1 dirty (merged behind the memo).
         let jobs = || -> Vec<EvalJob> {
             candidates
                 .iter()
@@ -1823,7 +1602,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_memo_works_without_subseq_cache() {
+    fn streaming_engines_memoize_recurring_lists() {
         let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
         let lists = paper_placement(&seq);
         let engine = FitnessEngine::streaming(&seq, CostModel::single_port());

@@ -45,12 +45,11 @@
 //! because each pending slot stays valid whether or not a claim completed
 //! (`DESIGN.md` §9).
 //!
-//! [`WorkerPool::run_with_cancel`] additionally polls a
-//! [`CancelToken`] before claiming each item: on
-//! cancellation — an explicit `cancel()` or the token's deadline passing —
-//! the workers stop claiming, finish only their in-flight items, and
-//! return, leaving the unclaimed slots untouched. This is how a portfolio
-//! race enforces `deadline + grace`.
+//! Given a [`CancelToken`], [`WorkerPool::run`] polls it before claiming
+//! each item: on cancellation — an explicit `cancel()` or the token's
+//! deadline passing — the workers stop claiming, finish only their
+//! in-flight items, and return, leaving the unclaimed slots untouched.
+//! This is how a portfolio race enforces `deadline + grace`.
 
 use crate::cancel::CancelToken;
 use std::iter::Enumerate;
@@ -117,46 +116,29 @@ impl WorkerPool {
         self.contended.load(Ordering::Relaxed)
     }
 
-    /// Runs `work(ctx, index, item)` once for every item, fanning out over
-    /// at most [`workers`](Self::workers) threads (caller included) that
-    /// all claim from one queue in index order.
+    /// Runs `work(index, item)` once for every item, fanning out over at
+    /// most [`workers`](Self::workers) threads (caller included) that all
+    /// claim from one queue in index order. When no tokens are free —
+    /// nested call, or a 1-worker pool — the batch runs inline on the
+    /// caller's thread, which is then the only worker.
     ///
-    /// `init` builds one per-worker context (scratch buffers); each worker
-    /// calls it exactly once. When no tokens are free — nested call, or a
-    /// 1-worker pool — the batch runs inline on the caller's thread, which
-    /// is then the only worker.
-    pub fn run<T, C, I, F>(&self, items: &mut [T], init: I, work: F)
+    /// With a `cancel` token, cancellation is cooperative: once it fires,
+    /// workers stop *claiming* new items (in-flight items still finish —
+    /// nothing is interrupted mid-computation) and the call returns with
+    /// the unclaimed slots untouched. The caller is responsible for
+    /// knowing which slots were filled (e.g. the portfolio's lane slots
+    /// start as not run).
+    pub fn run<T, F>(&self, items: &mut [T], cancel: Option<&CancelToken>, work: F)
     where
         T: Send,
-        I: Fn() -> C + Sync,
-        F: Fn(&mut C, usize, &mut T) + Sync,
-    {
-        self.run_with_cancel(items, None, init, work);
-    }
-
-    /// [`run`](Self::run) with a cooperative cancellation hook: when
-    /// `cancel` fires, workers stop *claiming* new items (in-flight items
-    /// still finish — nothing is interrupted mid-computation) and the call
-    /// returns with the unclaimed slots untouched. The caller is
-    /// responsible for knowing which slots were filled (e.g. the
-    /// portfolio's lane slots start as `None`).
-    pub fn run_with_cancel<T, C, I, F>(
-        &self,
-        items: &mut [T],
-        cancel: Option<&CancelToken>,
-        init: I,
-        work: F,
-    ) where
-        T: Send,
-        I: Fn() -> C + Sync,
-        F: Fn(&mut C, usize, &mut T) + Sync,
+        F: Fn(usize, &mut T) + Sync,
     {
         if items.is_empty() {
             return;
         }
         let extra = self.reserve(items.len() - 1);
         let queue = Mutex::new(items.iter_mut().enumerate());
-        let worker = || self.drain(&queue, cancel, &init, &work);
+        let worker = || self.drain(&queue, cancel, &work);
         std::thread::scope(|scope| {
             let spawned: Vec<_> = (0..extra.count).map(|_| scope.spawn(worker)).collect();
             // The caller drains as one more worker; if it panics, the
@@ -173,17 +155,14 @@ impl WorkerPool {
     /// One worker: claim the next item and run it until the queue is empty
     /// or cancellation fires. Polling before every claim means a cancelled
     /// batch stops growing its in-flight set immediately.
-    fn drain<T, C, I, F>(
+    fn drain<T, F>(
         &self,
         queue: &Mutex<Enumerate<IterMut<'_, T>>>,
         cancel: Option<&CancelToken>,
-        init: &I,
         work: &F,
     ) where
-        I: Fn() -> C,
-        F: Fn(&mut C, usize, &mut T),
+        F: Fn(usize, &mut T),
     {
-        let mut ctx = init();
         while !cancel.is_some_and(CancelToken::is_cancelled) {
             let claim = match queue.try_lock() {
                 Ok(mut q) => q.next(),
@@ -194,7 +173,7 @@ impl WorkerPool {
                 }
             };
             let Some((i, item)) = claim else { return };
-            work(&mut ctx, i, item);
+            work(i, item);
         }
     }
 
@@ -244,7 +223,7 @@ mod tests {
         let pool = WorkerPool::new(4);
         for n in [0usize, 1, 3, 64, 257] {
             let mut items: Vec<u64> = vec![0; n];
-            pool.run(&mut items, || (), |_, i, slot| *slot = (i as u64) * 3 + 1);
+            pool.run(&mut items, None, |i, slot| *slot = (i as u64) * 3 + 1);
             assert!(items
                 .iter()
                 .enumerate()
@@ -257,27 +236,11 @@ mod tests {
         let pool = WorkerPool::new(1);
         let caller = std::thread::current().id();
         let mut items = vec![None; 16];
-        pool.run(
-            &mut items,
-            || (),
-            |_, _, slot| *slot = Some(std::thread::current().id()),
-        );
+        pool.run(&mut items, None, |_, slot| {
+            *slot = Some(std::thread::current().id());
+        });
         assert!(items.iter().all(|t| *t == Some(caller)));
         assert_eq!(pool.active(), 0);
-    }
-
-    #[test]
-    fn per_worker_context_is_built_once_per_worker() {
-        let pool = WorkerPool::new(3);
-        let builds = AtomicUsize::new(0);
-        let mut items = vec![0u8; 100];
-        pool.run(
-            &mut items,
-            || builds.fetch_add(1, Ordering::Relaxed),
-            |_, _, slot| *slot = 1,
-        );
-        let built = builds.load(Ordering::Relaxed);
-        assert!((1..=3).contains(&built), "contexts built: {built}");
     }
 
     #[test]
@@ -286,29 +249,25 @@ mod tests {
         let n = 16;
         let completed = (Mutex::new(0usize), Condvar::new());
         let mut items = vec![false; n];
-        pool.run(
-            &mut items,
-            || (),
-            |_, i, ran| {
-                let (count, changed) = &completed;
-                if i == 0 {
-                    // Item 0 finishes only after every other item has, so
-                    // the batch completes only if the other worker claims
-                    // all of them. The timeout fails the test instead of
-                    // hanging it; it never decides a passing run.
-                    let done = count.lock().unwrap();
-                    let (done, wait) = changed
-                        .wait_timeout_while(done, Duration::from_secs(60), |done| *done < n - 1)
-                        .unwrap();
-                    drop(done);
-                    assert!(!wait.timed_out(), "items stranded behind item 0");
-                } else {
-                    *count.lock().unwrap() += 1;
-                    changed.notify_all();
-                }
-                *ran = true;
-            },
-        );
+        pool.run(&mut items, None, |i, ran| {
+            let (count, changed) = &completed;
+            if i == 0 {
+                // Item 0 finishes only after every other item has, so the
+                // batch completes only if the other worker claims all of
+                // them. The timeout fails the test instead of hanging it;
+                // it never decides a passing run.
+                let done = count.lock().unwrap();
+                let (done, wait) = changed
+                    .wait_timeout_while(done, Duration::from_secs(60), |done| *done < n - 1)
+                    .unwrap();
+                drop(done);
+                assert!(!wait.timed_out(), "items stranded behind item 0");
+            } else {
+                *count.lock().unwrap() += 1;
+                changed.notify_all();
+            }
+            *ran = true;
+        });
         assert!(items.iter().all(|&ran| ran));
         assert_eq!(pool.active(), 0, "tokens returned after the batch");
     }
@@ -318,23 +277,14 @@ mod tests {
         let pool = WorkerPool::new(2);
         let peak = AtomicUsize::new(0);
         let mut outer = vec![0u8; 4];
-        pool.run(
-            &mut outer,
-            || (),
-            |_, _, _| {
-                // The outer batch holds the only extra token; the nested
-                // batch must run inline rather than oversubscribe.
-                let mut inner = vec![0u8; 8];
-                pool.run(
-                    &mut inner,
-                    || (),
-                    |_, _, _| {
-                        let a = pool.active();
-                        peak.fetch_max(a, Ordering::Relaxed);
-                    },
-                );
-            },
-        );
+        pool.run(&mut outer, None, |_, _| {
+            // The outer batch holds the only extra token; the nested batch
+            // must run inline rather than oversubscribe.
+            let mut inner = vec![0u8; 8];
+            pool.run(&mut inner, None, |_, _| {
+                peak.fetch_max(pool.active(), Ordering::Relaxed);
+            });
+        });
         assert!(
             peak.load(Ordering::Relaxed) <= 1,
             "nested fan-out exceeded the pool limit"
@@ -349,22 +299,18 @@ mod tests {
             // The first and the last item of the batch.
             let mut items: Vec<usize> = (0..8).collect();
             let result = catch_unwind(AssertUnwindSafe(|| {
-                pool.run(
-                    &mut items,
-                    || (),
-                    |_, i, _| {
-                        if i == panic_at {
-                            panic!("boom {i}");
-                        }
-                    },
-                );
+                pool.run(&mut items, None, |i, _| {
+                    if i == panic_at {
+                        panic!("boom {i}");
+                    }
+                });
             }));
             assert!(result.is_err(), "panic at {panic_at} was swallowed");
             assert_eq!(pool.active(), 0, "panic at {panic_at} leaked tokens");
         }
         // The pool is fully usable after a panicking batch.
         let mut items = vec![0u64; 32];
-        pool.run(&mut items, || (), |_, i, slot| *slot = i as u64);
+        pool.run(&mut items, None, |i, slot| *slot = i as u64);
         assert!(items.iter().enumerate().all(|(i, &v)| v == i as u64));
     }
 
@@ -380,7 +326,7 @@ mod tests {
         for workers in [1usize, 4] {
             let pool = WorkerPool::new(workers);
             let mut items = vec![0u64; 64];
-            pool.run_with_cancel(&mut items, Some(&token), || (), |_, _, slot| *slot = 1);
+            pool.run(&mut items, Some(&token), |_, slot| *slot = 1);
             assert!(items.iter().all(|&v| v == 0), "{workers} workers");
             assert_eq!(pool.active(), 0);
         }
@@ -392,20 +338,15 @@ mod tests {
         let token = CancelToken::new();
         let mut items = vec![0u64; 256];
         let done = AtomicUsize::new(0);
-        pool.run_with_cancel(
-            &mut items,
-            Some(&token),
-            || (),
-            |_, _, slot| {
-                // Cancel from inside the batch after a few items: the
-                // in-flight item still completes (slot is written), but
-                // the bulk of the batch is never claimed.
-                if done.fetch_add(1, Ordering::Relaxed) == 3 {
-                    token.cancel();
-                }
-                *slot = 1;
-            },
-        );
+        pool.run(&mut items, Some(&token), |_, slot| {
+            // Cancel from inside the batch after a few items: the
+            // in-flight item still completes (slot is written), but the
+            // bulk of the batch is never claimed.
+            if done.fetch_add(1, Ordering::Relaxed) == 3 {
+                token.cancel();
+            }
+            *slot = 1;
+        });
         let filled = items.iter().filter(|&&v| v == 1).count();
         assert!(filled >= 4, "in-flight items must complete: {filled}");
         assert!(filled < 256, "cancellation ignored: all items ran");
@@ -414,10 +355,10 @@ mod tests {
 
     #[test]
     fn run_without_cancel_is_unaffected() {
-        // `run` delegates with no token; the full batch always completes.
+        // With no token the full batch always completes.
         let pool = WorkerPool::new(3);
         let mut items = vec![0u64; 100];
-        pool.run(&mut items, || (), |_, i, slot| *slot = i as u64 + 1);
+        pool.run(&mut items, None, |i, slot| *slot = i as u64 + 1);
         assert!(items.iter().enumerate().all(|(i, &v)| v == i as u64 + 1));
     }
 }

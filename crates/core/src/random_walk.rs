@@ -95,9 +95,7 @@ pub fn search(
     cost: CostModel,
     config: RandomWalkConfig,
 ) -> Result<(Placement, u64), PlacementError> {
-    // `total_cost_with` replays candidates without consulting the caches;
-    // disabling them just skips building unused maps.
-    let engine = FitnessEngine::new(seq, cost).with_memo(false);
+    let engine = FitnessEngine::new(seq, cost);
     search_with_engine(&engine, dbcs, capacity, config)
 }
 

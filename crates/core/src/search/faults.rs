@@ -3,7 +3,7 @@
 //!
 //! A [`FaultPlan`] maps lane indices to injected [`Fault`]s on a
 //! reproducible schedule: a lane panic after N evaluations, an artificial
-//! stall, or poisoning the engine's shared caches at lane start. The plan
+//! stall, or poisoning the engine's shared memo at lane start. The plan
 //! is threaded from [`Portfolio::with_faults`](crate::Portfolio) through
 //! the race control into each lane's [`BudgetMeter`](super::BudgetMeter),
 //! whose `charge` calls drive the schedule — so the same plan, seed and
@@ -28,9 +28,8 @@ pub enum Fault {
     /// given evaluations — once per lane, in 1 ms slices that poll the
     /// race's cancellation token.
     StallAfterEvals(u64, Duration),
-    /// Poison the engine's memo/subsequence caches at lane start by
-    /// panicking while the locks are held (recovered by clear-and-rebuild
-    /// on the next access).
+    /// Poison the engine's memo at lane start by panicking while its lock
+    /// is held (recovered by clear-and-rebuild on the next access).
     PoisonCaches,
 }
 
@@ -121,7 +120,7 @@ pub(crate) struct LaneFaults {
 }
 
 impl LaneFaults {
-    /// Whether this lane poisons the engine caches at start.
+    /// Whether this lane poisons the engine's memo at start.
     pub(crate) fn poisons_caches(&self) -> bool {
         self.poison
     }

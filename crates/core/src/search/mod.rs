@@ -109,7 +109,7 @@ pub fn run<'s>(
             .with_subarrays(subarrays)
             .run_with_engine(engine, dbcs, capacity, seeds())?
             .into(),
-        // The walk's batch path never reads the engine caches, so a warm
+        // The walk's batch path never reads the engine's memo, so a warm
         // engine walks exactly as a fresh one.
         Strategy::RandomWalk(cfg) => random_walk::run_budgeted(
             engine,

@@ -373,15 +373,13 @@ impl Portfolio {
         // claiming lanes, and every lane meter and injected stall stops,
         // once it passes; no thread has to stand by to cancel it.
         let mut slots: Vec<LaneSlot> = self.config.lanes.iter().map(|_| LaneSlot::NotRun).collect();
-        engine.pool().run_with_cancel(
-            &mut slots,
-            Some(control.cancel_token()),
-            || (),
-            |(), lane, slot| {
+        engine
+            .pool()
+            .run(&mut slots, Some(control.cancel_token()), |lane, slot| {
                 let spec = self.config.lanes[lane];
                 // Panic containment: a lane that unwinds is recorded and
                 // the race continues. The closure only touches the shared
-                // engine caches (poison-recovering), the race control
+                // engine memo (poison-recovering), the race control
                 // (poison-recovering) and this lane's slot, so broken
                 // invariants cannot leak across the boundary.
                 let result = catch_unwind(AssertUnwindSafe(|| {
@@ -391,8 +389,7 @@ impl Portfolio {
                     Ok(res) => LaneSlot::Finished(res),
                     Err(payload) => LaneSlot::Panicked(panic_message(payload.as_ref())),
                 };
-            },
-        );
+            });
         // A near-zero deadline can cancel the pool before any worker
         // claims a lane. The portfolio must still report a placement, so
         // run the first lane inline once: every solver returns its best

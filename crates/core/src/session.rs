@@ -117,7 +117,7 @@ impl Answer {
 ///
 /// # Sharing and concurrency
 ///
-/// `Session` is `Send + Sync`: each engine cache is one mutex, its
+/// `Session` is `Send + Sync`: the engine's memo is one mutex, its
 /// counters are atomics and each kept answer is written once, so
 /// concurrent `solve` calls on one shared session are safe — and, because
 /// caches can change only *when* a value is computed, never *what*, each
@@ -240,10 +240,10 @@ impl Session {
             .as_ref()
     }
 
-    /// Deliberately poisons the warm engine's cache locks (fault
-    /// injection — `--features faults` only; a no-op before the engine
-    /// exists). Each cache recovers by clear-and-rebuild and results are
-    /// unchanged, which is exactly what the live-session fault tests pin.
+    /// Deliberately poisons the warm engine's memo lock (fault injection —
+    /// `--features faults` only; a no-op before the engine exists). The
+    /// memo recovers by clear-and-rebuild and results are unchanged,
+    /// which is exactly what the live-session fault tests pin.
     #[cfg(feature = "faults")]
     pub fn poison_caches(&self) {
         if let Some(engine) = self.engine.get() {

@@ -279,10 +279,10 @@ impl SessionCache {
         }
     }
 
-    /// Poisons the cache locks of every warm session (fault injection —
-    /// `--features faults` only). The engines recover by clear-and-rebuild
-    /// on the next solve with unchanged results; the live-session fault
-    /// tests pin exactly that.
+    /// Poisons the memo lock of every warm session's engine (fault
+    /// injection — `--features faults` only). The engines recover by
+    /// clear-and-rebuild on the next solve with unchanged results; the
+    /// live-session fault tests pin exactly that.
     #[cfg(feature = "faults")]
     pub fn poison_all_sessions(&self) {
         let map = self

@@ -96,8 +96,8 @@ proptest! {
         prop_assert_eq!(engine.per_dbc_costs(&lists), expect.clone());
         // A second pass — still identical.
         prop_assert_eq!(engine.per_dbc_costs(&lists), expect.clone());
-        // That was the whole-placement replay, which no cache serves; one
-        // merge per DBC, cold and then through the caches, agrees too.
+        // That was the whole-placement replay, which the memo never serves; one
+        // merge per DBC, cold and then through the memo, agrees too.
         for _ in 0..2 {
             let merged: Vec<u64> = lists.iter().map(|l| engine.dbc_cost(l)).collect();
             prop_assert_eq!(&merged, &expect);
@@ -130,7 +130,7 @@ proptest! {
             candidates.push(c);
         }
         let cost = CostModel::single_port();
-        let engine = FitnessEngine::new(&seq, cost).with_memo(false);
+        let engine = FitnessEngine::new(&seq, cost);
         let costs = totals(&engine, &candidates);
         for (lists, got) in candidates.iter().zip(costs) {
             let p = Placement::from_dbc_lists(lists.clone());
@@ -180,7 +180,7 @@ proptest! {
         let engine = FitnessEngine::new(&seq, cost).with_threads(1);
         let replayed = engine.per_dbc_costs(&lists);
         prop_assert_eq!(&replayed, &want);
-        // The merge kernel, twice: cold, then through the caches.
+        // The merge kernel, twice: cold, then through the memo.
         for _ in 0..2 {
             let merged: Vec<u64> = lists.iter().map(|l| engine.dbc_cost(l)).collect();
             prop_assert_eq!(&merged, &want);
@@ -204,8 +204,8 @@ proptest! {
     }
 
     /// The local search's kept access sequences equal the merge kernel's
-    /// subsequence of the same members, and every re-cost equals a cold
-    /// `dbc_cost`, through random move sequences — relocate, transpose,
+    /// subsequence of the same members, and every re-cost equals a replay
+    /// of the raw accesses, through random move sequences — relocate, transpose,
     /// exchange and, on a 2-subarray geometry, subarray migrate — each
     /// move undone, committed or left pending (the next move commits it)
     /// at random. At ports {1,2,4}, in both initial alignments, on
@@ -248,8 +248,12 @@ proptest! {
         } else {
             FitnessEngine::new(&seq, cost)
         };
-        // The reference merges every time: no memo answers for it.
-        let reference = FitnessEngine::new(&seq, cost).with_memo(false);
+        // Reference sequences come from a second engine's merge kernel,
+        // reference costs from a replay of the raw accesses.
+        let reference = FitnessEngine::new(&seq, cost);
+        let want = |lists: &[Vec<VarId>]| {
+            cost.per_dbc_costs(&Placement::from_dbc_lists(lists.to_vec()), seq.accesses())
+        };
         let mut scratch = reference.scratch();
         let mut merged = Vec::new();
         let hood = Neighborhood::new(dbcs, capacity, 2);
@@ -259,18 +263,20 @@ proptest! {
             let m = hood.propose(state.lists(), &mut rng);
             let total = state.apply(&engine, m);
             prop_assert_eq!(total, state.dbc_costs().iter().sum::<u64>());
+            let costs = want(state.lists());
             for d in m.touched().into_iter().flatten() {
-                prop_assert_eq!(state.dbc_costs()[d], reference.dbc_cost(&state.lists()[d]));
+                prop_assert_eq!(state.dbc_costs()[d], costs[d]);
             }
             match rng.gen_range(0..3u32) {
                 0 => state.undo(),
                 1 => state.commit(),
                 _ => {}
             }
+            let costs = want(state.lists());
             for (d, list) in state.lists().iter().enumerate() {
                 reference.dbc_sequence(list, &mut scratch, &mut merged);
                 prop_assert_eq!(state.kept_sequence(d), &merged[..]);
-                prop_assert_eq!(state.dbc_costs()[d], reference.dbc_cost(list));
+                prop_assert_eq!(state.dbc_costs()[d], costs[d]);
             }
         }
     }
@@ -372,8 +378,8 @@ proptest! {
                 c
             })
             .collect();
-        let one = FitnessEngine::new(&seq, cost).with_memo(false).with_threads(1);
-        let four = FitnessEngine::new(&seq, cost).with_memo(false).with_threads(4);
+        let one = FitnessEngine::new(&seq, cost).with_threads(1);
+        let four = FitnessEngine::new(&seq, cost).with_threads(4);
         let naive = FitnessEngine::naive(&seq, cost);
         let a = totals(&one, &candidates);
         let b = totals(&four, &candidates);
@@ -474,12 +480,10 @@ proptest! {
         let dbcs = 3;
         let capacity = seq.vars().len().max(2);
         let cfg = RandomWalkConfig { iterations: 200, seed };
-        let materialized =
-            FitnessEngine::new(&seq, CostModel::single_port()).with_memo(false);
+        let materialized = FitnessEngine::new(&seq, CostModel::single_port());
         let a = random_walk::search_with_engine(&materialized, dbcs, capacity, cfg).unwrap();
         let chunked = ChunkedSequence::new(&seq, chunk);
-        let streaming =
-            FitnessEngine::streaming(&chunked, CostModel::single_port()).with_memo(false);
+        let streaming = FitnessEngine::streaming(&chunked, CostModel::single_port());
         let b = random_walk::search_with_engine(&streaming, dbcs, capacity, cfg).unwrap();
         prop_assert_eq!(a.1, b.1);
         prop_assert_eq!(a.0, b.0);
@@ -487,15 +491,24 @@ proptest! {
 
     /// The GA (heuristic seeding off — heuristics need the materialized
     /// trace on both sides) is evaluator-source invariant: streamed and
-    /// materialized engines produce identical outcomes.
+    /// materialized engines produce identical outcomes at ports {1,2,4}.
+    /// A streamed engine has no linear replay, so every GA job it costs,
+    /// fresh ones included, is merged DBC by DBC behind the memo.
     #[test]
     fn streaming_ga_matches_materialized(
         seq in arb_trace(12, 60),
         seed in any::<u64>(),
         chunk in 1usize..64,
+        ports_sel in 0usize..3,
     ) {
         let dbcs = 3;
         let capacity = seq.vars().len().max(2);
+        let ports = [1usize, 2, 4][ports_sel];
+        let cost = if ports == 1 {
+            CostModel::single_port()
+        } else {
+            CostModel::multi_port(ports, capacity.max(ports))
+        };
         let cfg = GaConfig {
             mu: 8,
             lambda: 8,
@@ -505,10 +518,10 @@ proptest! {
         }
         .with_seed(seed);
         let placer = GeneticPlacer::new(cfg);
-        let materialized = FitnessEngine::new(&seq, CostModel::single_port());
+        let materialized = FitnessEngine::new(&seq, cost);
         let a = placer.run_with_engine(&materialized, dbcs, capacity, &[]).unwrap();
         let chunked = ChunkedSequence::new(&seq, chunk);
-        let streaming = FitnessEngine::streaming(&chunked, CostModel::single_port());
+        let streaming = FitnessEngine::streaming(&chunked, cost);
         let b = placer.run_with_engine(&streaming, dbcs, capacity, &[]).unwrap();
         prop_assert_eq!(&a.history, &b.history);
         prop_assert_eq!(a.best_cost, b.best_cost);
@@ -639,12 +652,8 @@ fn random_walk_is_thread_invariant() {
         iterations: 600,
         seed: 9,
     };
-    let one = FitnessEngine::new(&seq, CostModel::single_port())
-        .with_memo(false)
-        .with_threads(1);
-    let four = FitnessEngine::new(&seq, CostModel::single_port())
-        .with_memo(false)
-        .with_threads(4);
+    let one = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(1);
+    let four = FitnessEngine::new(&seq, CostModel::single_port()).with_threads(4);
     let a = random_walk::search_with_engine(&one, 3, 8, cfg).unwrap();
     let b = random_walk::search_with_engine(&four, 3, 8, cfg).unwrap();
     assert_eq!(a, b);

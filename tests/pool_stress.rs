@@ -6,6 +6,7 @@
 //! scheduling churn than the unit suite.
 
 use rtm::placement::pool::WorkerPool;
+use rtm::placement::CancelToken;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -29,7 +30,7 @@ fn hammer_rounds_are_exact_and_worker_count_invariant() {
         for round in 0..50 {
             let n = [1usize, 7, 64, 513][round % 4];
             let mut items: Vec<u64> = vec![0; n];
-            pool.run(&mut items, || (), |_, i, slot| *slot = crunch(i));
+            pool.run(&mut items, None, |i, slot| *slot = crunch(i));
             assert_eq!(items, expect[..n], "round {round} at {workers} workers");
             assert_eq!(pool.active(), 0, "tokens leaked at round {round}");
         }
@@ -43,20 +44,16 @@ fn extreme_skew_is_rebalanced_by_the_claim_queue() {
     // workers are free claim them one at a time, so the batch finishes in
     // bounded time without any result being perturbed.
     let mut items: Vec<(usize, u64)> = (0..256).map(|i| (i, 0)).collect();
-    pool.run(
-        &mut items,
-        || (),
-        |_, _, (i, out)| {
-            let spin = if *i >= 192 { 20_000 } else { 10 };
-            let mut h = *i as u64 + 1;
-            for _ in 0..spin {
-                h = h
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-            }
-            *out = h;
-        },
-    );
+    pool.run(&mut items, None, |_, (i, out)| {
+        let spin = if *i >= 192 { 20_000 } else { 10 };
+        let mut h = *i as u64 + 1;
+        for _ in 0..spin {
+            h = h
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+        }
+        *out = h;
+    });
     // Recompute serially and compare (the closure is a pure function of i).
     for (i, out) in &items {
         let spin = if *i >= 192 { 20_000 } else { 10 };
@@ -77,22 +74,14 @@ fn nested_batches_stay_within_the_token_budget() {
     let peak = AtomicUsize::new(0);
     for _ in 0..20 {
         let mut outer: Vec<usize> = (0..6).collect();
-        pool.run(
-            &mut outer,
-            || (),
-            |_, _, item| {
-                let mut inner: Vec<u64> = vec![0; 16];
-                pool.run(
-                    &mut inner,
-                    || (),
-                    |_, i, slot| {
-                        peak.fetch_max(pool.active(), Ordering::Relaxed);
-                        *slot = crunch(i);
-                    },
-                );
-                *item = inner.iter().map(|&v| (v % 7) as usize).sum();
-            },
-        );
+        pool.run(&mut outer, None, |_, item| {
+            let mut inner: Vec<u64> = vec![0; 16];
+            pool.run(&mut inner, None, |i, slot| {
+                peak.fetch_max(pool.active(), Ordering::Relaxed);
+                *slot = crunch(i);
+            });
+            *item = inner.iter().map(|&v| (v % 7) as usize).sum();
+        });
         assert_eq!(pool.active(), 0);
     }
     // `active` counts extra tokens only (caller excluded), so a 3-worker
@@ -113,7 +102,7 @@ fn concurrent_callers_share_one_pool_without_interference() {
                     gate.wait();
                     for _ in 0..30 {
                         let mut items: Vec<u64> = vec![0; 128];
-                        pool.run(&mut items, || (), |_, i, slot| *slot = crunch(i + caller));
+                        pool.run(&mut items, None, |i, slot| *slot = crunch(i + caller));
                         for (i, &v) in items.iter().enumerate() {
                             assert_eq!(v, crunch(i + caller), "caller {caller} item {i}");
                         }
@@ -135,22 +124,18 @@ fn panic_storms_never_wedge_or_leak() {
         let panic_at = (round * 13) % 32;
         let mut items: Vec<usize> = (0..32).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(
-                &mut items,
-                || (),
-                |_, i, _| {
-                    if i == panic_at {
-                        panic!("storm {round}");
-                    }
-                    let _ = crunch(i);
-                },
-            );
+            pool.run(&mut items, None, |i, _| {
+                if i == panic_at {
+                    panic!("storm {round}");
+                }
+                let _ = crunch(i);
+            });
         }));
         assert!(result.is_err(), "round {round}: panic swallowed");
         assert_eq!(pool.active(), 0, "round {round}: tokens leaked");
         // The pool must stay fully usable between panicking batches.
         let mut ok: Vec<u64> = vec![0; 16];
-        pool.run(&mut ok, || (), |_, i, slot| *slot = crunch(i));
+        pool.run(&mut ok, None, |i, slot| *slot = crunch(i));
         assert!(ok.iter().enumerate().all(|(i, &v)| v == crunch(i)));
     }
 }
@@ -160,56 +145,37 @@ fn concurrent_panic_storms_poison_nothing_durably() {
     // Unlike the single-panic rounds above, every fourth item panics here,
     // so several workers unwind *concurrently* while their peers keep
     // claiming from the same queue — more than token cleanup is exercised.
-    // After each storm both plain and cancellable submissions must
-    // complete exactly.
+    // After each storm both plain submissions and submissions carrying a
+    // live cancel token must complete exactly.
     let pool = WorkerPool::new(4);
     for round in 0..10 {
         let mut items: Vec<usize> = (0..64).collect();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(
-                &mut items,
-                || (),
-                |_, i, _| {
-                    if i % 4 == round % 4 {
-                        panic!("concurrent storm {round}");
-                    }
-                    let _ = crunch(i);
-                },
-            );
+            pool.run(&mut items, None, |i, _| {
+                if i % 4 == round % 4 {
+                    panic!("concurrent storm {round}");
+                }
+                let _ = crunch(i);
+            });
         }));
         assert!(result.is_err(), "round {round}: panic swallowed");
         assert_eq!(pool.active(), 0, "round {round}: tokens leaked");
 
         // Post-panic submissions complete bit-exactly on the same pool.
         let mut ok: Vec<u64> = vec![0; 48];
-        pool.run(&mut ok, || (), |_, i, slot| *slot = crunch(i));
+        pool.run(&mut ok, None, |i, slot| *slot = crunch(i));
         assert!(ok.iter().enumerate().all(|(i, &v)| v == crunch(i)));
+        let token = CancelToken::new();
         let mut ok: Vec<u64> = vec![0; 48];
-        pool.run_with_cancel(&mut ok, None, || (), |_, i, slot| *slot = crunch(i));
+        pool.run(&mut ok, Some(&token), |i, slot| *slot = crunch(i));
         assert!(ok.iter().enumerate().all(|(i, &v)| v == crunch(i)));
     }
 }
 
-#[test]
-fn per_worker_contexts_are_isolated() {
-    let pool = WorkerPool::new(4);
-    // Each worker accumulates into its own context; the per-item results
-    // must still be exact regardless of which context computed them.
-    let mut items: Vec<u64> = vec![0; 300];
-    pool.run(&mut items, Vec::<u64>::new, |scratch, i, slot| {
-        scratch.push(i as u64);
-        // Contexts are per-worker scratch: their length varies with the
-        // claim order, but results may only depend on the item.
-        assert!(!scratch.is_empty());
-        *slot = crunch(i);
-    });
-    assert!(items.iter().enumerate().all(|(i, &v)| v == crunch(i)));
-}
-
-/// Cache poison storm (`--features faults`): the engine's memo and
-/// subsequence cache locks are repeatedly poisoned — between batches and
-/// concurrently with them — and each acquisition must recover its cache
-/// via `clear_poison` without changing a single result bit.
+/// Cache poison storm (`--features faults`): the engine's memo lock is
+/// repeatedly poisoned — between batches and concurrently with them — and
+/// each acquisition must recover the memo via `clear_poison` without
+/// changing a single result bit.
 #[cfg(feature = "faults")]
 mod cache_poison_storm {
     use rtm::placement::eval::{EvalJob, FitnessEngine};
@@ -247,9 +213,8 @@ mod cache_poison_storm {
 
     /// Each variant three times as a derived job with two of its four
     /// DBCs dirty. A job whose DBCs are all dirty is replayed whole and
-    /// touches neither cache; these go through the per-DBC merge, where
-    /// repeated lists hit the memo and the variants' shared memberships
-    /// the subsequence cache.
+    /// never touches the memo; these go through the per-DBC merge behind
+    /// it, where repeated lists hit.
     fn jobs(variants: &[Vec<Vec<VarId>>], costs: &[Vec<u64>]) -> Vec<EvalJob> {
         (0..3)
             .flat_map(|_| variants.iter().zip(costs).enumerate())
@@ -276,7 +241,7 @@ mod cache_poison_storm {
     }
 
     #[test]
-    fn poison_storms_recover_both_caches_without_changing_results() {
+    fn poison_storms_recover_the_memo_without_changing_results() {
         let seq = trace();
         let cost = CostModel::single_port();
         let dbcs = 4;
@@ -290,8 +255,8 @@ mod cache_poison_storm {
 
         let engine = FitnessEngine::new(&seq, cost).with_threads(4);
 
-        // Phase 1: storm between batches — both caches poisoned, then the
-        // batch path and the direct path must both recover their locks and
+        // Phase 1: storm between batches — the memo poisoned, then the
+        // batch path and the direct path must both recover its lock and
         // come back bit-identical.
         for round in 0..20 {
             engine.poison_caches();
@@ -303,18 +268,18 @@ mod cache_poison_storm {
                 "direct path diverged after storm round {round}"
             );
         }
-        // Every job merged its two dirty DBCs, and both caches answered
-        // again after their poisoned locks were recovered.
+        // Every job merged its two dirty DBCs, and the memo answered
+        // again after its poisoned lock was recovered.
         let phase1 = engine.stats();
         assert_eq!(phase1.dbc_inherited, 20 * 24 * 2, "{phase1:?}");
         assert!(
-            phase1.dbc_cache_hits > 0 && phase1.subseq_cache_hits > 0,
-            "the storm never reached a cache: {phase1:?}"
+            phase1.dbc_cache_hits > 0,
+            "the storm never reached the memo: {phase1:?}"
         );
 
         // Phase 2: storm *concurrent* with the batches — a poisoner thread
-        // hammers both cache locks while the batches evaluate; recovery
-        // then happens mid-flight.
+        // hammers the memo lock while the batches evaluate; recovery then
+        // happens mid-flight.
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {

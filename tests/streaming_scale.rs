@@ -96,7 +96,7 @@ fn solve_streamed_under(target: usize, evals: u64, budget_bytes: usize) {
     reset_peak();
     let index = PositionIndex::from_stream(&w);
     let index_bytes = index.heap_bytes();
-    let engine = FitnessEngine::from_compact_index(index, cost).with_memo(false);
+    let engine = FitnessEngine::from_compact_index(index, cost);
     let out =
         random_walk::run_budgeted(&engine, dbcs, capacity, 0x5CA1E, Budget::evals(evals), None)
             .expect("workload fits the chosen geometry");
