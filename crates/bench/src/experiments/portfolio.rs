@@ -5,11 +5,14 @@
 //!
 //! For every selected benchmark the experiment sweeps two geometry axes —
 //! port counts at one subarray, then subarray counts at one port — and for
-//! each eval budget races the full four-lane portfolio (SA / tabu / GA /
-//! random walk, all seeded with the composite heuristics). One race yields
-//! *both* the per-lane quality (lanes are independent under an eval
-//! budget) and the portfolio quality, plus the incumbent's time-to-best
-//! trace.
+//! each eval budget races every lane kind ([`LaneSpec::ALL`]: SA / tabu /
+//! GA / random walk, all seeded with the composite heuristics), not just
+//! the default race, because the record exists to judge every lane. One
+//! race yields *both* the per-lane quality and time (lanes are independent
+//! under an eval budget) and the portfolio quality, plus the incumbent's
+//! time-to-best trace. The default budgets include the daemon's served
+//! 200 evals. Per budget, the summary counts each lane's wins and its share
+//! of the summed lane time: the evidence behind [`LaneSpec::DEFAULT`].
 //!
 //! Two invariants are asserted at collection time:
 //!
@@ -23,7 +26,7 @@ use crate::{geomean_nonzero, ExperimentOpts, Table};
 use rtm_arch::{ArrayGeometry, RtmGeometry};
 use rtm_offsetstone::suite;
 use rtm_placement::{
-    Budget, FitnessEngine, Placement, PlacementProblem, Portfolio, PortfolioConfig,
+    Budget, FitnessEngine, LaneSpec, Placement, PlacementProblem, Portfolio, PortfolioConfig,
     PortfolioOutcome, Strategy,
 };
 use rtm_serve::json::{Fixed, Writer};
@@ -39,6 +42,8 @@ pub struct LaneQuality {
     pub evals: u64,
     /// Wall milliseconds to the lane's best.
     pub time_to_best_ms: f64,
+    /// Wall milliseconds the lane ran.
+    pub elapsed_ms: f64,
 }
 
 /// One (benchmark, geometry, budget) measurement.
@@ -81,9 +86,9 @@ pub fn budgets(opts: &ExperimentOpts) -> Vec<u64> {
     if !opts.budgets.is_empty() {
         opts.budgets.clone()
     } else if opts.quick {
-        vec![500, 2_000]
+        vec![200, 2_000]
     } else {
-        vec![5_000, 20_000, 50_000]
+        vec![200, 5_000, 20_000, 50_000]
     }
 }
 
@@ -134,7 +139,9 @@ fn measure(run: &GeometryRun<'_>, budget: u64, opts: &ExperimentOpts) -> Row {
         heuristic,
         array,
     } = *run;
-    let cfg = PortfolioConfig::new(Budget::evals(budget)).with_seed(opts.seed);
+    let cfg = PortfolioConfig::new(Budget::evals(budget))
+        .with_seed(opts.seed)
+        .with_lanes(LaneSpec::ALL.to_vec());
     let out: PortfolioOutcome = Portfolio::new(cfg)
         .with_subarrays(problem.subarrays())
         .run_with_engine(engine, problem.dbcs(), problem.capacity(), seeds)
@@ -151,11 +158,16 @@ fn measure(run: &GeometryRun<'_>, budget: u64, opts: &ExperimentOpts) -> Row {
                 cost: o.cost,
                 evals: o.evals,
                 time_to_best_ms: o.time_to_best.as_secs_f64() * 1e3,
+                elapsed_ms: o.elapsed.as_secs_f64() * 1e3,
             }
         })
         .collect();
     let best = out.best();
-    let lane_min = lanes.iter().map(|l| l.cost).min().expect("4 lanes");
+    let lane_min = lanes
+        .iter()
+        .map(|l| l.cost)
+        .min()
+        .expect("a race has lanes");
     assert_eq!(
         best.cost, lane_min,
         "{name}: portfolio lost to one of its own lanes"
@@ -260,6 +272,87 @@ pub fn point_counts(rows: &[Row]) -> Vec<((usize, usize), usize)> {
     counts
 }
 
+/// One budget's aggregate over the races of the summary benchmarks
+/// ([`benchmark_intersection`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BudgetSummary {
+    /// Per-lane eval budget.
+    pub budget: u64,
+    /// Races at this budget.
+    pub races: usize,
+    /// Geomean of portfolio cost over the best heuristic's (zero-cost
+    /// ratios left out and counted in `zero_rows`).
+    pub geomean_vs_best_heuristic: f64,
+    /// Races whose ratio was zero.
+    pub zero_rows: usize,
+    /// Races the portfolio won outright against the best heuristic.
+    pub portfolio_wins: usize,
+    /// `(lane, races it won)`, in [`LaneSpec::ALL`] order.
+    pub lane_wins: Vec<(&'static str, usize)>,
+    /// `(lane, share of the summed lane time)`, in the same order.
+    pub lane_time_share: Vec<(&'static str, f64)>,
+}
+
+/// Summarizes each budget over the summary benchmarks, in budget order;
+/// a budget with no such race is left out.
+pub fn summarize(rows: &[Row], opts: &ExperimentOpts) -> Vec<BudgetSummary> {
+    let inter = benchmark_intersection(rows);
+    let mut out = Vec::new();
+    for budget in budgets(opts) {
+        let sel: Vec<&Row> = rows
+            .iter()
+            .filter(|r| r.budget == budget && inter.contains(&r.benchmark))
+            .collect();
+        if sel.is_empty() {
+            continue;
+        }
+        let ratios: Vec<f64> = sel
+            .iter()
+            .map(|r| r.portfolio_cost as f64 / r.best_heuristic.1.max(1) as f64)
+            .collect();
+        let (geomean, zero_rows) = geomean_nonzero(&ratios);
+        let lane_ms = |name: &str| -> f64 {
+            sel.iter()
+                .flat_map(|r| &r.lanes)
+                .filter(|l| l.name == name)
+                .map(|l| l.elapsed_ms)
+                .sum()
+        };
+        let total_ms: f64 = LaneSpec::ALL.iter().map(|l| lane_ms(l.name())).sum();
+        out.push(BudgetSummary {
+            budget,
+            races: sel.len(),
+            geomean_vs_best_heuristic: geomean,
+            zero_rows,
+            portfolio_wins: sel
+                .iter()
+                .filter(|r| r.portfolio_cost < r.best_heuristic.1)
+                .count(),
+            lane_wins: LaneSpec::ALL
+                .iter()
+                .map(|l| {
+                    (
+                        l.name(),
+                        sel.iter().filter(|r| r.winner == l.name()).count(),
+                    )
+                })
+                .collect(),
+            lane_time_share: LaneSpec::ALL
+                .iter()
+                .map(|l| {
+                    let share = if total_ms > 0.0 {
+                        lane_ms(l.name()) / total_ms
+                    } else {
+                        0.0
+                    };
+                    (l.name(), share)
+                })
+                .collect(),
+        });
+    }
+    out
+}
+
 /// Renders the JSON record (`BENCH_search.json`).
 pub fn to_json(rows: &[Row], skipped: &[String], opts: &ExperimentOpts) -> String {
     let mut w = Writer::pretty();
@@ -284,8 +377,30 @@ pub fn to_json(rows: &[Row], skipped: &[String], opts: &ExperimentOpts) -> Strin
     w.end()
         .key("summary_benchmarks")
         .values(benchmark_intersection(rows))
-        .key("rows")
+        .key("summary")
         .array();
+    for b in summarize(rows, opts) {
+        w.object()
+            .field("budget", b.budget)
+            .field("races", b.races)
+            .field(
+                "geomean_vs_best_heuristic",
+                Fixed(b.geomean_vs_best_heuristic, 4),
+            )
+            .field("zero_rows", b.zero_rows)
+            .field("portfolio_wins", b.portfolio_wins)
+            .key("lane_wins")
+            .object();
+        for (lane, wins) in &b.lane_wins {
+            w.field(lane, *wins);
+        }
+        w.end().key("lane_time_share").object();
+        for (lane, share) in &b.lane_time_share {
+            w.field(lane, Fixed(*share, 4));
+        }
+        w.end().end();
+    }
+    w.end().key("rows").array();
     for r in rows {
         w.object()
             .field("benchmark", r.benchmark)
@@ -300,6 +415,7 @@ pub fn to_json(rows: &[Row], skipped: &[String], opts: &ExperimentOpts) -> Strin
                 .field("cost", l.cost)
                 .field("evals", l.evals)
                 .field("time_to_best_ms", Fixed(l.time_to_best_ms, 3))
+                .field("elapsed_ms", Fixed(l.elapsed_ms, 3))
                 .end();
         }
         w.end()
@@ -367,8 +483,9 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
     }
 
     // Summary: per budget, the geomean of portfolio cost over the best
-    // heuristic (zero-shift runs counted explicitly, never clamped). Only
-    // benchmarks present at every geometry point contribute — skipped
+    // heuristic (zero-shift runs counted explicitly, never clamped), the
+    // races each lane won and each lane's share of the summed lane time.
+    // Only benchmarks present at every geometry point contribute — skipped
     // points would otherwise make the per-budget mixes incomparable.
     let inter = benchmark_intersection(&rows);
     let excluded: Vec<&str> = rows
@@ -386,39 +503,35 @@ pub fn run(opts: &ExperimentOpts) -> ExperimentResult {
             excluded.join(", ")
         );
     }
-    let mut summary = Table::new(vec![
-        "budget".into(),
-        "benchmarks".into(),
-        "races".into(),
-        "geomean_vs_best_heuristic".into(),
-        "zero_rows".into(),
-        "portfolio_wins".into(),
-    ]);
-    for budget in budgets(opts) {
-        let sel: Vec<&Row> = rows
-            .iter()
-            .filter(|r| r.budget == budget && inter.contains(&r.benchmark))
-            .collect();
-        if sel.is_empty() {
-            continue;
-        }
-        let ratios: Vec<f64> = sel
-            .iter()
-            .map(|r| r.portfolio_cost as f64 / r.best_heuristic.1.max(1) as f64)
-            .collect();
-        let (gm, zeros) = geomean_nonzero(&ratios);
-        let wins = sel
-            .iter()
-            .filter(|r| r.portfolio_cost < r.best_heuristic.1)
-            .count();
-        summary.row(vec![
-            budget.to_string(),
+    let mut header: Vec<String> = [
+        "budget",
+        "benchmarks",
+        "races",
+        "geomean_vs_best_heuristic",
+        "zero_rows",
+        "portfolio_wins",
+    ]
+    .map(String::from)
+    .to_vec();
+    header.extend(LaneSpec::ALL.iter().map(|l| format!("{l}_wins")));
+    header.extend(LaneSpec::ALL.iter().map(|l| format!("{l}_time_share")));
+    let mut summary = Table::new(header);
+    for b in summarize(&rows, opts) {
+        let mut cells = vec![
+            b.budget.to_string(),
             inter.len().to_string(),
-            sel.len().to_string(),
-            format!("{gm:.4}"),
-            zeros.to_string(),
-            format!("{wins}/{}", sel.len()),
-        ]);
+            b.races.to_string(),
+            format!("{:.4}", b.geomean_vs_best_heuristic),
+            b.zero_rows.to_string(),
+            format!("{}/{}", b.portfolio_wins, b.races),
+        ];
+        cells.extend(b.lane_wins.iter().map(|(_, wins)| wins.to_string()));
+        cells.extend(
+            b.lane_time_share
+                .iter()
+                .map(|(_, share)| format!("{share:.4}")),
+        );
+        summary.row(cells);
     }
 
     ExperimentResult {
@@ -455,7 +568,9 @@ mod tests {
         assert_eq!(rows.len(), 6);
         assert!(skipped.is_empty(), "dct fits every point: {skipped:?}");
         for r in &rows {
-            assert_eq!(r.lanes.len(), 4);
+            // Every lane kind races, the random walk included.
+            let names: Vec<&str> = r.lanes.iter().map(|l| l.name).collect();
+            assert_eq!(names, ["sa", "tabu", "ga", "rw"]);
             assert_eq!(
                 r.portfolio_cost,
                 r.lanes.iter().map(|l| l.cost).min().unwrap()
@@ -463,12 +578,30 @@ mod tests {
             assert!(r.portfolio_cost <= r.best_heuristic.1);
             for l in &r.lanes {
                 assert!(l.evals <= r.budget, "{} overran its budget", l.name);
+                assert!(l.elapsed_ms >= l.time_to_best_ms, "{}", l.name);
             }
+        }
+        // One summary per budget: the lane wins add up to the races, and
+        // the lane time shares to one.
+        let summary = summarize(&rows, &opts);
+        assert_eq!(
+            summary.iter().map(|b| b.budget).collect::<Vec<_>>(),
+            opts.budgets
+        );
+        for b in &summary {
+            assert_eq!(b.races, 3);
+            assert_eq!(b.lane_wins.iter().map(|(_, n)| n).sum::<usize>(), b.races);
+            let share: f64 = b.lane_time_share.iter().map(|(_, s)| s).sum();
+            assert!((share - 1.0).abs() < 1e-9, "time shares sum to {share}");
         }
         let json = to_json(&rows, &skipped, &opts);
         assert!(json.contains("\"experiment\": \"search\""));
         assert!(json.contains("\"portfolio\""));
         assert!(json.contains("\"best_heuristic\""));
+        assert!(json.contains("\"elapsed_ms\": "));
+        assert!(json.contains("\"summary\": ["));
+        assert!(json.contains("\"lane_wins\": {\"sa\": "));
+        assert!(json.contains("\"lane_time_share\": {\"sa\": "));
         rtm_serve::json::validate(&json).unwrap_or_else(|e| panic!("invalid JSON: {e}\n{json}"));
     }
 
@@ -527,9 +660,9 @@ mod tests {
             quick: true,
             ..ExperimentOpts::default()
         };
-        assert_eq!(budgets(&opts), vec![500, 2_000]);
+        assert_eq!(budgets(&opts), vec![200, 2_000]);
         opts.quick = false;
-        assert_eq!(budgets(&opts), vec![5_000, 20_000, 50_000]);
+        assert_eq!(budgets(&opts), vec![200, 5_000, 20_000, 50_000]);
         opts.budgets = vec![7];
         assert_eq!(budgets(&opts), vec![7]);
     }

@@ -1,8 +1,8 @@
 //! `smp` — the portfolio race swept over worker counts; writes
 //! `BENCH_smp.json`.
 //!
-//! Per configuration, a seed-fixed, evals-budgeted portfolio race (SA,
-//! tabu, GA, RW) on the representative benchmark, compared bit-for-bit
+//! Per configuration, a seed-fixed, evals-budgeted default portfolio race
+//! (SA, tabu, GA) on the representative benchmark, compared bit-for-bit
 //! with the serial (1 worker) baseline at collection time. The race is
 //! deterministic because lanes are seeded independently and the winner is
 //! picked by (cost, lane index), never arrival time. Racing lanes is the

@@ -19,7 +19,8 @@
 //!
 //! All binaries accept `--quick` (reduced GA/RW budgets), `--dbcs 2,4,8,16`,
 //! `--seed N`, `--benchmarks a,b,c` and write CSV next to the printed table
-//! under `target/experiments/`. Fig. 4/5/6 and latency place benchmarks
+//! under `target/experiments/`; `--help` lists every flag ([`USAGE`]), and
+//! an invalid flag exits 2 with one `error: …` line. Fig. 4/5/6 and latency place benchmarks
 //! that exceed one 4 KiB subarray across multiple paper-faithful subarrays
 //! by default; `--legacy-spill` restores the historical grown-track
 //! behavior as an explicit baseline.
@@ -32,6 +33,6 @@ mod opts;
 mod stats;
 mod table;
 
-pub use opts::ExperimentOpts;
+pub use opts::{ExperimentOpts, OptsError, USAGE};
 pub use stats::{geomean, geomean_nonzero, mean};
 pub use table::Table;

@@ -1,27 +1,33 @@
 use rtm_placement::{GaConfig, RandomWalkConfig};
+use std::fmt;
+use std::io::Write;
 use std::path::PathBuf;
+use std::str::FromStr;
+
+/// The flag list `--help` prints, and an invalid argument prints after its
+/// error line.
+pub const USAGE: &str = "\
+options (every experiment binary accepts all of them):
+  --quick              reduced budgets and sweeps for smoke runs
+  --dbcs 2,4,8,16      DBC configurations to sweep
+  --ports 1,2,4        access-port counts to sweep (ports, portfolio)
+  --subarrays 1,2,4    subarray counts to sweep (capacity, portfolio)
+  --budgets 200,5000   per-lane eval budgets to sweep (portfolio)
+  --workers 1,2,4      engine worker counts to sweep (smp)
+  --threads N          the daemon's worker count (serve; 0 = all cores)
+  --legacy-spill       grow tracks instead of adding subarrays (fig4-6, latency)
+  --multi-seq          every access sequence of a benchmark, not only the canonical one
+  --seed N             base RNG seed (default 1)
+  --benchmarks a,b     restrict the benchmark set
+  --generations N      GA generations override (ga_convergence)
+  --out DIR            output directory (default target/experiments)
+  --help               print this list and exit
+";
 
 /// Command-line options shared by every experiment binary.
 ///
-/// Parsed by hand (flags only, no external dependency):
-///
-/// * `--quick` — reduced GA/RW budgets for smoke runs;
-/// * `--dbcs 2,4,8,16` — DBC configurations to sweep;
-/// * `--ports 1,2,4` — access-port counts to sweep (`ports` experiment);
-/// * `--subarrays 1,2,4` — subarray counts to sweep (`capacity`
-///   experiment);
-/// * `--budgets 5000,20000,50000` — eval budgets to sweep (`portfolio`
-///   experiment);
-/// * `--workers 1,2,4` — engine worker counts to sweep (`smp` experiment);
-/// * `--threads N` — the daemon's worker count (`serve`; `0` = all
-///   cores);
-/// * `--legacy-spill` — revert Fig. 4/5/6 and latency to the historical
-///   grown-track behavior instead of the capacity-aware multi-subarray
-///   path (kept as an explicit comparison baseline);
-/// * `--seed N` — base RNG seed;
-/// * `--benchmarks gzip,dct` — restrict the benchmark set;
-/// * `--generations N` — GA generations override (`ga_convergence`);
-/// * `--out DIR` — output directory (default `target/experiments`).
+/// Parsed by hand (flags only, no external dependency); [`USAGE`] lists
+/// the flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentOpts {
     /// DBC configurations to sweep.
@@ -56,6 +62,59 @@ pub struct ExperimentOpts {
     pub out_dir: PathBuf,
 }
 
+/// Why [`ExperimentOpts::from_iter`] returned no options.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OptsError {
+    /// `--help` (or `-h`) was given: print [`USAGE`] and exit 0.
+    Help,
+    /// An unknown flag, a flag without its value, or a malformed value.
+    Invalid(String),
+}
+
+impl fmt::Display for OptsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OptsError::Help => f.write_str("help requested"),
+            OptsError::Invalid(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for OptsError {}
+
+/// A comma-separated list of integers.
+fn list<T: FromStr>(flag: &str, value: &str) -> Result<Vec<T>, OptsError> {
+    value
+        .split(',')
+        .map(|s| {
+            s.trim()
+                .parse()
+                .map_err(|_| OptsError::Invalid(format!("{flag} takes integers")))
+        })
+        .collect()
+}
+
+/// A comma-separated list of integers, each at least 1.
+fn positive_list<T: FromStr + PartialOrd + From<u8>>(
+    flag: &str,
+    value: &str,
+) -> Result<Vec<T>, OptsError> {
+    let values: Vec<T> = list(flag, value)?;
+    if values.iter().any(|v| *v < T::from(1)) {
+        return Err(OptsError::Invalid(format!(
+            "{flag} takes positive integers"
+        )));
+    }
+    Ok(values)
+}
+
+/// One integer.
+fn integer<T: FromStr>(flag: &str, value: &str) -> Result<T, OptsError> {
+    value
+        .parse()
+        .map_err(|_| OptsError::Invalid(format!("{flag} takes an integer")))
+}
+
 impl Default for ExperimentOpts {
     fn default() -> Self {
         Self {
@@ -77,101 +136,70 @@ impl Default for ExperimentOpts {
 }
 
 impl ExperimentOpts {
-    /// Parses `std::env::args`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments (acceptable for
-    /// an experiment binary).
+    /// Parses `std::env::args`. `--help` prints [`USAGE`] on stdout and
+    /// exits 0; an invalid argument prints one `error: …` line and the
+    /// usage on stderr and exits 2.
     pub fn from_args() -> Self {
-        Self::from_iter(std::env::args().skip(1))
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        let name = std::path::Path::new(&program)
+            .file_name()
+            .map_or(program.as_str(), |n| n.to_str().unwrap_or("experiment"));
+        let usage = format!("usage: {name} [options]\n{USAGE}");
+        match Self::from_iter(args) {
+            Ok(opts) => opts,
+            Err(OptsError::Help) => {
+                // A closed stdout (`--help | head -1`) is still a clean exit.
+                let _ = std::io::stdout().write_all(usage.as_bytes());
+                std::process::exit(0)
+            }
+            Err(err) => {
+                eprint!("error: {err}\n{usage}");
+                std::process::exit(2)
+            }
+        }
     }
 
     /// Parses an explicit argument list (testable core of
     /// [`from_args`](Self::from_args)).
+    ///
+    /// # Errors
+    ///
+    /// [`OptsError::Help`] for `--help`/`-h`, [`OptsError::Invalid`] for an
+    /// unknown flag, a flag missing its value, or a malformed value.
     #[allow(clippy::should_implement_trait)] // not a collection conversion
-    pub fn from_iter<I: IntoIterator<Item = String>>(args: I) -> Self {
+    pub fn from_iter<I: IntoIterator<Item = String>>(args: I) -> Result<Self, OptsError> {
         let mut opts = Self::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
-            let mut value = |flag: &str| -> String {
+            let mut value = |flag: &str| -> Result<String, OptsError> {
                 it.next()
-                    .unwrap_or_else(|| panic!("{flag} requires a value"))
+                    .ok_or_else(|| OptsError::Invalid(format!("{flag} requires a value")))
             };
             match arg.as_str() {
+                "--help" | "-h" => return Err(OptsError::Help),
                 "--quick" => opts.quick = true,
                 "--multi-seq" => opts.multi_seq = true,
                 "--legacy-spill" => opts.legacy_spill = true,
-                "--subarrays" => {
-                    opts.subarrays = value("--subarrays")
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("--subarrays takes integers"))
-                        .collect();
-                    assert!(
-                        !opts.subarrays.is_empty() && opts.subarrays.iter().all(|&s| s >= 1),
-                        "--subarrays takes positive integers"
-                    );
-                }
-                "--budgets" => {
-                    opts.budgets = value("--budgets")
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("--budgets takes integers"))
-                        .collect();
-                    assert!(
-                        !opts.budgets.is_empty() && opts.budgets.iter().all(|&b| b >= 1),
-                        "--budgets takes positive integers"
-                    );
-                }
-                "--dbcs" => {
-                    opts.dbcs = value("--dbcs")
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("--dbcs takes integers"))
-                        .collect();
-                }
-                "--ports" => {
-                    opts.ports = value("--ports")
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("--ports takes integers"))
-                        .collect();
-                    assert!(
-                        !opts.ports.is_empty() && opts.ports.iter().all(|&p| p >= 1),
-                        "--ports takes positive integers"
-                    );
-                }
-                "--workers" => {
-                    opts.workers = value("--workers")
-                        .split(',')
-                        .map(|s| s.trim().parse().expect("--workers takes integers"))
-                        .collect();
-                    assert!(
-                        !opts.workers.is_empty() && opts.workers.iter().all(|&w| w >= 1),
-                        "--workers takes positive integers"
-                    );
-                }
-                "--threads" => {
-                    opts.threads = value("--threads")
-                        .parse()
-                        .expect("--threads takes an integer");
-                }
-                "--seed" => opts.seed = value("--seed").parse().expect("--seed takes an integer"),
+                "--subarrays" => opts.subarrays = positive_list(&arg, &value(&arg)?)?,
+                "--budgets" => opts.budgets = positive_list(&arg, &value(&arg)?)?,
+                "--dbcs" => opts.dbcs = list(&arg, &value(&arg)?)?,
+                "--ports" => opts.ports = positive_list(&arg, &value(&arg)?)?,
+                "--workers" => opts.workers = positive_list(&arg, &value(&arg)?)?,
+                "--threads" => opts.threads = integer(&arg, &value(&arg)?)?,
+                "--seed" => opts.seed = integer(&arg, &value(&arg)?)?,
                 "--benchmarks" => {
-                    opts.benchmarks = value("--benchmarks")
+                    opts.benchmarks = value(&arg)?
                         .split(',')
                         .map(|s| s.trim().to_owned())
                         .collect();
                 }
-                "--generations" => {
-                    opts.generations = Some(
-                        value("--generations")
-                            .parse()
-                            .expect("--generations takes an integer"),
-                    );
-                }
-                "--out" => opts.out_dir = PathBuf::from(value("--out")),
-                other => panic!("unknown argument `{other}`"),
+                "--generations" => opts.generations = Some(integer(&arg, &value(&arg)?)?),
+                "--out" => opts.out_dir = PathBuf::from(value(&arg)?),
+                other => return Err(OptsError::Invalid(format!("unknown argument `{other}`"))),
             }
         }
-        opts
+        Ok(opts)
     }
 
     /// The GA budget implied by the options: the paper's configuration, or
@@ -209,8 +237,13 @@ impl ExperimentOpts {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> ExperimentOpts {
+    fn try_parse(args: &[&str]) -> Result<ExperimentOpts, OptsError> {
         ExperimentOpts::from_iter(args.iter().map(|s| s.to_string()))
+    }
+
+    /// Parses or panics with the error's message.
+    fn parse(args: &[&str]) -> ExperimentOpts {
+        try_parse(args).unwrap_or_else(|e| panic!("{e}"))
     }
 
     #[test]
@@ -318,5 +351,46 @@ mod tests {
     #[should_panic(expected = "unknown argument")]
     fn rejects_unknown() {
         parse(&["--bogus"]);
+    }
+
+    #[test]
+    fn help_asks_for_the_usage() {
+        assert_eq!(try_parse(&["--help"]), Err(OptsError::Help));
+        assert_eq!(try_parse(&["--quick", "-h"]), Err(OptsError::Help));
+        assert!(USAGE.contains("--budgets") && USAGE.contains("--help"));
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error() {
+        assert_eq!(
+            try_parse(&["--bogus"]),
+            Err(OptsError::Invalid("unknown argument `--bogus`".into()))
+        );
+    }
+
+    #[test]
+    fn zero_budget_is_an_error() {
+        assert_eq!(
+            try_parse(&["--budgets", "0"]),
+            Err(OptsError::Invalid(
+                "--budgets takes positive integers".into()
+            ))
+        );
+        assert_eq!(
+            try_parse(&["--budgets", "200,x"]),
+            Err(OptsError::Invalid("--budgets takes integers".into()))
+        );
+    }
+
+    #[test]
+    fn missing_value_is_an_error() {
+        assert_eq!(
+            try_parse(&["--quick", "--seed"]),
+            Err(OptsError::Invalid("--seed requires a value".into()))
+        );
+        assert_eq!(
+            try_parse(&["--seed", "x"]),
+            Err(OptsError::Invalid("--seed takes an integer".into()))
+        );
     }
 }

@@ -114,7 +114,7 @@ OPTIONS:
     --budget-ms N     wall-clock budget in milliseconds for sa/tabu/portfolio
                       (combinable with --budget-evals; whichever fires first)
     --budget-stall N  stop after N evals without improvement (sa/tabu/portfolio)
-    --lanes L,L,...   portfolio lanes from sa,tabu,ga,rw (default all four)
+    --lanes L,L,...   portfolio lanes from sa,tabu,ga,rw (default sa,tabu,ga)
     --seed N          RNG seed for sa/tabu/portfolio (fixed defaults otherwise)
     --threads N       workers that run the portfolio's lanes side by side, on
                       both the materialized and --stream paths (default: all

@@ -21,8 +21,8 @@
 //! * [`random_walk`] — the random-walk search used to put GA results in
 //!   perspective.
 //! * [`search`] — the anytime layer: [`Budget`]-driven simulated annealing
-//!   and tabu search, and the [`Portfolio`] racing SA / tabu / GA / RW
-//!   lanes against a deadline with a shared incumbent.
+//!   and tabu search, and the [`Portfolio`] racing SA / tabu / GA lanes
+//!   (RW on request) against a deadline with a shared incumbent.
 //! * [`Strategy`] / [`PlacementProblem`] — the six named configurations of
 //!   the evaluation (§IV-A): `AFD-OFU`, `DMA-OFU`, `DMA-Chen`, `DMA-SR`,
 //!   `GA`, `RW` — plus the anytime `SA`, `Tabu` and `Portfolio`

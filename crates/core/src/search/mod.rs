@@ -13,8 +13,8 @@
 //!   move touches are re-costed);
 //! * [`TabuSearch`] — best-of-sampled-neighborhood local search with a
 //!   recency tabu list and aspiration;
-//! * [`Portfolio`] — races N configurable lanes (SA / tabu / GA /
-//!   random walk) as work items on the engine's shared
+//! * [`Portfolio`] — races N configurable lanes (SA / tabu / GA by
+//!   default, the random walk on request) as work items on the engine's shared
 //!   [`WorkerPool`](crate::pool::WorkerPool), with a shared
 //!   [`RaceControl`] incumbent and per-lane deterministic seed streams.
 //!

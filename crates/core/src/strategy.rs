@@ -113,7 +113,7 @@ strategy_registry! {
     },
     Portfolio {
         name: "Portfolio", cli: "portfolio", evaluated: false,
-        desc: "races --lanes (sa,tabu,ga,rw) against one budget, shared incumbent"
+        desc: "races --lanes (default sa,tabu,ga; or rw) against one budget, shared incumbent"
     },
 }
 

@@ -22,6 +22,13 @@ const PAPER_SEQ: &str = "a b a b c a c a d d a i e f e f g e g h g i h i";
 /// `deadline + grace` bound.
 const SLACK: Duration = Duration::from_secs(2);
 
+/// A race of every lane kind ([`LaneSpec::ALL`], four lanes): the schedules
+/// below fault lanes 0–3, the random walk included, which the default race
+/// leaves out.
+fn every_lane(budget: Budget) -> PortfolioConfig {
+    PortfolioConfig::new(budget).with_lanes(LaneSpec::ALL.to_vec())
+}
+
 fn engine_and_seeds(
     seq: &AccessSequence,
     dbcs: usize,
@@ -40,7 +47,7 @@ fn best_equals_the_best_surviving_lane_standalone() {
     let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
     let (engine, seeds) = engine_and_seeds(&seq, 2, 8);
     let budget = Budget::evals(800);
-    let cfg = PortfolioConfig::new(budget).with_seed(11);
+    let cfg = every_lane(budget).with_seed(11);
     let plan = FaultPlan::new()
         .inject(2, Fault::PanicAfterEvals(40))
         .inject(3, Fault::PanicAfterEvals(25));
@@ -84,7 +91,7 @@ fn all_lanes_dead_before_publishing_is_no_surviving_lane() {
     for lane in 0..4 {
         plan = plan.inject(lane, Fault::PanicAfterEvals(1));
     }
-    let err = Portfolio::new(PortfolioConfig::new(Budget::evals(500)))
+    let err = Portfolio::new(every_lane(Budget::evals(500)))
         .with_faults(plan)
         .run_with_engine(&engine, 2, 512, &seeds)
         .unwrap_err();
@@ -106,7 +113,7 @@ fn all_lanes_dead_after_publishing_degrades_to_the_incumbent() {
     for lane in 0..4 {
         plan = plan.inject(lane, Fault::PanicAfterEvals(60));
     }
-    let out = Portfolio::new(PortfolioConfig::new(Budget::evals(2_000)).with_seed(4))
+    let out = Portfolio::new(every_lane(Budget::evals(2_000)).with_seed(4))
         .with_faults(plan)
         .run_with_engine(&engine, 2, 512, &seeds)
         .unwrap();
@@ -128,7 +135,7 @@ fn all_lanes_dead_after_publishing_degrades_to_the_incumbent() {
 fn stalls_and_poisoning_do_not_perturb_deterministic_results() {
     let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
     let (engine, seeds) = engine_and_seeds(&seq, 2, 8);
-    let cfg = PortfolioConfig::new(Budget::evals(600)).with_seed(5);
+    let cfg = every_lane(Budget::evals(600)).with_seed(5);
     let clean = Portfolio::new(cfg.clone())
         .run_with_engine(&engine, 2, 8, &seeds)
         .unwrap();
@@ -159,7 +166,7 @@ fn deadline_holds_under_every_fault_kind() {
     let seq = AccessSequence::parse(PAPER_SEQ).unwrap();
     let (engine, seeds) = engine_and_seeds(&seq, 2, 512);
     let deadline = Duration::from_millis(50);
-    let cfg = PortfolioConfig::new(Budget::wall_clock(deadline));
+    let cfg = every_lane(Budget::wall_clock(deadline));
     let grace = cfg.grace;
     let plan = FaultPlan::new()
         .inject(1, Fault::PanicAfterEvals(30))
@@ -205,7 +212,7 @@ fn seeded_fault_schedules_always_yield_a_valid_placement() {
     let (engine, seeds) = engine_and_seeds(&seq, 2, 512);
     let deadline = Duration::from_millis(40);
     for fault_seed in 0..6u64 {
-        let cfg = PortfolioConfig::new(Budget::wall_clock(deadline)).with_seed(fault_seed);
+        let cfg = every_lane(Budget::wall_clock(deadline)).with_seed(fault_seed);
         let grace = cfg.grace;
         let started = Instant::now();
         let out = Portfolio::new(cfg)

@@ -100,7 +100,8 @@ pub struct PlaceRequest {
     pub budget_stall: Option<u64>,
     /// `--seed` equivalent.
     pub seed: Option<u64>,
-    /// `--lanes` equivalent (portfolio only).
+    /// `--lanes` equivalent (portfolio only; default sa,tabu,ga, and `rw`
+    /// may be named).
     pub lanes: Option<String>,
     /// Per-request deadline override (the server's default applies
     /// otherwise).

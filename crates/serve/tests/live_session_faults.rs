@@ -6,7 +6,7 @@
 #![cfg(feature = "faults")]
 
 use rtm_placement::search::faults::{Fault, FaultPlan};
-use rtm_placement::{Budget, LaneStatus, Portfolio, PortfolioConfig, Strategy};
+use rtm_placement::{Budget, LaneSpec, LaneStatus, Portfolio, PortfolioConfig, Strategy};
 use rtm_serve::cache::GeometryKey;
 use rtm_serve::report::deterministic_slice;
 use rtm_serve::server::{ServeConfig, Server};
@@ -92,7 +92,10 @@ fn lane_panics_on_a_warm_cached_engine_are_contained() {
     };
     let (session, session_hit) = cache.session(&entry, key);
     assert!(session_hit, "the daemon should have warmed this session");
-    let cfg = PortfolioConfig::new(Budget::evals(600)).with_seed(3);
+    // Every lane kind races, so lane 3 (the random walk) is there to fault.
+    let cfg = PortfolioConfig::new(Budget::evals(600))
+        .with_seed(3)
+        .with_lanes(LaneSpec::ALL.to_vec());
     let plan = FaultPlan::new()
         .inject(2, Fault::PanicAfterEvals(30))
         .inject(3, Fault::PanicAfterEvals(20));

@@ -68,7 +68,9 @@ fn reported_costs_reevaluate_under_the_naive_engine() {
 
 /// (b) + (d): each lane of a portfolio race is bit-identical to the
 /// standalone solver run with the same budget and the lane's derived seed,
-/// and the portfolio's best is exactly the lane minimum.
+/// and the portfolio's best is exactly the lane minimum. The race names
+/// every lane kind ([`LaneSpec::ALL`]), so the random walk, which the
+/// default race leaves out, stays pinned as a lane too.
 #[test]
 fn portfolio_lanes_match_standalone_solvers_bit_for_bit() {
     let dct = Benchmark::by_name("dct").unwrap().trace();
@@ -77,14 +79,16 @@ fn portfolio_lanes_match_standalone_solvers_bit_for_bit() {
     let problems = [array_problem(&dct, 4, 2, 1), array_problem(&paper, 2, 1, 2)];
     for problem in &problems {
         let budget = Budget::evals(600);
-        let cfg = PortfolioConfig::new(budget).with_seed(41);
+        let cfg = PortfolioConfig::new(budget)
+            .with_seed(41)
+            .with_lanes(LaneSpec::ALL.to_vec());
         let seeds = problem.heuristic_seeds();
         let engine = problem.engine();
         let race = Portfolio::new(cfg.clone())
             .with_subarrays(problem.subarrays())
             .run_with_engine(&engine, problem.dbcs(), problem.capacity(), &seeds)
             .unwrap();
-        assert_eq!(race.lanes.len(), 4);
+        assert_eq!(race.lanes.len(), LaneSpec::ALL.len());
         // Standalone re-runs, lane by lane.
         for (lane, outcome) in race.lanes.iter().enumerate() {
             let seed = cfg.lane_seed(lane);
@@ -221,7 +225,7 @@ fn fixed_seed_goldens_on_the_paper_trace() {
     assert_eq!((sa.shifts, sa.evals_consumed), (9, 1_500));
     assert_eq!((tabu.shifts, tabu.evals_consumed), (9, 1_500));
     assert_eq!(folio.shifts, 9);
-    assert_eq!(folio.evals_consumed, 6_000, "4 lanes x 1500 evals");
+    assert_eq!(folio.evals_consumed, 4_500, "3 lanes x 1500 evals");
     // And they are stable across repeated runs (same process, warm caches).
     let again = problem.solve(&Strategy::Sa(SaConfig::new(budget))).unwrap();
     assert_eq!(again.placement, sa.placement);
@@ -396,114 +400,98 @@ fn sa_and_tabu_trajectory_goldens_on_tier_traces() {
 }
 
 /// GA and random-walk rows in the layout of [`TIER_GOLDENS`]; runs are
-/// `ga`, `rw`, and the four lanes of a default portfolio race
-/// (`folio4/…`, the race's engine totals on each lane's row).
+/// `ga`, `rw`, and the three lanes of a default portfolio race
+/// (`folio3/…`, the race's engine totals on each lane's row).
 #[rustfmt::skip]
 const FRESH_CANDIDATE_GOLDENS: &[TierGolden] = &[
     ("expected-dsp", 4, 1, 200, "ga", 3925, 18306925200884332981, 100, 760, 0),
     ("expected-dsp", 4, 1, 200, "rw", 25269, 14917617959074612651, 152, 800, 0),
-    ("expected-dsp", 4, 1, 200, "folio4/sa", 3925, 18306925200884332981, 1, 2256, 2),
-    ("expected-dsp", 4, 1, 200, "folio4/tabu", 3925, 18306925200884332981, 1, 2256, 2),
-    ("expected-dsp", 4, 1, 200, "folio4/ga", 3925, 18306925200884332981, 100, 2256, 2),
-    ("expected-dsp", 4, 1, 200, "folio4/rw", 25666, 8958935417190201839, 42, 2256, 2),
+    ("expected-dsp", 4, 1, 200, "folio3/sa", 3925, 18306925200884332981, 1, 1456, 2),
+    ("expected-dsp", 4, 1, 200, "folio3/tabu", 3925, 18306925200884332981, 1, 1456, 2),
+    ("expected-dsp", 4, 1, 200, "folio3/ga", 3925, 18306925200884332981, 100, 1456, 2),
     ("expected-dsp", 4, 1, 2000, "ga", 3821, 13640832722720243587, 1700, 2797, 312),
     ("expected-dsp", 4, 1, 2000, "rw", 24378, 3117662486889249115, 778, 8000, 0),
-    ("expected-dsp", 4, 1, 2000, "folio4/sa", 3915, 3941301220952957911, 812, 17293, 234),
-    ("expected-dsp", 4, 1, 2000, "folio4/tabu", 3925, 18306925200884332981, 1, 17293, 234),
-    ("expected-dsp", 4, 1, 2000, "folio4/ga", 3803, 5509658167461155505, 1800, 17293, 234),
-    ("expected-dsp", 4, 1, 2000, "folio4/rw", 24908, 15668691124740925567, 273, 17293, 234),
+    ("expected-dsp", 4, 1, 2000, "folio3/sa", 3915, 3941301220952957911, 812, 9293, 234),
+    ("expected-dsp", 4, 1, 2000, "folio3/tabu", 3925, 18306925200884332981, 1, 9293, 234),
+    ("expected-dsp", 4, 1, 2000, "folio3/ga", 3803, 5509658167461155505, 1800, 9293, 234),
     ("expected-dsp", 4, 2, 200, "ga", 3925, 18306925200884332981, 100, 760, 0),
     ("expected-dsp", 4, 2, 200, "rw", 25061, 14917617959074612651, 152, 800, 0),
-    ("expected-dsp", 4, 2, 200, "folio4/sa", 3925, 18306925200884332981, 1, 2257, 2),
-    ("expected-dsp", 4, 2, 200, "folio4/tabu", 3789, 8351645367001667115, 200, 2257, 2),
-    ("expected-dsp", 4, 2, 200, "folio4/ga", 3925, 18306925200884332981, 100, 2257, 2),
-    ("expected-dsp", 4, 2, 200, "folio4/rw", 25536, 8958935417190201839, 42, 2257, 2),
+    ("expected-dsp", 4, 2, 200, "folio3/sa", 3925, 18306925200884332981, 1, 1457, 2),
+    ("expected-dsp", 4, 2, 200, "folio3/tabu", 3789, 8351645367001667115, 200, 1457, 2),
+    ("expected-dsp", 4, 2, 200, "folio3/ga", 3925, 18306925200884332981, 100, 1457, 2),
     ("expected-dsp", 4, 2, 2000, "ga", 3756, 6211828988214535867, 1800, 2739, 343),
     ("expected-dsp", 4, 2, 2000, "rw", 24346, 3117662486889249115, 778, 8000, 0),
-    ("expected-dsp", 4, 2, 2000, "folio4/sa", 3915, 3941301220952957911, 809, 17320, 372),
-    ("expected-dsp", 4, 2, 2000, "folio4/tabu", 3763, 1530916580205665117, 260, 17320, 372),
-    ("expected-dsp", 4, 2, 2000, "folio4/ga", 3769, 10646016046332653965, 2000, 17320, 372),
-    ("expected-dsp", 4, 2, 2000, "folio4/rw", 24880, 4986386211696446585, 1142, 17320, 372),
+    ("expected-dsp", 4, 2, 2000, "folio3/sa", 3915, 3941301220952957911, 809, 9320, 372),
+    ("expected-dsp", 4, 2, 2000, "folio3/tabu", 3763, 1530916580205665117, 260, 9320, 372),
+    ("expected-dsp", 4, 2, 2000, "folio3/ga", 3769, 10646016046332653965, 2000, 9320, 372),
     ("expected-dsp", 8, 1, 200, "ga", 1850, 1619651893498708131, 100, 1535, 0),
     ("expected-dsp", 8, 1, 200, "rw", 9678, 6871499412635606805, 55, 1600, 0),
-    ("expected-dsp", 8, 1, 200, "folio4/sa", 1850, 1619651893498708131, 1, 3821, 0),
-    ("expected-dsp", 8, 1, 200, "folio4/tabu", 1835, 12933700990669493813, 68, 3821, 0),
-    ("expected-dsp", 8, 1, 200, "folio4/ga", 1850, 1619651893498708131, 100, 3821, 0),
-    ("expected-dsp", 8, 1, 200, "folio4/rw", 9017, 13050136897315296183, 82, 3821, 0),
+    ("expected-dsp", 8, 1, 200, "folio3/sa", 1850, 1619651893498708131, 1, 2221, 0),
+    ("expected-dsp", 8, 1, 200, "folio3/tabu", 1835, 12933700990669493813, 68, 2221, 0),
+    ("expected-dsp", 8, 1, 200, "folio3/ga", 1850, 1619651893498708131, 100, 2221, 0),
     ("expected-dsp", 8, 1, 2000, "ga", 1703, 4929637846399127263, 2000, 4716, 455),
     ("expected-dsp", 8, 1, 2000, "rw", 9164, 7942425725956377261, 1535, 16000, 0),
-    ("expected-dsp", 8, 1, 2000, "folio4/sa", 1792, 3892424095081726961, 1724, 27369, 127),
-    ("expected-dsp", 8, 1, 2000, "folio4/tabu", 1759, 6669313332289202499, 1604, 27369, 127),
-    ("expected-dsp", 8, 1, 2000, "folio4/ga", 1799, 8649178752300116993, 2000, 27369, 127),
-    ("expected-dsp", 8, 1, 2000, "folio4/rw", 9017, 13050136897315296183, 82, 27369, 127),
+    ("expected-dsp", 8, 1, 2000, "folio3/sa", 1792, 3892424095081726961, 1724, 11369, 127),
+    ("expected-dsp", 8, 1, 2000, "folio3/tabu", 1759, 6669313332289202499, 1604, 11369, 127),
+    ("expected-dsp", 8, 1, 2000, "folio3/ga", 1799, 8649178752300116993, 2000, 11369, 127),
     ("expected-dsp", 8, 2, 200, "ga", 1850, 1619651893498708131, 100, 1533, 0),
     ("expected-dsp", 8, 2, 200, "rw", 9660, 6871499412635606805, 55, 1600, 0),
-    ("expected-dsp", 8, 2, 200, "folio4/sa", 1850, 1619651893498708131, 1, 3827, 0),
-    ("expected-dsp", 8, 2, 200, "folio4/tabu", 1818, 17848640896498416905, 132, 3827, 0),
-    ("expected-dsp", 8, 2, 200, "folio4/ga", 1850, 1619651893498708131, 100, 3827, 0),
-    ("expected-dsp", 8, 2, 200, "folio4/rw", 8995, 13050136897315296183, 82, 3827, 0),
+    ("expected-dsp", 8, 2, 200, "folio3/sa", 1850, 1619651893498708131, 1, 2227, 0),
+    ("expected-dsp", 8, 2, 200, "folio3/tabu", 1818, 17848640896498416905, 132, 2227, 0),
+    ("expected-dsp", 8, 2, 200, "folio3/ga", 1850, 1619651893498708131, 100, 2227, 0),
     ("expected-dsp", 8, 2, 2000, "ga", 1749, 13622863091170690049, 2000, 4571, 605),
     ("expected-dsp", 8, 2, 2000, "rw", 9152, 7942425725956377261, 1535, 16000, 0),
-    ("expected-dsp", 8, 2, 2000, "folio4/sa", 1837, 16389600277698972715, 1722, 27395, 434),
-    ("expected-dsp", 8, 2, 2000, "folio4/tabu", 1653, 12708722911693539825, 932, 27395, 434),
-    ("expected-dsp", 8, 2, 2000, "folio4/ga", 1782, 6105030551546719331, 1900, 27395, 434),
-    ("expected-dsp", 8, 2, 2000, "folio4/rw", 8995, 13050136897315296183, 82, 27395, 434),
+    ("expected-dsp", 8, 2, 2000, "folio3/sa", 1837, 16389600277698972715, 1722, 11395, 434),
+    ("expected-dsp", 8, 2, 2000, "folio3/tabu", 1653, 12708722911693539825, 932, 11395, 434),
+    ("expected-dsp", 8, 2, 2000, "folio3/ga", 1782, 6105030551546719331, 1900, 11395, 434),
     ("expected-ctl", 4, 1, 200, "ga", 7001, 16989116825300073689, 100, 761, 0),
     ("expected-ctl", 4, 1, 200, "rw", 33919, 2093575747100298981, 111, 800, 0),
-    ("expected-ctl", 4, 1, 200, "folio4/sa", 7001, 16989116825300073689, 1, 2278, 0),
-    ("expected-ctl", 4, 1, 200, "folio4/tabu", 7001, 16989116825300073689, 1, 2278, 0),
-    ("expected-ctl", 4, 1, 200, "folio4/ga", 7001, 16989116825300073689, 100, 2278, 0),
-    ("expected-ctl", 4, 1, 200, "folio4/rw", 33923, 11767888976707789779, 126, 2278, 0),
+    ("expected-ctl", 4, 1, 200, "folio3/sa", 7001, 16989116825300073689, 1, 1478, 0),
+    ("expected-ctl", 4, 1, 200, "folio3/tabu", 7001, 16989116825300073689, 1, 1478, 0),
+    ("expected-ctl", 4, 1, 200, "folio3/ga", 7001, 16989116825300073689, 100, 1478, 0),
     ("expected-ctl", 4, 1, 2000, "ga", 6753, 13050105903125560979, 2000, 2811, 359),
     ("expected-ctl", 4, 1, 2000, "rw", 31975, 5044326953412236381, 1841, 8000, 0),
-    ("expected-ctl", 4, 1, 2000, "folio4/sa", 7001, 16989116825300073689, 1, 17278, 186),
-    ("expected-ctl", 4, 1, 2000, "folio4/tabu", 7001, 16989116825300073689, 1, 17278, 186),
-    ("expected-ctl", 4, 1, 2000, "folio4/ga", 6921, 1081794579262640029, 2000, 17278, 186),
-    ("expected-ctl", 4, 1, 2000, "folio4/rw", 31494, 10263960873268061799, 1874, 17278, 186),
+    ("expected-ctl", 4, 1, 2000, "folio3/sa", 7001, 16989116825300073689, 1, 9278, 186),
+    ("expected-ctl", 4, 1, 2000, "folio3/tabu", 7001, 16989116825300073689, 1, 9278, 186),
+    ("expected-ctl", 4, 1, 2000, "folio3/ga", 6921, 1081794579262640029, 2000, 9278, 186),
     ("expected-ctl", 4, 2, 200, "ga", 7001, 16989116825300073689, 100, 761, 0),
     ("expected-ctl", 4, 2, 200, "rw", 33455, 2093575747100298981, 111, 800, 0),
-    ("expected-ctl", 4, 2, 200, "folio4/sa", 7001, 16989116825300073689, 1, 2275, 0),
-    ("expected-ctl", 4, 2, 200, "folio4/tabu", 7001, 16989116825300073689, 1, 2275, 0),
-    ("expected-ctl", 4, 2, 200, "folio4/ga", 7001, 16989116825300073689, 100, 2275, 0),
-    ("expected-ctl", 4, 2, 200, "folio4/rw", 33631, 11767888976707789779, 126, 2275, 0),
+    ("expected-ctl", 4, 2, 200, "folio3/sa", 7001, 16989116825300073689, 1, 1475, 0),
+    ("expected-ctl", 4, 2, 200, "folio3/tabu", 7001, 16989116825300073689, 1, 1475, 0),
+    ("expected-ctl", 4, 2, 200, "folio3/ga", 7001, 16989116825300073689, 100, 1475, 0),
     ("expected-ctl", 4, 2, 2000, "ga", 6793, 5372078395691726007, 1900, 2848, 269),
     ("expected-ctl", 4, 2, 2000, "rw", 31817, 5044326953412236381, 1841, 8000, 0),
-    ("expected-ctl", 4, 2, 2000, "folio4/sa", 6963, 11469958205381187325, 809, 17392, 273),
-    ("expected-ctl", 4, 2, 2000, "folio4/tabu", 7001, 16989116825300073689, 1, 17392, 273),
-    ("expected-ctl", 4, 2, 2000, "folio4/ga", 6855, 6742080090082071595, 2000, 17392, 273),
-    ("expected-ctl", 4, 2, 2000, "folio4/rw", 31278, 10263960873268061799, 1874, 17392, 273),
+    ("expected-ctl", 4, 2, 2000, "folio3/sa", 6963, 11469958205381187325, 809, 9392, 273),
+    ("expected-ctl", 4, 2, 2000, "folio3/tabu", 7001, 16989116825300073689, 1, 9392, 273),
+    ("expected-ctl", 4, 2, 2000, "folio3/ga", 6855, 6742080090082071595, 2000, 9392, 273),
     ("expected-ctl", 8, 1, 200, "ga", 3595, 2025026535896686959, 100, 1502, 0),
     ("expected-ctl", 8, 1, 200, "rw", 13559, 13882736701963595267, 74, 1600, 0),
-    ("expected-ctl", 8, 1, 200, "folio4/sa", 3595, 2025026535896686959, 1, 3820, 2),
-    ("expected-ctl", 8, 1, 200, "folio4/tabu", 3519, 12400768987306694759, 180, 3820, 2),
-    ("expected-ctl", 8, 1, 200, "folio4/ga", 3595, 2025026535896686959, 100, 3820, 2),
-    ("expected-ctl", 8, 1, 200, "folio4/rw", 14150, 8690175840193341239, 140, 3820, 2),
+    ("expected-ctl", 8, 1, 200, "folio3/sa", 3595, 2025026535896686959, 1, 2220, 2),
+    ("expected-ctl", 8, 1, 200, "folio3/tabu", 3519, 12400768987306694759, 180, 2220, 2),
+    ("expected-ctl", 8, 1, 200, "folio3/ga", 3595, 2025026535896686959, 100, 2220, 2),
     ("expected-ctl", 8, 1, 2000, "ga", 3473, 15355616601693882533, 2000, 4366, 872),
     ("expected-ctl", 8, 1, 2000, "rw", 12946, 6068304381493081609, 1799, 16000, 0),
-    ("expected-ctl", 8, 1, 2000, "folio4/sa", 3595, 2025026535896686959, 1, 26823, 355),
-    ("expected-ctl", 8, 1, 2000, "folio4/tabu", 3263, 12615805124260702195, 1076, 26823, 355),
-    ("expected-ctl", 8, 1, 2000, "folio4/ga", 3501, 5955849891855262301, 1900, 26823, 355),
-    ("expected-ctl", 8, 1, 2000, "folio4/rw", 13171, 10206785099042018781, 1430, 26823, 355),
+    ("expected-ctl", 8, 1, 2000, "folio3/sa", 3595, 2025026535896686959, 1, 10823, 355),
+    ("expected-ctl", 8, 1, 2000, "folio3/tabu", 3263, 12615805124260702195, 1076, 10823, 355),
+    ("expected-ctl", 8, 1, 2000, "folio3/ga", 3501, 5955849891855262301, 1900, 10823, 355),
     ("expected-ctl", 8, 2, 200, "ga", 3595, 2025026535896686959, 100, 1502, 0),
     ("expected-ctl", 8, 2, 200, "rw", 13525, 13882736701963595267, 74, 1600, 0),
-    ("expected-ctl", 8, 2, 200, "folio4/sa", 3595, 2025026535896686959, 1, 3819, 0),
-    ("expected-ctl", 8, 2, 200, "folio4/tabu", 3461, 8305549902904174575, 180, 3819, 0),
-    ("expected-ctl", 8, 2, 200, "folio4/ga", 3595, 2025026535896686959, 100, 3819, 0),
-    ("expected-ctl", 8, 2, 200, "folio4/rw", 14072, 8690175840193341239, 140, 3819, 0),
+    ("expected-ctl", 8, 2, 200, "folio3/sa", 3595, 2025026535896686959, 1, 2219, 0),
+    ("expected-ctl", 8, 2, 200, "folio3/tabu", 3461, 8305549902904174575, 180, 2219, 0),
+    ("expected-ctl", 8, 2, 200, "folio3/ga", 3595, 2025026535896686959, 100, 2219, 0),
     ("expected-ctl", 8, 2, 2000, "ga", 3473, 18265577834812832679, 2000, 4314, 1007),
     ("expected-ctl", 8, 2, 2000, "rw", 12834, 6068304381493081609, 1799, 16000, 0),
-    ("expected-ctl", 8, 2, 2000, "folio4/sa", 3595, 2025026535896686959, 1, 26996, 784),
-    ("expected-ctl", 8, 2, 2000, "folio4/tabu", 3104, 11721245537117040211, 1364, 26996, 784),
-    ("expected-ctl", 8, 2, 2000, "folio4/ga", 3485, 6822277267916682775, 1800, 26996, 784),
-    ("expected-ctl", 8, 2, 2000, "folio4/rw", 13093, 10206785099042018781, 1430, 26996, 784),
+    ("expected-ctl", 8, 2, 2000, "folio3/sa", 3595, 2025026535896686959, 1, 10996, 784),
+    ("expected-ctl", 8, 2, 2000, "folio3/tabu", 3104, 11721245537117040211, 1364, 10996, 784),
+    ("expected-ctl", 8, 2, 2000, "folio3/ga", 3485, 6822277267916682775, 1800, 10996, 784),
 ];
 
 /// Seed-fixed GA and random-walk trajectory goldens on the same traces and
 /// shapes as [`sa_and_tabu_trajectory_goldens_on_tier_traces`]: the two
-/// searchers that spend their budget on fresh random placements, standalone
-/// and as lanes of the default four-lane race, each on a fresh one-worker
-/// engine. A different RNG word, deal, list order or replayed cost changes
-/// a row.
+/// searchers that spend their budget on fresh random placements, standalone,
+/// plus the lanes of the default race (SA, tabu, GA), each on a fresh
+/// one-worker engine. A different RNG word, deal, list order or replayed
+/// cost changes a row.
 #[test]
 fn ga_and_random_walk_trajectory_goldens_on_tier_traces() {
     let rw_seed = rtm::RandomWalkConfig::paper().seed;
@@ -551,10 +539,10 @@ fn ga_and_random_walk_trajectory_goldens_on_tier_traces() {
                         .unwrap();
                     for lane in &race.lanes {
                         let run = match lane.spec {
-                            LaneSpec::Sa => "folio4/sa",
-                            LaneSpec::Tabu => "folio4/tabu",
-                            LaneSpec::Ga => "folio4/ga",
-                            LaneSpec::RandomWalk => "folio4/rw",
+                            LaneSpec::Sa => "folio3/sa",
+                            LaneSpec::Tabu => "folio3/tabu",
+                            LaneSpec::Ga => "folio3/ga",
+                            LaneSpec::RandomWalk => "folio3/rw",
                         };
                         row(run, lane.outcome.as_ref().unwrap(), &engine);
                     }
@@ -572,6 +560,48 @@ fn ga_and_random_walk_trajectory_goldens_on_tier_traces() {
     }
 }
 
+/// The default race is SA, tabu and the GA, and leaving the random walk
+/// out moved no other lane: on expected-dsp at 4 DBCs and the served
+/// 200-eval budget, each lane of a default race ends exactly as the same
+/// lane of a race that names every lane kind.
+#[test]
+fn default_race_is_the_full_race_without_the_random_walk() {
+    let budget = Budget::evals(200);
+    assert_eq!(PortfolioConfig::new(budget).lanes, LaneSpec::DEFAULT);
+    let seq = rtm::offsetstone::TierWorkload::by_name("expected-dsp", 1.0)
+        .unwrap()
+        .generate();
+    let problem = array_problem(&seq, 4, 1, 1);
+    let seeds = problem.heuristic_seeds();
+    let race = |cfg: PortfolioConfig| {
+        Portfolio::new(cfg)
+            .run_with_engine(
+                &problem.engine(),
+                problem.dbcs(),
+                problem.capacity(),
+                &seeds,
+            )
+            .unwrap()
+    };
+    let default = race(PortfolioConfig::new(budget));
+    let full = race(PortfolioConfig::new(budget).with_lanes(LaneSpec::ALL.to_vec()));
+    assert_eq!(default.lanes.len(), LaneSpec::DEFAULT.len());
+    for (lane, same) in default.lanes.iter().zip(&full.lanes) {
+        assert_eq!(lane.spec, same.spec);
+        let (d, f) = (
+            lane.outcome.as_ref().unwrap(),
+            same.outcome.as_ref().unwrap(),
+        );
+        assert_eq!(
+            (d.cost, &d.placement, d.evals, d.evals_at_best),
+            (f.cost, &f.placement, f.evals, f.evals_at_best),
+            "{} lane",
+            lane.spec
+        );
+    }
+    assert_eq!(default.best().cost, full.best().cost);
+}
+
 /// Budget semantics through the `Strategy` layer: eval budgets are hard
 /// caps (per lane for the portfolio), stall and deadline budgets
 /// terminate with valid solutions.
@@ -586,9 +616,10 @@ fn budgets_cap_and_terminate() {
         let folio = problem
             .solve(&Strategy::Portfolio(PortfolioConfig::new(Budget::evals(n))))
             .unwrap();
+        let lanes = LaneSpec::DEFAULT.len() as u64;
         assert!(
-            folio.evals_consumed <= 4 * n.max(1),
-            "portfolio overran 4 x evals({n})"
+            folio.evals_consumed <= lanes * n.max(1),
+            "portfolio overran {lanes} x evals({n})"
         );
     }
     for budget in [
